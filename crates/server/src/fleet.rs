@@ -38,7 +38,7 @@
 //!   routing *new* requests to a shard before its server drains, and
 //!   the shard's own `admitted == served` assertion still holds.
 
-use crate::http::{Request, Response};
+use crate::http::{self, Request, Response, MAX_HEADERS, MAX_HEADER_LINE};
 use crate::json::Json;
 use crate::metrics::{Metrics, Route};
 use crate::ring::Ring;
@@ -50,7 +50,7 @@ use obs::{Counter, Registry, TraceContext};
 use parallel::lock_clean;
 use spotmarket::faults::{ShardFaultKind, ShardFaults};
 use spotmarket::{Az, Catalog, Combo};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -188,12 +188,24 @@ impl FleetCounters {
     }
 }
 
+/// Largest shard answer body the front reads, thousands of times the
+/// largest a shard renders (a graphs document or a `/v1/metrics`
+/// exposition, a few KB each). A peer announcing more is broken or
+/// hostile: its answer is a proxy error before any buffer is sized from
+/// the announced length.
+const MAX_SHARD_BODY: usize = 16 * 1024 * 1024;
+
 /// A pooled keep-alive connection to one shard (the front's own minimal
-/// HTTP/1.1 client — the server crate cannot depend on loadgen).
+/// HTTP/1.1 client — the server crate cannot depend on loadgen). A GET
+/// is split into [`ProxyConn::send`] and [`ProxyConn::recv`] so a scatter
+/// can write every leg before it reads any answer.
 struct ProxyConn {
     addr: SocketAddr,
     timeout: Duration,
     conn: Option<BufReader<TcpStream>>,
+    /// Whether the last send went out on a connection kept from an
+    /// earlier request — one the shard may have closed while it idled.
+    reused: bool,
 }
 
 impl ProxyConn {
@@ -202,6 +214,7 @@ impl ProxyConn {
             addr,
             timeout,
             conn: None,
+            reused: false,
         }
     }
 
@@ -213,32 +226,14 @@ impl ProxyConn {
         Ok(BufReader::new(stream))
     }
 
-    /// One GET round-trip; retries once on a torn pooled connection (the
-    /// shard may have closed an idle keep-alive between requests).
+    /// Writes one GET, connecting first when no connection is open.
     /// `trace` is an encoded [`TraceContext`] to propagate as the
     /// `x-drafts-trace` request header.
-    fn get(&mut self, target: &str, trace: Option<&str>) -> io::Result<(u16, Vec<u8>)> {
-        let pooled = self.conn.is_some();
-        match self.roundtrip(target, trace) {
-            Ok(out) => Ok(out),
-            Err(err) => {
-                self.conn = None;
-                if pooled {
-                    self.roundtrip(target, trace).inspect_err(|_| {
-                        self.conn = None;
-                    })
-                } else {
-                    Err(err)
-                }
-            }
-        }
-    }
-
-    fn roundtrip(&mut self, target: &str, trace: Option<&str>) -> io::Result<(u16, Vec<u8>)> {
+    fn send(&mut self, target: &str, trace: Option<&str>) -> io::Result<()> {
+        self.reused = self.conn.is_some();
         if self.conn.is_none() {
             self.conn = Some(self.connect()?);
         }
-        let reader = self.conn.as_mut().expect("connection just established");
         let request = match trace {
             Some(enc) => format!(
                 "GET {target} HTTP/1.1\r\nHost: shard\r\n{}: {enc}\r\n\r\n",
@@ -246,24 +241,59 @@ impl ProxyConn {
             ),
             None => format!("GET {target} HTTP/1.1\r\nHost: shard\r\n\r\n"),
         };
-        reader.get_mut().write_all(request.as_bytes())?;
+        let stream = self.conn.as_mut().expect("connection just established");
+        stream.get_mut().write_all(request.as_bytes())
+    }
 
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line)?;
+    /// Completes a GET whose send returned `sent`: reads the answer, and
+    /// on a torn reused connection sends and reads once more on a fresh
+    /// one. A connection that errs is never parked again, so only the
+    /// retry needs it dropped.
+    fn finish(
+        &mut self,
+        sent: io::Result<()>,
+        target: &str,
+        trace: Option<&str>,
+    ) -> io::Result<(u16, Vec<u8>)> {
+        match sent.and_then(|()| self.recv()) {
+            Err(_) if self.reused => {
+                self.conn = None;
+                self.send(target, trace)?;
+                self.recv()
+            }
+            answer => answer,
+        }
+    }
+
+    /// Reads the answer to the last send, every size bounded before it is
+    /// read: status and header lines by [`MAX_HEADER_LINE`] and
+    /// [`MAX_HEADERS`], the body by [`MAX_SHARD_BODY`].
+    fn recv(&mut self) -> io::Result<(u16, Vec<u8>)> {
+        let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+        let reader = self
+            .conn
+            .as_mut()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "nothing sent"))?;
+        let status_line =
+            http::read_line(reader, MAX_HEADER_LINE)?.ok_or(io::ErrorKind::UnexpectedEof)?;
         let status: u16 = status_line
             .split(' ')
             .nth(1)
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
+            .ok_or_else(|| invalid("bad status line"))?;
 
         let mut content_length = 0usize;
         let mut close = false;
+        let mut headers = 0usize;
         loop {
-            let mut line = String::new();
-            reader.read_line(&mut line)?;
-            let line = line.trim_end();
+            let line =
+                http::read_line(reader, MAX_HEADER_LINE)?.ok_or(io::ErrorKind::UnexpectedEof)?;
             if line.is_empty() {
                 break;
+            }
+            headers += 1;
+            if headers > MAX_HEADERS {
+                return Err(invalid("too many headers"));
             }
             let Some((name, value)) = line.split_once(':') else {
                 continue;
@@ -271,12 +301,13 @@ impl ProxyConn {
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim();
             if name == "content-length" {
-                content_length = value.parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                })?;
+                content_length = value.parse().map_err(|_| invalid("bad content-length"))?;
             } else if name == "connection" && value.eq_ignore_ascii_case("close") {
                 close = true;
             }
+        }
+        if content_length > MAX_SHARD_BODY {
+            return Err(invalid("shard body too large"));
         }
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body)?;
@@ -480,7 +511,7 @@ impl FrontRouter {
             Some(ShardFaultKind::Slow) => return ProbeOutcome::Degraded,
             None => {}
         }
-        match self.proxy_raw(shard, &format!("/v1/health?now={t}")) {
+        match self.proxy(shard, &format!("/v1/health?now={t}"), None) {
             Ok((200, body)) => {
                 let parsed = std::str::from_utf8(&body)
                     .ok()
@@ -513,32 +544,56 @@ impl FrontRouter {
         self.shard_state(shard, now) != ShardState::Down
     }
 
-    /// One proxied GET to a shard, through its connection pool (no trace
-    /// propagation — probes and rollup reads are infrastructure, not
-    /// request hops).
-    fn proxy_raw(&self, shard: usize, target: &str) -> io::Result<(u16, Vec<u8>)> {
-        self.proxy_traced(shard, target, None)
+    /// Proxies a GET of `target` to each leg's shard, overlapped: every
+    /// request is written before any answer is read, so the shards work
+    /// at once and the call waits for about its slowest leg, not the sum
+    /// of all of them. Answers come back in leg order. Each leg draws a
+    /// parked connection (or opens one) and parks it again after a clean
+    /// answer; a leg whose parked connection turns out torn is retried
+    /// once on a fresh one. A leg's trace context is propagated as its
+    /// request header — the hop that stitches the front's span tree into
+    /// the shard's; probes and rollup reads are infrastructure, not
+    /// request hops, and pass none.
+    fn scatter(
+        &self,
+        target: &str,
+        legs: &[(usize, Option<TraceContext>)],
+    ) -> Vec<io::Result<(u16, Vec<u8>)>> {
+        let sent: Vec<(ProxyConn, Option<String>, io::Result<()>)> = legs
+            .iter()
+            .map(|&(shard, ctx)| {
+                let handle = &self.shards[shard];
+                let mut conn = lock_clean(&handle.pool)
+                    .pop()
+                    .unwrap_or_else(|| ProxyConn::new(handle.addr, self.cfg.proxy_timeout));
+                let trace = ctx.map(|c| c.encode());
+                let sent = conn.send(target, trace.as_deref());
+                (conn, trace, sent)
+            })
+            .collect();
+        legs.iter()
+            .zip(sent)
+            .map(|(&(shard, _), (mut conn, trace, sent))| {
+                let answer = conn.finish(sent, target, trace.as_deref());
+                let handle = &self.shards[shard];
+                if answer.is_ok() && !handle.pool_closed.load(Ordering::Acquire) {
+                    lock_clean(&handle.pool).push(conn);
+                }
+                answer
+            })
+            .collect()
     }
 
-    /// One proxied GET carrying a trace context as the request header —
-    /// the propagation hop that stitches the front's span tree into the
-    /// shard's.
-    fn proxy_traced(
+    /// One proxied GET: a one-leg [`FrontRouter::scatter`].
+    fn proxy(
         &self,
         shard: usize,
         target: &str,
         ctx: Option<TraceContext>,
     ) -> io::Result<(u16, Vec<u8>)> {
-        let handle = &self.shards[shard];
-        let mut conn = lock_clean(&handle.pool)
+        self.scatter(target, &[(shard, ctx)])
             .pop()
-            .unwrap_or_else(|| ProxyConn::new(handle.addr, self.cfg.proxy_timeout));
-        let enc = ctx.map(|c| c.encode());
-        let result = conn.get(target, enc.as_deref());
-        if result.is_ok() && !handle.pool_closed.load(Ordering::Acquire) {
-            lock_clean(&handle.pool).push(conn);
-        }
-        result
+            .expect("one leg, one answer")
     }
 
     /// Appends one front-side observation to the front's trace ring
@@ -559,9 +614,17 @@ impl FrontRouter {
 
     /// Decorates a proxied answer with routing provenance and enforces
     /// the never-silently-stale invariant: `force_degraded` (off-owner
-    /// service or a Degraded serving shard) flips an existing `degraded`
-    /// field to `true`; `served_by` and `failover` are appended to every
-    /// JSON object body.
+    /// service or a Degraded serving shard) flips an existing top-level
+    /// `degraded` field to `true`; `served_by` and `failover` are appended
+    /// to every JSON object body.
+    ///
+    /// The shard's bytes are relayed, not re-rendered: the body is checked
+    /// against the full JSON grammar without building a tree, each
+    /// forced `degraded` value is overwritten in place, and the provenance
+    /// fields are spliced in before the closing brace. Shards render
+    /// canonically ([`Json::render`]), so this equals parsing the body,
+    /// editing the tree and rendering it again. A body that is not JSON
+    /// is a 502 and a proxy error.
     fn decorate(
         &self,
         shard: usize,
@@ -570,37 +633,54 @@ impl FrontRouter {
         status: u16,
         body: Vec<u8>,
     ) -> Response {
-        let doc = std::str::from_utf8(&body)
+        let checked = String::from_utf8(body)
             .ok()
-            .and_then(|s| Json::parse(s).ok());
-        let Some(mut doc) = doc else {
+            .and_then(|text| Json::outline(&text).ok().map(|outline| (text, outline)));
+        let Some((text, outline)) = checked else {
             self.counters.proxy_errors.inc();
             return Response::error(502, "unparseable shard response");
         };
-        if let Json::Obj(fields) = &mut doc {
-            if force_degraded {
-                for (name, value) in fields.iter_mut() {
-                    if name == "degraded" {
-                        *value = Json::Bool(true);
+        // The first top-level `degraded` value, as relayed.
+        let mut degraded = None;
+        let relayed = match outline.close {
+            None => text,
+            Some(close) => {
+                let mut out = String::with_capacity(text.len() + 48);
+                let mut copied = 0;
+                for (name, value) in &outline.fields {
+                    if name != "degraded" {
+                        continue;
                     }
+                    if force_degraded {
+                        out.push_str(&text[copied..value.start]);
+                        out.push_str("true");
+                        copied = value.end;
+                    }
+                    degraded.get_or_insert(force_degraded || &text[value.clone()] == "true");
                 }
+                out.push_str(&text[copied..close]);
+                if !outline.fields.is_empty() {
+                    out.push(',');
+                }
+                out.push_str("\"served_by\":");
+                out.push_str(&Json::Str(self.shards[shard].instance.clone()).render());
+                out.push_str(if off_owner {
+                    ",\"failover\":true"
+                } else {
+                    ",\"failover\":false"
+                });
+                out.push_str(&text[close..]);
+                out
             }
-            fields.push((
-                "served_by".to_string(),
-                Json::Str(self.shards[shard].instance.clone()),
-            ));
-            fields.push(("failover".to_string(), Json::Bool(off_owner)));
-        }
+        };
         self.counters.served[shard].inc();
         if off_owner {
             self.counters.failed_over[shard].inc();
         }
-        if status == 200
-            && doc.get("degraded").and_then(Json::as_bool) == Some(true)
-        {
+        if status == 200 && degraded == Some(true) {
             self.counters.degraded[shard].inc();
         }
-        Response::json(status, doc.render())
+        Response::json(status, relayed)
     }
 
     /// The explicit refusal: 503 + `Retry-After`, `degraded: true` — a
@@ -659,7 +739,7 @@ impl FrontRouter {
                 );
                 continue;
             }
-            match self.proxy_traced(shard, &target, Some(leg_ctx)) {
+            match self.proxy(shard, &target, Some(leg_ctx)) {
                 Ok((status, body)) => {
                     let off_owner = shard != primary;
                     self.trace_record(
@@ -721,14 +801,28 @@ impl FrontRouter {
         // copies), so replicas would duplicate owners' quotes. Dedup
         // rule: keep a shard's quote only when it IS the quoted combo's
         // primary, or the primary is unroutable (true failover).
+        //
+        // Routability — and with it each shard's probe fold — is settled
+        // for every shard before any leg is sent, so each shard still
+        // sees its probe before its leg. Scatter legs are numbered by
+        // shard index, so a timeline names which shard's answer each leg
+        // is.
+        let routable: Vec<bool> = (0..self.cfg.shards)
+            .map(|shard| self.routable(shard, now))
+            .collect();
+        let legs: Vec<(usize, Option<TraceContext>)> = (0..self.cfg.shards)
+            .filter(|&shard| routable[shard])
+            .map(|shard| (shard, Some(ctx.child(shard as u64))))
+            .collect();
+        let mut answers = self.scatter(&target, &legs).into_iter();
         let mut best: Option<BidCandidate> = None;
         let mut fallback: Option<(u16, Vec<u8>, usize)> = None;
-        let mut any_routable = false;
-        // Scatter legs are numbered by shard index, so a timeline names
-        // which shard's answer each leg is.
+        // The answers are folded in shard order, so trace records,
+        // counters, dedup and the winner come out as for legs run one
+        // after another.
         for shard in 0..self.cfg.shards {
             let leg_ctx = ctx.child(shard as u64);
-            if !self.routable(shard, now) {
+            if !routable[shard] {
                 self.trace_record(
                     metrics,
                     leg_ctx,
@@ -739,8 +833,8 @@ impl FrontRouter {
                 );
                 continue;
             }
-            any_routable = true;
-            let (status, body) = match self.proxy_traced(shard, &target, Some(leg_ctx)) {
+            let answer = answers.next().expect("one answer per routable shard");
+            let (status, body) = match answer {
                 Ok(out) => {
                     self.trace_record(
                         metrics,
@@ -771,10 +865,10 @@ impl FrontRouter {
                 }
                 continue;
             }
-            let Some((doc, wire)) = std::str::from_utf8(&body)
+            let Some(wire) = std::str::from_utf8(&body)
                 .ok()
                 .and_then(|s| Json::parse(s).ok())
-                .and_then(|doc| BidQuoteWire::from_json(&doc).map(|w| (doc, w)))
+                .and_then(|doc| BidQuoteWire::from_json(&doc))
             else {
                 self.counters.proxy_errors.inc();
                 continue;
@@ -787,7 +881,7 @@ impl FrontRouter {
             };
             let key = Combo::new(az, ty).key();
             let primary = self.ring.primary(key);
-            if shard != primary && self.routable(primary, now) {
+            if shard != primary && routable[primary] {
                 continue; // the primary's own answer covers this combo
             }
             let off_owner = shard != primary;
@@ -800,7 +894,7 @@ impl FrontRouter {
                 degraded,
                 bid_usd: wire.bid_usd,
                 key,
-                doc,
+                body,
             };
             best = Some(match best.take() {
                 None => candidate,
@@ -824,10 +918,10 @@ impl FrontRouter {
                     winner.off_owner,
                     winner.degraded,
                     200,
-                    winner.doc.render().into_bytes(),
+                    winner.body,
                 )
             }
-            None if !any_routable => self.refuse("no shard routable"),
+            None if legs.is_empty() => self.refuse("no shard routable"),
             None => match fallback {
                 // Uniform non-200 (e.g. 404 "no market guarantees"):
                 // relay the first shard's verdict verbatim.
@@ -840,28 +934,37 @@ impl FrontRouter {
     }
 
     fn health(&self, now: u64, ctx: TraceContext, metrics: &Metrics) -> Response {
-        // Collect each routable shard's own rollup once.
+        // Every shard's state first (probing as needed), then one
+        // overlapped scatter collects each serving shard's own rollup.
+        let states: Vec<ShardState> = (0..self.cfg.shards)
+            .map(|shard| {
+                if self.shards[shard].draining.load(Ordering::Acquire) {
+                    ShardState::Draining
+                } else if matches!(
+                    self.cfg.faults.active(shard, now),
+                    Some(ShardFaultKind::Kill) | Some(ShardFaultKind::Hang)
+                ) {
+                    ShardState::Down
+                } else {
+                    self.shard_state(shard, now)
+                }
+            })
+            .collect();
+        let reachable =
+            |shard: usize| matches!(states[shard], ShardState::Up | ShardState::Degraded);
+        let legs: Vec<(usize, Option<TraceContext>)> = (0..self.cfg.shards)
+            .filter(|&shard| reachable(shard))
+            .map(|shard| (shard, Some(ctx.child(shard as u64))))
+            .collect();
+        let mut answers = self
+            .scatter(&format!("/v1/health?now={now}"), &legs)
+            .into_iter();
         let mut docs: Vec<Option<Json>> = Vec::with_capacity(self.cfg.shards);
         let mut shard_rows = Vec::with_capacity(self.cfg.shards);
-        for shard in 0..self.cfg.shards {
-            let state = if self.shards[shard].draining.load(Ordering::Acquire) {
-                ShardState::Draining
-            } else if matches!(
-                self.cfg.faults.active(shard, now),
-                Some(ShardFaultKind::Kill) | Some(ShardFaultKind::Hang)
-            ) {
-                ShardState::Down
-            } else {
-                self.shard_state(shard, now)
-            };
-            let doc = if matches!(state, ShardState::Up | ShardState::Degraded) {
+        for (shard, &state) in states.iter().enumerate() {
+            let doc = if reachable(shard) {
                 let leg_ctx = ctx.child(shard as u64);
-                let out = self.proxy_traced(
-                    shard,
-                    &format!("/v1/health?now={now}"),
-                    Some(leg_ctx),
-                );
-                match out {
+                match answers.next().expect("one answer per serving shard") {
                     Ok((status, body)) => {
                         self.trace_record(
                             metrics,
@@ -975,7 +1078,8 @@ struct BidCandidate {
     degraded: bool,
     bid_usd: f64,
     key: u64,
-    doc: Json,
+    /// The shard's answer bytes, relayed as-is if this candidate wins.
+    body: Vec<u8>,
 }
 
 /// Winner order: guaranteed beats degraded, then cheapest bid, then the
@@ -1073,7 +1177,7 @@ impl FrontRouter {
         for shard in 0..self.cfg.shards {
             let instance = self.shards[shard].instance.clone();
             let text = if self.routable(shard, now) {
-                match self.proxy_raw(shard, "/v1/metrics") {
+                match self.proxy(shard, "/v1/metrics", None) {
                     Ok((200, body)) => String::from_utf8(body).ok(),
                     _ => {
                         self.counters.proxy_errors.inc();
@@ -1113,7 +1217,7 @@ impl FrontRouter {
         ])];
         for shard in 0..self.cfg.shards {
             let doc = if self.routable(shard, now) {
-                match self.proxy_raw(shard, &format!("/v1/slo?now={now}")) {
+                match self.proxy(shard, &format!("/v1/slo?now={now}"), None) {
                     Ok((200, body)) => std::str::from_utf8(&body)
                         .ok()
                         .and_then(|s| Json::parse(s).ok()),
@@ -1161,7 +1265,7 @@ impl FrontRouter {
             // A shard 404s when it retains nothing for the id — that's
             // an empty contribution here, not an error.
             let Ok((200, body)) =
-                self.proxy_raw(shard, &format!("/v1/_debug/trace/{hex}"))
+                self.proxy(shard, &format!("/v1/_debug/trace/{hex}"), None)
             else {
                 continue;
             };
@@ -1423,7 +1527,7 @@ mod tests {
             degraded,
             bid_usd,
             key: shard as u64,
-            doc: Json::Null,
+            body: Vec::new(),
         };
         let cheap_degraded = candidate(0, true, 0.10);
         let pricey_guaranteed = candidate(1, false, 0.90);
@@ -1461,6 +1565,110 @@ mod tests {
         assert_eq!(s5.next_probe, 23);
     }
 
+    /// The decorate contract as first implemented — parse, edit the tree,
+    /// render — kept as the oracle for the byte relay. Returns the bytes
+    /// and whether the answer counts as degraded.
+    fn rerendered(instance: &str, off_owner: bool, force: bool, body: &str) -> (Vec<u8>, bool) {
+        let mut doc = Json::parse(body).expect("oracle input is JSON");
+        if let Json::Obj(fields) = &mut doc {
+            if force {
+                for (name, value) in fields.iter_mut() {
+                    if name == "degraded" {
+                        *value = Json::Bool(true);
+                    }
+                }
+            }
+            fields.push(("served_by".to_string(), Json::str(instance)));
+            fields.push(("failover".to_string(), Json::Bool(off_owner)));
+        }
+        let degraded = doc.get("degraded").and_then(Json::as_bool) == Some(true);
+        (doc.render().into_bytes(), degraded)
+    }
+
+    /// Shard-shaped answer bodies, each rendered the way shards render.
+    fn shard_bodies() -> Vec<(u16, String)> {
+        use crate::wire::{bid_quote_json, health_json};
+        use drafts_core::service::{BidQuote, ComboHealth, FeedHealth};
+        let catalog = Catalog::standard();
+        let combo = Combo::new(
+            Az::parse("us-east-1c").expect("known az"),
+            catalog.type_id("c3.4xlarge").expect("known type"),
+        );
+        let graphs = |state: &str, degraded: bool| {
+            Json::obj(vec![
+                ("region", Json::str("us-east-1")),
+                ("az", Json::str("us-east-1c")),
+                ("type", Json::str("c3.4xlarge")),
+                ("state", Json::str(state)),
+                ("degraded", Json::Bool(degraded)),
+                ("covered_until", Json::num_u64(1_728_000)),
+                (
+                    "graphs",
+                    Json::Arr(vec![Json::obj(vec![
+                        ("p", Json::num(0.95)),
+                        ("computed_at", Json::num_u64(1_728_000)),
+                        (
+                            "points",
+                            Json::Arr(vec![
+                                Json::obj(vec![
+                                    ("bid_usd", Json::num(0.1234)),
+                                    ("durability_secs", Json::num_u64(3600)),
+                                ]),
+                                Json::obj(vec![
+                                    ("bid_usd", Json::num(0.25)),
+                                    ("durability_secs", Json::num_u64(86_400)),
+                                ]),
+                            ]),
+                        ),
+                    ])]),
+                ),
+            ])
+            .render()
+        };
+        let quote = |degraded| BidQuote {
+            combo,
+            bid: spotmarket::Price::from_dollars(0.8123),
+            durability_secs: 7200,
+            probability: 0.95,
+            degraded,
+        };
+        let rollup = [
+            ComboHealth {
+                combo,
+                health: FeedHealth::Fresh,
+                covered_until: 100,
+            },
+            ComboHealth {
+                combo,
+                health: FeedHealth::Stale { age: 1800 },
+                covered_until: 50,
+            },
+        ];
+        vec![
+            (200, graphs("fresh", false)),
+            (200, graphs("unavailable", true)),
+            (200, bid_quote_json(catalog, &quote(false)).render()),
+            (200, bid_quote_json(catalog, &quote(true)).render()),
+            (
+                404,
+                Json::obj(vec![("error", Json::str("no market guarantees"))]).render(),
+            ),
+            (200, health_json(catalog, "shard-1", &rollup).render()),
+            // Edge shapes: duplicate keys, a nested `degraded` the relay
+            // must not touch, a non-boolean one, no fields, no object.
+            (
+                200,
+                r#"{"degraded":false,"x":{"degraded":false},"degraded":false}"#.to_string(),
+            ),
+            (
+                200,
+                r#"{"degraded":null,"rows":[{"degraded":true}]}"#.to_string(),
+            ),
+            (200, "{}".to_string()),
+            (200, "[1,{\"degraded\":true}]".to_string()),
+        ]
+    }
+
     #[test]
     fn decorate_forces_degraded_and_appends_provenance() {
         let cfg = FleetConfig::new(2);
@@ -1485,5 +1693,54 @@ mod tests {
         assert_eq!(doc.get("degraded").unwrap().as_bool(), Some(false));
         assert_eq!(doc.get("failover").unwrap().as_bool(), Some(false));
         assert_eq!(front.counters.failed_over[0].get(), 0);
+
+        // The relayed bytes and counter moves equal parse → edit → render
+        // for every shard-shaped body, forced and not.
+        for (status, body) in shard_bodies() {
+            for (shard, off_owner, force) in [(0, false, false), (1, false, true), (1, true, true)]
+            {
+                let counters = &front.counters;
+                let before = (
+                    counters.served[shard].get(),
+                    counters.failed_over[shard].get(),
+                    counters.degraded[shard].get(),
+                );
+                let resp =
+                    front.decorate(shard, off_owner, force, status, body.clone().into_bytes());
+                let instance = format!("shard-{shard}");
+                let (want, degraded) = rerendered(&instance, off_owner, force, &body);
+                assert_eq!(
+                    String::from_utf8_lossy(&resp.body),
+                    String::from_utf8_lossy(&want),
+                    "relay differs from re-render (force={force}) for {body}"
+                );
+                assert_eq!(resp.status, status);
+                let after = (
+                    counters.served[shard].get(),
+                    counters.failed_over[shard].get(),
+                    counters.degraded[shard].get(),
+                );
+                let moved = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+                let want_degraded = u64::from(status == 200 && degraded);
+                assert_eq!(moved, (1, u64::from(off_owner), want_degraded), "{body}");
+            }
+        }
+        assert_eq!(front.counters.proxy_errors.get(), 0);
+
+        // A body that is not JSON is a 502 and a proxy error, and counts
+        // as served by no one.
+        for bad in [
+            &b"{\"degraded\":false"[..],
+            b"<html>",
+            b"{\"a\":1}x",
+            b"\xff\xfe",
+        ] {
+            let served = front.counters.served[0].get();
+            let errors = front.counters.proxy_errors.get();
+            let resp = front.decorate(0, false, true, 200, bad.to_vec());
+            assert_eq!(resp.status, 502);
+            assert_eq!(front.counters.proxy_errors.get(), errors + 1);
+            assert_eq!(front.counters.served[0].get(), served);
+        }
     }
 }

@@ -99,8 +99,23 @@ impl From<io::Error> for ParseError {
     }
 }
 
+impl From<ParseError> for io::Error {
+    fn from(e: ParseError) -> Self {
+        match e {
+            ParseError::Io(e) => e,
+            ParseError::Eof => io::ErrorKind::UnexpectedEof.into(),
+            ParseError::Malformed(msg) | ParseError::TooLarge(msg) => {
+                io::Error::new(io::ErrorKind::InvalidData, msg)
+            }
+        }
+    }
+}
+
 /// Reads one CRLF- (or LF-) terminated line, bounded by `max` bytes.
-fn read_line(reader: &mut impl BufRead, max: usize) -> Result<Option<String>, ParseError> {
+pub(crate) fn read_line(
+    reader: &mut impl BufRead,
+    max: usize,
+) -> Result<Option<String>, ParseError> {
     let mut buf = Vec::new();
     let mut limited = <&mut _ as io::Read>::take(&mut *reader, max as u64 + 1);
     let n = limited.read_until(b'\n', &mut buf)?;

@@ -13,9 +13,13 @@
 //! The reader is a strict recursive-descent parser over the JSON grammar
 //! (RFC 8259) minus two liberties we never emit: it accepts only finite
 //! numbers and caps nesting at [`MAX_DEPTH`] to bound stack use on
-//! hostile input.
+//! hostile input. The same walker also runs without building a tree
+//! (`Json::outline`), for the fleet front, which relays a shard document's
+//! bytes and only needs to know it is valid and where its top-level
+//! fields sit.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Maximum nesting depth the parser accepts.
 pub const MAX_DEPTH: usize = 64;
@@ -53,6 +57,18 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// A document checked against the full grammar without building a tree
+/// (see [`Json::outline`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Outline {
+    /// Byte offset of the top-level object's closing `}`; `None` when the
+    /// top-level value is not an object.
+    pub close: Option<usize>,
+    /// The top-level object's fields in document order: the decoded key
+    /// and the byte range of the raw value.
+    pub fields: Vec<(String, Range<usize>)>,
+}
 
 impl Json {
     /// Convenience constructor for an object literal.
@@ -180,17 +196,21 @@ impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing garbage after document"));
-        }
-        Ok(value)
+        Parser::new(input, true).document().map(|(value, _)| value)
+    }
+
+    /// Checks a complete document exactly as [`Json::parse`] would — the
+    /// same walker, so the same inputs are accepted and every rejection
+    /// carries the same error — but builds no tree: only the top-level
+    /// keys are decoded, and each top-level value is reported as the byte
+    /// range it occupies in `input`.
+    pub(crate) fn outline(input: &str) -> Result<Outline, JsonError> {
+        let mut p = Parser::new(input, false);
+        let (_, root) = p.document()?;
+        Ok(Outline {
+            close: (p.bytes[root.start] == b'{').then(|| root.end - 1),
+            fields: p.top_fields,
+        })
     }
 }
 
@@ -215,9 +235,38 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Build the tree; when false, only check the grammar and record the
+    /// top-level fields' layout.
+    build: bool,
+    /// Top-level object fields seen while checking (`build == false`).
+    top_fields: Vec<(String, Range<usize>)>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(input: &'a str, build: bool) -> Parser<'a> {
+        Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+            build,
+            top_fields: Vec::new(),
+        }
+    }
+
+    /// Walks a whole document: the root value and the byte range it
+    /// occupies (surrounding whitespace allowed, trailing garbage
+    /// rejected).
+    fn document(&mut self) -> Result<(Json, Range<usize>), JsonError> {
+        self.skip_ws();
+        let start = self.pos;
+        let value = self.value(0)?;
+        let root = start..self.pos;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing garbage after document"));
+        }
+        Ok((value, root))
+    }
+
     fn err(&self, msg: &'static str) -> JsonError {
         JsonError { at: self.pos, msg }
     }
@@ -258,7 +307,7 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'"') => self.string(self.build).map(Json::Str),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
             Some(b'-' | b'0'..=b'9') => self.number(),
@@ -276,7 +325,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1)?;
+            if self.build {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -297,14 +349,22 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             return Ok(Json::Obj(fields));
         }
+        // A check-only walk still decodes the top level's keys: they are
+        // the outline's field names.
+        let keep_key = self.build || depth == 0;
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string(keep_key)?;
             self.skip_ws();
             self.expect(b':', "expected ':'")?;
             self.skip_ws();
+            let start = self.pos;
             let value = self.value(depth + 1)?;
-            fields.push((key, value));
+            if self.build {
+                fields.push((key, value));
+            } else if depth == 0 {
+                self.top_fields.push((key, start..self.pos));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -317,10 +377,26 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Scans one string; the decoded text is returned only when `keep`
+    /// (otherwise the result is empty and nothing is allocated).
+    fn string(&mut self, keep: bool) -> Result<String, JsonError> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next quote, backslash or control
+            // byte in one step. Every stop byte is ASCII, so the run ends
+            // on a char boundary of the (valid UTF-8) input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            if keep {
+                let text =
+                    std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
+                out.push_str(text);
+            }
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -329,15 +405,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
                             self.pos += 1;
                             let cp = self.hex4()?;
@@ -345,25 +421,19 @@ impl<'a> Parser<'a> {
                             // types; reject rather than mis-decode.
                             let c = char::from_u32(cp as u32)
                                 .ok_or_else(|| self.err("invalid \\u escape"))?;
-                            out.push(c);
+                            if keep {
+                                out.push(c);
+                            }
                             continue;
                         }
                         _ => return Err(self.err("invalid escape")),
+                    };
+                    if keep {
+                        out.push(c);
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("raw control character in string"))
-                }
-                Some(_) => {
-                    // Advance one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -419,6 +489,16 @@ mod tests {
         assert_eq!(Json::Num(-2.5).render(), "-2.5");
     }
 
+    /// The no-tree walk accepts and rejects exactly what the parser does,
+    /// with the same error.
+    fn assert_outline_agrees(input: &str) {
+        assert_eq!(
+            Json::outline(input).map(|_| ()),
+            Json::parse(input).map(|_| ()),
+            "outline and parse disagree on {input:?}"
+        );
+    }
+
     #[test]
     fn round_trips_wire_shaped_documents() {
         let doc = r#"{"region":"us-east-1","p":0.95,"degraded":false,
@@ -436,6 +516,8 @@ mod tests {
         // Render → parse is the identity on the tree.
         let rendered = parsed.render();
         assert_eq!(Json::parse(&rendered).unwrap(), parsed);
+        assert_outline_agrees(doc);
+        assert_outline_agrees(&rendered);
     }
 
     #[test]
@@ -453,15 +535,106 @@ mod tests {
             "\"\u{1}\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
+            assert_outline_agrees(bad);
         }
+    }
+
+    #[test]
+    fn multi_byte_runs_and_escapes_at_run_edges_round_trip() {
+        for text in [
+            "héllo wörld",
+            "日本語のテキスト",
+            "🎉🚀 emoji runs 🎉",
+            "\"日本\"",
+            "\n先頭",
+            "末尾\t",
+            "é\\ü\u{1}ß",
+            "/",
+        ] {
+            let rendered = Json::str(text).render();
+            assert_eq!(Json::parse(&rendered).unwrap().as_str(), Some(text));
+            assert_outline_agrees(&rendered);
+        }
+        // Escapes the renderer never writes, at both edges of a run.
+        let doc = r#""é日本\/\b語\f""#;
+        assert_eq!(
+            Json::parse(doc).unwrap().as_str(),
+            Some("é日本/\u{8}語\u{c}")
+        );
+        assert_outline_agrees(doc);
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        // A raw control byte in the middle of a multi-byte run: rejected
+        // at the control byte itself.
+        let doc = "\"日本\u{1}語\"";
+        let err = Json::parse(doc).unwrap_err();
+        assert_eq!((err.at, err.msg), (7, "raw control character in string"));
+        assert_outline_agrees(doc);
+        // Unterminated inside a multi-byte run: rejected at end of input.
+        for doc in ["\"abc日本語", "[\"é", "{\"k\":\"🎉"] {
+            let err = Json::parse(doc).unwrap_err();
+            assert_eq!((err.at, err.msg), (doc.len(), "unterminated string"));
+            assert_outline_agrees(doc);
+        }
+        // A bad escape right after a run.
+        let err = Json::parse("\"日本\\x\"").unwrap_err();
+        assert_eq!((err.at, err.msg), (8, "invalid escape"));
+        assert_outline_agrees("\"日本\\x\"");
+    }
+
+    #[test]
+    fn megabyte_strings_round_trip() {
+        // A scan that restarts at every character would need ~5e11 byte
+        // checks here; the run scan needs one pass.
+        let text = "é日x\n".repeat(150_000);
+        assert!(text.len() >= 1 << 20);
+        let doc = Json::obj(vec![("big", Json::str(text.as_str()))]);
+        let rendered = doc.render();
+        assert_eq!(Json::parse(&rendered).unwrap(), doc);
+        let outline = Json::outline(&rendered).unwrap();
+        assert_eq!(outline.fields.len(), 1);
+        assert_eq!(outline.fields[0].1.end, rendered.len() - 1);
+    }
+
+    #[test]
+    fn outline_reports_the_top_level_layout() {
+        let doc = r#"{"a":1,"b":[2,{"degraded":true}],"degraded":false,"c":"x"}"#;
+        let outline = Json::outline(doc).unwrap();
+        assert_eq!(outline.close, Some(doc.len() - 1));
+        let fields: Vec<(&str, &str)> = outline
+            .fields
+            .iter()
+            .map(|(k, range)| (k.as_str(), &doc[range.clone()]))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                ("a", "1"),
+                ("b", r#"[2,{"degraded":true}]"#),
+                ("degraded", "false"),
+                ("c", "\"x\""),
+            ]
+        );
+        // Surrounding whitespace is outside the root; non-objects have no
+        // closing brace or fields.
+        let outline = Json::outline(" { \"k\" : null } \n").unwrap();
+        assert_eq!(outline.close, Some(14));
+        assert_eq!(outline.fields, [("k".to_string(), 9..13)]);
+        assert_eq!(Json::outline("{}").unwrap().close, Some(1));
+        let outline = Json::outline("[{\"a\":1}]").unwrap();
+        assert_eq!((outline.close, outline.fields.len()), (None, 0));
     }
 
     #[test]
     fn depth_limit_is_enforced() {
         let deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
         assert!(Json::parse(&deep).is_err());
+        assert_outline_agrees(&deep);
         let ok = "[".repeat(10) + &"]".repeat(10);
         assert!(Json::parse(&ok).is_ok());
+        assert_outline_agrees(&ok);
     }
 
     #[test]
@@ -469,5 +642,6 @@ mod tests {
         let j = Json::str("a\"b\\c\nd\u{1}e");
         assert_eq!(j.render(), "\"a\\\"b\\\\c\\nd\\u0001e\"");
         assert_eq!(Json::parse(&j.render()).unwrap(), j);
+        assert_outline_agrees(&j.render());
     }
 }

@@ -1,7 +1,9 @@
 //! End-to-end fleet tests over real loopback sockets: chaos failover
 //! after a genuine shard crash, graceful drain mid-failover, explicit
-//! refusal when a key's whole owner set is gone, and two-boot byte
-//! determinism under a seeded logical fault plan.
+//! refusal when a key's whole owner set is gone, two-boot byte
+//! determinism under a seeded logical fault plan, scatter legs over
+//! connections the shards closed while they idled, and a hostile shard
+//! announcing an unbounded answer.
 //!
 //! The experiments harness (`repro fleet`) exercises the *logical*
 //! fault path, where chaos is evaluated in virtual time and everything
@@ -12,11 +14,14 @@
 use drafts_core::predictor::DraftsConfig;
 use drafts_core::service::ServiceConfig;
 use drafts_core::DraftsService;
-use server::{Fleet, FleetConfig, Json};
+use server::{Fleet, FleetConfig, FrontRouter, Json, Server};
 use spotmarket::archetype::Archetype;
 use spotmarket::faults::ShardFaults;
 use spotmarket::tracegen::{generate_with_archetype, TraceConfig};
 use spotmarket::{Az, Catalog, Combo, PriceHistory, DAY};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -451,4 +456,116 @@ fn two_boots_answer_identical_bytes_under_seeded_chaos() {
 
     fleet_a.shutdown();
     fleet_b.shutdown();
+}
+
+#[test]
+fn scatter_legs_over_torn_pooled_connections_retry_cleanly() {
+    // Shards close an idle keep-alive after 100 ms; pausing longer than
+    // that between requests means every connection the front parked is
+    // closed by its shard before its next leg. Each leg of the /v1/bid
+    // and /v1/health scatters must notice, retry once on a fresh
+    // connection and answer exactly what the untorn first pass answered,
+    // with no proxy error.
+    let mut cfg = FleetConfig::new(3);
+    cfg.shard_server.connection_deadline = Duration::from_millis(100);
+    let (fleet, _) = boot(cfg);
+    let mut client = loadgen::Client::new(fleet.addr(), Duration::from_secs(5));
+    let paths = [
+        format!("/v1/bid?duration=3600&p=0.95&now={NOW}"),
+        format!("/v1/bid?duration=7200&now={NOW}"),
+        format!("/v1/health?now={NOW}"),
+    ];
+    let untorn: Vec<(u16, Vec<u8>)> = paths
+        .iter()
+        .map(|path| client.get(path).expect("front reachable"))
+        .collect();
+    for (path, want) in paths.iter().zip(&untorn) {
+        assert_eq!(want.0, 200, "{path}");
+        std::thread::sleep(Duration::from_millis(300));
+        let got = client.get(path).expect("front reachable");
+        assert_eq!(&got, want, "torn connections changed the answer to {path}");
+    }
+    assert_eq!(fleet.front().counters().proxy_errors.get(), 0);
+    fleet.shutdown();
+}
+
+/// A fake shard: answers every request on every connection with the
+/// fixed bytes `reply`, until `stop` is set and the listener woken.
+fn fake_shard(reply: Vec<u8>, stop: Arc<AtomicBool>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().expect("fake shard addr");
+    let thread = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            if stop.load(Ordering::Acquire) {
+                return;
+            }
+            let Ok(stream) = stream else { continue };
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            let mut reader = BufReader::new(stream);
+            // One reply per request head, until the front hangs up.
+            'requests: loop {
+                loop {
+                    let mut line = String::new();
+                    match reader.read_line(&mut line) {
+                        Ok(0) | Err(_) => break 'requests,
+                        Ok(_) if line == "\r\n" => break,
+                        Ok(_) => {}
+                    }
+                }
+                if reader.get_mut().write_all(&reply).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    (addr, thread)
+}
+
+#[test]
+fn a_shard_announcing_a_huge_answer_is_a_proxy_error_not_an_abort() {
+    // Before any body byte, a hostile or broken shard announces a 1 TiB
+    // body, an endless header line, or endless headers. The front must
+    // refuse to size a buffer from the announcement, count a proxy error,
+    // answer its client and keep serving.
+    let endless_line = format!("HTTP/1.1 200 OK\r\nX-Pad: {}", "a".repeat(64 * 1024));
+    let endless_headers = format!("HTTP/1.1 200 OK\r\n{}", "X-Pad: a\r\n".repeat(1000));
+    for reply in [
+        "HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n{".to_string(),
+        endless_line,
+        endless_headers,
+    ] {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (addr, shard) = fake_shard(reply.into_bytes(), stop.clone());
+        let cfg = FleetConfig::new(1);
+        let front = Arc::new(FrontRouter::new(cfg.clone(), vec![addr], combos(), NOW));
+        let server = Server::start_shared(front.clone(), cfg.front_server).expect("boot front");
+        let mut client = loadgen::Client::new(server.addr(), Duration::from_secs(5));
+
+        // The shard's only owner leg fails, so graphs and bid are refused
+        // explicitly; health reports the shard's combos as unavailable.
+        let (status, doc) = get(&mut client, &graphs_path(combos()[0], NOW));
+        assert_eq!(status, 503);
+        assert!(degraded(&doc));
+        let (status, _) = get(&mut client, &format!("/v1/bid?duration=3600&now={NOW}"));
+        assert_eq!(status, 503);
+        assert_eq!(front.counters().proxy_errors.get(), 2);
+        let (status, health) = get(&mut client, &format!("/v1/health?now={NOW}"));
+        assert_eq!(status, 200);
+        let unavailable = health
+            .get("counts")
+            .and_then(|c| c.get("unavailable"))
+            .and_then(Json::as_u64);
+        assert_eq!(unavailable, Some(combos().len() as u64));
+        assert_eq!(front.counters().proxy_errors.get(), 3);
+        // Still serving.
+        let (status, _) = client.get("/v1/metrics").expect("front still serving");
+        assert_eq!(status, 200);
+
+        server.shutdown();
+        stop.store(true, Ordering::Release);
+        drop(TcpStream::connect(addr));
+        shard.join().expect("fake shard thread");
+    }
 }
