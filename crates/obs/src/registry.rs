@@ -10,6 +10,7 @@
 //! `profile.csv` wall columns), never in `?now=`-deterministic output.
 
 use crate::hist::{LogHistogram, SharedHistogram};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -221,22 +222,14 @@ impl Registry {
         let mut out = String::with_capacity(metrics.len() * 32);
         for (name, metric) in metrics.iter() {
             match metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!("{name} {}\n", c.get()));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!("{name} {}\n", g.get()));
-                }
-                Metric::Histogram(h) => {
-                    let line = match name.find('{') {
-                        Some(i) => {
-                            format!("{}_count{} {}\n", &name[..i], &name[i..], h.count())
-                        }
-                        None => format!("{name}_count {}\n", h.count()),
-                    };
-                    out.push_str(&line);
-                }
+                Metric::Counter(c) => writeln!(out, "{name} {}", c.get()),
+                Metric::Gauge(g) => writeln!(out, "{name} {}", g.get()),
+                Metric::Histogram(h) => match name.find('{') {
+                    Some(i) => writeln!(out, "{}_count{} {}", &name[..i], &name[i..], h.count()),
+                    None => writeln!(out, "{name}_count {}", h.count()),
+                },
             }
+            .expect("writing to a String cannot fail");
         }
         out
     }

@@ -39,12 +39,12 @@
 //!   the shard's own `admitted == served` assertion still holds.
 
 use crate::http::{self, Request, Response, MAX_HEADERS, MAX_HEADER_LINE};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::metrics::{Metrics, Route};
 use crate::ring::Ring;
 use crate::router::{parse_graphs_path, Router};
 use crate::server::{DrainReport, Handler, Server, ServerConfig};
-use crate::wire::{trace_timeline_json, BidQuoteWire, HealthCountsWire, TraceEntry};
+use crate::wire::{self, trace_timeline_json, BidQuoteWire, HealthCountsWire, TraceEntry};
 use drafts_core::DraftsService;
 use obs::{Counter, Registry, TraceContext};
 use parallel::lock_clean;
@@ -663,7 +663,7 @@ impl FrontRouter {
                     out.push(',');
                 }
                 out.push_str("\"served_by\":");
-                out.push_str(&Json::Str(self.shards[shard].instance.clone()).render());
+                json::write_str(&mut out, &self.shards[shard].instance);
                 out.push_str(if off_owner {
                     ",\"failover\":true"
                 } else {
@@ -687,11 +687,9 @@ impl FrontRouter {
     /// refused guarantee, never a silently stale answer.
     fn refuse(&self, msg: &str) -> Response {
         self.counters.refused.inc();
-        let body = Json::obj(vec![
-            ("error", Json::str(msg)),
-            ("degraded", Json::Bool(true)),
-        ])
-        .render();
+        let mut body = String::from("{\"error\":");
+        json::write_str(&mut body, msg);
+        body.push_str(",\"degraded\":true}");
         let mut resp = Response::json(503, body);
         resp.extra_headers.push((
             "Retry-After",
@@ -960,8 +958,7 @@ impl FrontRouter {
             .scatter(&format!("/v1/health?now={now}"), &legs)
             .into_iter();
         let mut docs: Vec<Option<Json>> = Vec::with_capacity(self.cfg.shards);
-        let mut shard_rows = Vec::with_capacity(self.cfg.shards);
-        for (shard, &state) in states.iter().enumerate() {
+        for shard in 0..self.cfg.shards {
             let doc = if reachable(shard) {
                 let leg_ctx = ctx.child(shard as u64);
                 match answers.next().expect("one answer per serving shard") {
@@ -999,76 +996,126 @@ impl FrontRouter {
             } else {
                 None
             };
-            let counts = doc.as_ref().and_then(HealthCountsWire::from_json);
-            let (fresh, stale, unavailable) = match counts {
-                Some(c) => (c.fresh, c.stale, c.unavailable),
-                None => (0, 0, 0),
-            };
-            shard_rows.push(Json::obj(vec![
-                ("instance", Json::Str(self.shards[shard].instance.clone())),
-                ("state", Json::str(state.label())),
-                ("fresh", Json::num_u64(fresh)),
-                ("stale", Json::num_u64(stale)),
-                ("unavailable", Json::num_u64(unavailable)),
-            ]));
             docs.push(doc);
         }
+        let shard_rows: Vec<ShardHealthRow> = states
+            .iter()
+            .zip(&docs)
+            .enumerate()
+            .map(|(shard, (&state, doc))| ShardHealthRow {
+                instance: &self.shards[shard].instance,
+                state,
+                counts: doc
+                    .as_ref()
+                    .and_then(HealthCountsWire::from_json)
+                    .unwrap_or_default(),
+            })
+            .collect();
         // Authoritative per-combo state: the first routable owner's row.
-        let mut fresh = 0u64;
-        let mut stale = 0u64;
-        let mut unavailable = 0u64;
-        let mut combo_rows = Vec::with_capacity(self.combos.len());
-        for &combo in &self.combos {
-            let owners = self.ring.owners(combo.key());
-            let primary = owners[0];
-            let serving = owners
-                .iter()
-                .copied()
-                .find_map(|shard| combo_state(docs[shard].as_ref()?, self.catalog, combo)
-                    .map(|state| (shard, state)));
-            let (served_by, state) = match serving {
-                Some((shard, state)) => (
-                    Json::Str(self.shards[shard].instance.clone()),
-                    state,
-                ),
-                None => (Json::Null, "unavailable".to_string()),
-            };
-            match state.as_str() {
-                "fresh" => fresh += 1,
-                "stale" => stale += 1,
-                _ => unavailable += 1,
-            }
-            combo_rows.push(Json::obj(vec![
-                ("region", Json::str(combo.az.region().name())),
-                ("az", Json::str(combo.az.name())),
-                ("type", Json::str(self.catalog.spec(combo.ty).name)),
-                ("state", Json::Str(state)),
-                (
-                    "owner",
-                    Json::Str(self.shards[primary].instance.clone()),
-                ),
-                ("served_by", served_by),
-            ]));
-        }
-        Response::json(
-            200,
-            Json::obj(vec![
-                ("now", Json::num_u64(now)),
-                ("instance", Json::str("fleet-front")),
-                (
-                    "counts",
-                    Json::obj(vec![
-                        ("fresh", Json::num_u64(fresh)),
-                        ("stale", Json::num_u64(stale)),
-                        ("unavailable", Json::num_u64(unavailable)),
-                    ]),
-                ),
-                ("shards", Json::Arr(shard_rows)),
-                ("combos", Json::Arr(combo_rows)),
-            ])
-            .render(),
-        )
+        let combo_rows: Vec<ComboHealthRow> = self
+            .combos
+            .iter()
+            .map(|&combo| {
+                let owners = self.ring.owners(combo.key());
+                let served = owners.iter().find_map(|&shard| {
+                    let state = combo_state(docs[shard].as_ref()?, self.catalog, combo)?;
+                    Some((self.shards[shard].instance.as_str(), state))
+                });
+                ComboHealthRow {
+                    combo,
+                    owner: &self.shards[owners[0]].instance,
+                    served,
+                }
+            })
+            .collect();
+        let mut body = String::with_capacity(256 + 128 * combo_rows.len());
+        write_front_health(&mut body, self.catalog, now, &shard_rows, &combo_rows);
+        Response::json(200, body)
     }
+}
+
+/// One shard's row of the front's `/v1/health` answer.
+struct ShardHealthRow<'a> {
+    instance: &'a str,
+    state: ShardState,
+    /// The shard's own rollup counts (zeros when it did not answer).
+    counts: HealthCountsWire,
+}
+
+/// One combo's row of the front's `/v1/health` answer.
+struct ComboHealthRow<'a> {
+    combo: Combo,
+    /// The combo's primary owner.
+    owner: &'a str,
+    /// The first routable owner whose rollup reports the combo, and the
+    /// state it reports; `None` when no owner does.
+    served: Option<(&'a str, &'a str)>,
+}
+
+impl ComboHealthRow<'_> {
+    /// The state the serving owner reports; `unavailable` when none does.
+    fn state(&self) -> &str {
+        self.served.map_or("unavailable", |(_, state)| state)
+    }
+}
+
+/// Writes the front's `/v1/health` answer in one pass:
+/// `{"now","instance":"fleet-front","counts":{"fresh","stale",
+/// "unavailable"},"shards":[{"instance","state","fresh","stale",
+/// "unavailable"}],"combos":[{"region","az","type","state","owner",
+/// "served_by"}]}`. A combo no owner reports is `unavailable`, served by
+/// `null`.
+fn write_front_health(
+    out: &mut String,
+    catalog: &Catalog,
+    now: u64,
+    shards: &[ShardHealthRow],
+    combos: &[ComboHealthRow],
+) {
+    let mut counts = HealthCountsWire::default();
+    for row in combos {
+        match row.state() {
+            "fresh" => counts.fresh += 1,
+            "stale" => counts.stale += 1,
+            _ => counts.unavailable += 1,
+        }
+    }
+    out.push_str("{\"now\":");
+    json::write_u64(out, now);
+    out.push_str(",\"instance\":\"fleet-front\",\"counts\":{");
+    wire::write_counts(out, counts);
+    out.push_str("},\"shards\":[");
+    for (i, row) in shards.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"instance\":");
+        json::write_str(out, row.instance);
+        out.push_str(",\"state\":");
+        json::write_str(out, row.state.label());
+        out.push(',');
+        wire::write_counts(out, row.counts);
+        out.push('}');
+    }
+    out.push_str("],\"combos\":[");
+    for (i, row) in combos.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('{');
+        wire::write_combo(out, catalog, row.combo);
+        out.push_str(",\"state\":");
+        json::write_str(out, row.state());
+        out.push_str(",\"owner\":");
+        json::write_str(out, row.owner);
+        out.push_str(",\"served_by\":");
+        match row.served {
+            Some((instance, _)) => json::write_str(out, instance),
+            None => out.push_str("null"),
+        }
+        out.push('}');
+    }
+    out.push_str("]}");
 }
 
 /// A deduplicated `/v1/bid` candidate during scatter-gather.
@@ -1091,7 +1138,7 @@ fn better_bid(a: &BidCandidate, b: &BidCandidate) -> bool {
 }
 
 /// A shard's reported state for `combo` inside its `/v1/health` doc.
-fn combo_state(doc: &Json, catalog: &Catalog, combo: Combo) -> Option<String> {
+fn combo_state<'d>(doc: &'d Json, catalog: &Catalog, combo: Combo) -> Option<&'d str> {
     let combos = doc.get("combos")?.as_arr()?;
     let az = combo.az.name();
     let ty = catalog.spec(combo.ty).name;
@@ -1103,7 +1150,6 @@ fn combo_state(doc: &Json, catalog: &Catalog, combo: Combo) -> Option<String> {
         })
         .and_then(|row| row.get("state"))
         .and_then(Json::as_str)
-        .map(str::to_string)
 }
 
 /// Rewrites a `/v1/metrics` exposition so every sample carries a leading
@@ -1644,6 +1690,7 @@ mod tests {
                 covered_until: 50,
             },
         ];
+        let health = health_json(catalog, "shard-1", &rollup).render();
         vec![
             (200, graphs("fresh", false)),
             (200, graphs("unavailable", true)),
@@ -1653,7 +1700,7 @@ mod tests {
                 404,
                 Json::obj(vec![("error", Json::str("no market guarantees"))]).render(),
             ),
-            (200, health_json(catalog, "shard-1", &rollup).render()),
+            (200, health),
             // Edge shapes: duplicate keys, a nested `degraded` the relay
             // must not touch, a non-boolean one, no fields, no object.
             (
@@ -1667,6 +1714,146 @@ mod tests {
             (200, "{}".to_string()),
             (200, "[1,{\"degraded\":true}]".to_string()),
         ]
+    }
+
+    /// The front's `/v1/health` answer as the tree first encoded it, kept
+    /// as the oracle for `write_front_health`.
+    fn tree_front_health(
+        catalog: &Catalog,
+        now: u64,
+        shards: &[ShardHealthRow],
+        combos: &[ComboHealthRow],
+    ) -> Json {
+        let shard_rows = shards
+            .iter()
+            .map(|row| {
+                Json::obj(vec![
+                    ("instance", Json::Str(row.instance.to_string())),
+                    ("state", Json::str(row.state.label())),
+                    ("fresh", Json::num_u64(row.counts.fresh)),
+                    ("stale", Json::num_u64(row.counts.stale)),
+                    ("unavailable", Json::num_u64(row.counts.unavailable)),
+                ])
+            })
+            .collect();
+        let mut fresh = 0u64;
+        let mut stale = 0u64;
+        let mut unavailable = 0u64;
+        let mut combo_rows = Vec::new();
+        for row in combos {
+            let (served_by, state) = match row.served {
+                Some((instance, state)) => (Json::Str(instance.to_string()), state.to_string()),
+                None => (Json::Null, "unavailable".to_string()),
+            };
+            match state.as_str() {
+                "fresh" => fresh += 1,
+                "stale" => stale += 1,
+                _ => unavailable += 1,
+            }
+            combo_rows.push(Json::obj(vec![
+                ("region", Json::str(row.combo.az.region().name())),
+                ("az", Json::str(row.combo.az.name())),
+                ("type", Json::str(catalog.spec(row.combo.ty).name)),
+                ("state", Json::Str(state)),
+                ("owner", Json::Str(row.owner.to_string())),
+                ("served_by", served_by),
+            ]));
+        }
+        Json::obj(vec![
+            ("now", Json::num_u64(now)),
+            ("instance", Json::str("fleet-front")),
+            (
+                "counts",
+                Json::obj(vec![
+                    ("fresh", Json::num_u64(fresh)),
+                    ("stale", Json::num_u64(stale)),
+                    ("unavailable", Json::num_u64(unavailable)),
+                ]),
+            ),
+            ("shards", Json::Arr(shard_rows)),
+            ("combos", Json::Arr(combo_rows)),
+        ])
+    }
+
+    #[test]
+    fn front_answers_equal_the_tree_encoding() {
+        let catalog = Catalog::standard();
+        let combos: Vec<Combo> = [
+            ("us-east-1c", "c3.4xlarge"),
+            ("us-west-2a", "c4.large"),
+            ("us-west-1b", "m3.medium"),
+            ("us-east-1e", "c4.large"),
+            ("us-west-2c", "c3.4xlarge"),
+        ]
+        .into_iter()
+        .map(|(az, ty)| {
+            Combo::new(
+                Az::parse(az).expect("known az"),
+                catalog.type_id(ty).expect("known type"),
+            )
+        })
+        .collect();
+        let instances = ["shard-0", "shard-1", "shard-2"];
+        let shard_states = [
+            ShardState::Up,
+            ShardState::Degraded,
+            ShardState::Down,
+            ShardState::Draining,
+        ];
+        // A shard document may report any string as a combo's state.
+        let combo_states = ["fresh", "stale", "unavailable", "odd \"state\"\n"];
+        // Every shard state, served and unserved combos, every combo state.
+        for case in 0..12 {
+            let shards: Vec<ShardHealthRow> = instances
+                .iter()
+                .enumerate()
+                .map(|(i, &instance)| ShardHealthRow {
+                    instance,
+                    state: shard_states[(i + case) % 4],
+                    counts: HealthCountsWire {
+                        fresh: (i + case) as u64,
+                        stale: (case % 2) as u64,
+                        unavailable: i as u64,
+                    },
+                })
+                .collect();
+            let rows: Vec<ComboHealthRow> = combos
+                .iter()
+                .enumerate()
+                .map(|(j, &combo)| ComboHealthRow {
+                    combo,
+                    owner: instances[(j + case) % 3],
+                    served: ((j + case) % 5 != 0)
+                        .then(|| (instances[(j + case + 1) % 3], combo_states[(j + case) % 4])),
+                })
+                .collect();
+            for (shards, rows) in [
+                (&shards[..], &rows[..]),
+                (&shards[..1], &[][..]),
+                (&[][..], &rows[..2]),
+            ] {
+                let now = 1_728_000 + 900 * case as u64;
+                let mut body = String::new();
+                write_front_health(&mut body, catalog, now, shards, rows);
+                let want = tree_front_health(catalog, now, shards, rows).render();
+                assert_eq!(body, want, "case {case}");
+            }
+        }
+
+        // The refusal, as the tree encoded it.
+        let front = FrontRouter::new(
+            FleetConfig::new(1),
+            vec!["127.0.0.1:1".parse().unwrap()],
+            Vec::new(),
+            0,
+        );
+        let resp = front.refuse("no owner routable for this market");
+        let want = Json::obj(vec![
+            ("error", Json::str("no owner routable for this market")),
+            ("degraded", Json::Bool(true)),
+        ]);
+        assert_eq!(resp.body, want.render().into_bytes());
+        assert_eq!(resp.status, 503);
     }
 
     #[test]

@@ -281,11 +281,9 @@ impl Response {
 
     /// The canonical JSON error body `{"error": msg}`.
     pub fn error(status: u16, msg: &str) -> Response {
-        let body = crate::json::Json::obj(vec![(
-            "error",
-            crate::json::Json::str(msg),
-        )])
-        .render();
+        let mut body = String::from("{\"error\":");
+        crate::json::write_str(&mut body, msg);
+        body.push('}');
         Response::json(status, body)
     }
 
@@ -446,5 +444,14 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Connection: close\r\n"));
+    }
+
+    #[test]
+    fn error_bodies_equal_the_tree_encoding() {
+        use crate::json::Json;
+        for msg in ["no such route", "say \"no\"\n", "é\\日本"] {
+            let want = Json::obj(vec![("error", Json::str(msg))]).render();
+            assert_eq!(Response::error(400, msg).body, want.into_bytes(), "{msg:?}");
+        }
     }
 }

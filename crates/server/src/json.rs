@@ -1,24 +1,32 @@
-//! Minimal JSON tree, writer and reader.
+//! Minimal JSON writer primitives, tree and reader.
 //!
 //! The workspace bans external dependencies, so the wire types are
-//! serialized by hand: a [`Json`] tree built by the routes, rendered with
-//! [`Json::render`], and parsed back by clients ([`Json::parse`] — used by
-//! the loadgen harness and the end-to-end tests).
+//! serialized by hand. The answers on the request path (graphs, bid,
+//! health) are written in one pass straight into the response body with
+//! the primitives here (`write_str`, `write_u64`, `write_f64`,
+//! `write_price`); the observer documents are built as a [`Json`] tree
+//! and rendered with [`Json::render`], which calls the same primitives.
+//! Clients parse answers back with [`Json::parse`] (the loadgen harness,
+//! the fleet front and the end-to-end tests).
 //!
-//! Rendering is **deterministic**: objects preserve insertion order, no
-//! whitespace is emitted, and numbers use Rust's shortest round-trip
-//! formatting — the same tree always renders to the same bytes, which is
-//! what lets CI byte-diff recorded responses.
+//! Writing is **deterministic**: objects keep the order they are written
+//! in, no whitespace is emitted, and numbers use Rust's shortest
+//! round-trip formatting (integral values without a `.0`) — the same
+//! answer always has the same bytes, which is what lets CI byte-diff
+//! recorded responses.
 //!
 //! The reader is a strict recursive-descent parser over the JSON grammar
-//! (RFC 8259) minus two liberties we never emit: it accepts only finite
-//! numbers and caps nesting at [`MAX_DEPTH`] to bound stack use on
-//! hostile input. The same walker also runs without building a tree
+//! (RFC 8259) minus three liberties we never emit: it accepts only finite
+//! numbers, caps nesting at [`MAX_DEPTH`] to bound stack use on hostile
+//! input, and rejects `\u` escapes that name a UTF-16 surrogate (no
+//! surrogate pairs). The same walker also runs without building a tree
 //! (`Json::outline`), for the fleet front, which relays a shard document's
 //! bytes and only needs to know it is valid and where its top-level
 //! fields sit.
 
-use std::fmt;
+use spotmarket::price::TICKS_PER_DOLLAR;
+use spotmarket::Price;
+use std::fmt::{self, Write as _};
 use std::ops::Range;
 
 /// Maximum nesting depth the parser accepts.
@@ -158,16 +166,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                debug_assert!(n.is_finite(), "wire types never carry non-finite numbers");
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    // Integers render without the trailing `.0` float form.
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Str(s) => render_string(s, out),
+            Json::Num(n) => write_f64(out, *n),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -184,7 +184,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(k, out);
+                    write_str(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -214,22 +214,116 @@ impl Json {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string: `"` and `\` escaped, `\n`, `\r` and
+/// `\t` by name, every other control character as `\u00xx`, and the
+/// rest (multi-byte text included) verbatim.
+pub(crate) fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Copy each run between escapes in one step. Every escaped byte is
+    // ASCII, so a run always ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match named {
+            Some(escape) => out.push_str(escape),
+            None => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// The two-digit decimals `00` to `99`, in order.
+const DIGIT_PAIRS: &str = "0001020304050607080910111213141516171819\
+                           2021222324252627282930313233343536373839\
+                           4041424344454647484950515253545556575859\
+                           6061626364656667686970717273747576777879\
+                           8081828384858687888990919293949596979899";
+
+/// `n` (below 100) as two digits.
+fn digit_pair(n: u64) -> &'static str {
+    let at = 2 * n as usize;
+    &DIGIT_PAIRS[at..at + 2]
+}
+
+/// Appends `n` in decimal, two digits at a time.
+pub(crate) fn write_u64(out: &mut String, mut n: u64) {
+    // Base-100 digits below the leading one, least significant first.
+    let mut pairs = [0u8; 10];
+    let mut len = 0;
+    while n >= 100 {
+        pairs[len] = (n % 100) as u8;
+        n /= 100;
+        len += 1;
+    }
+    let lead = digit_pair(n);
+    out.push_str(if n < 10 { &lead[1..] } else { lead });
+    for &pair in pairs[..len].iter().rev() {
+        out.push_str(digit_pair(u64::from(pair)));
+    }
+}
+
+/// Appends a finite number: integral values below 9e15 in magnitude as
+/// integers (no `.0`), everything else in Rust's shortest round-trip
+/// form.
+pub(crate) fn write_f64(out: &mut String, n: f64) {
+    debug_assert!(n.is_finite(), "wire types never carry non-finite numbers");
+    if n.fract() == 0.0 && n.abs() < 9e15 {
+        let n = n as i64;
+        if n < 0 {
+            out.push('-');
+        }
+        write_u64(out, n.unsigned_abs());
+    } else {
+        write!(out, "{n}").expect("writing to a String cannot fail");
+    }
+}
+
+// `write_price` writes the four decimals of a tick as two digit pairs.
+const _: () = assert!(TICKS_PER_DOLLAR == 10_000);
+
+/// Appends a price in dollars, written exactly from its ticks: the whole
+/// dollars, then the four-digit fraction with trailing zeros trimmed (no
+/// point when it is zero). Below 10^15 ticks this is the same text as
+/// writing [`Price::dollars`] with [`write_f64`]: the decimal has at most
+/// 15 significant digits, so it is the shortest form that round-trips to
+/// that `f64`.
+pub(crate) fn write_price(out: &mut String, price: Price) {
+    write_u64(out, price.ticks() / TICKS_PER_DOLLAR);
+    let frac = price.ticks() % TICKS_PER_DOLLAR;
+    if frac == 0 {
+        return;
+    }
+    let trim = |pair: &'static str| {
+        if pair.ends_with('0') {
+            &pair[..1]
+        } else {
+            pair
+        }
+    };
+    let (high, low) = (digit_pair(frac / 100), digit_pair(frac % 100));
+    out.push('.');
+    if frac.is_multiple_of(100) {
+        out.push_str(trim(high));
+    } else {
+        out.push_str(high);
+        out.push_str(trim(low));
+    }
 }
 
 struct Parser<'a> {
@@ -450,13 +544,29 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
+    /// Scans `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`, the
+    /// RFC 8259 number grammar: no leading zeros, and no bare `.` or
+    /// exponent marker without digits after it.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.skip_digits(),
+            _ => return Err(self.err("invalid number")),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            self.expect_digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.expect_digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
@@ -465,6 +575,21 @@ impl<'a> Parser<'a> {
             return Err(self.err("non-finite number"));
         }
         Ok(Json::Num(n))
+    }
+
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    /// At least one digit, as after a `.` or an exponent marker.
+    fn expect_digits(&mut self) -> Result<(), JsonError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err("invalid number"));
+        }
+        self.skip_digits();
+        Ok(())
     }
 }
 
@@ -487,6 +612,147 @@ mod tests {
         assert_eq!(Json::num_u64(86_400).render(), "86400");
         assert_eq!(Json::Num(0.105).render(), "0.105");
         assert_eq!(Json::Num(-2.5).render(), "-2.5");
+    }
+
+    #[test]
+    fn numbers_the_grammar_allows_still_parse() {
+        for (doc, want) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.25", -0.25),
+            ("1e3", 1000.0),
+            ("1E+3", 1000.0),
+            ("25e-1", 2.5),
+            ("0.1234", 0.1234),
+        ] {
+            let parsed = Json::parse(doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+            assert_eq!(parsed.as_f64(), Some(want), "{doc}");
+            assert_outline_agrees(doc);
+        }
+    }
+
+    /// The number rendering `Json::render` used before the shared
+    /// writers, kept as their oracle.
+    fn tree_number(n: f64) -> String {
+        if n.fract() == 0.0 && n.abs() < 9e15 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    /// The string rendering `Json::render` used before the shared
+    /// writers, kept as their oracle.
+    fn tree_string(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn written(write: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        write(&mut out);
+        out
+    }
+
+    #[test]
+    fn string_writer_matches_the_tree_escaping() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for text in [
+            "",
+            "plain",
+            "a\"b\\c",
+            "\"\"\\\\",
+            controls.as_str(),
+            "tab\there\r\nend\u{7f}",
+            "héllo wörld",
+            "日本語\u{1}のテキスト",
+            "🎉\"🚀\\",
+            "\u{1f}é\u{0}",
+        ] {
+            assert_eq!(
+                written(|out| write_str(out, text)),
+                tree_string(text),
+                "{text:?}"
+            );
+            assert_eq!(Json::str(text).render(), tree_string(text), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn integer_writer_matches_the_tree() {
+        for n in [0, 9, 10, 99, 100, 86_400, 1 << 53] {
+            assert_eq!(
+                written(|out| write_u64(out, n)),
+                Json::num_u64(n).render(),
+                "{n}"
+            );
+        }
+        for n in (0..100_000).chain([u64::MAX / 10, u64::MAX - 1, u64::MAX]) {
+            assert_eq!(written(|out| write_u64(out, n)), n.to_string());
+        }
+    }
+
+    #[test]
+    fn float_writer_matches_the_tree_rule() {
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.95,
+            0.99,
+            0.105,
+            -2.5,
+            1e-7,
+            123_456.789,
+            8.999_999_999_999_998e15,
+            9e15,
+            -9e15,
+            1e300,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(written(|out| write_f64(out, n)), tree_number(n), "{n}");
+            assert_eq!(Json::Num(n).render(), tree_number(n), "{n}");
+        }
+    }
+
+    /// Every price below 10^15 ticks has at most 15 significant digits,
+    /// so its exact decimal is the shortest text that round-trips to
+    /// `Price::dollars()` — checked here, not assumed.
+    #[test]
+    fn price_writer_equals_the_dollars_rendering() {
+        use simrng::{Rng, SeedableFrom, Xoshiro256pp};
+        let check = |ticks: u64| {
+            let price = Price::from_ticks(ticks);
+            let want = Json::num(price.dollars()).render();
+            assert_eq!(
+                written(|out| write_price(out, price)),
+                want,
+                "{ticks} ticks"
+            );
+        };
+        (0..=2_000_000).for_each(check);
+        let mut rng = Xoshiro256pp::seed_from_u64(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..1_000_000 {
+            check(rng.next_below(1_000_000_000_000));
+        }
+        for ticks in [999_999_999_999, 10u64.pow(15) - 1, 10u64.pow(14) + 1] {
+            check(ticks);
+        }
     }
 
     /// The no-tree walk accepts and rejects exactly what the parser does,
@@ -533,6 +799,19 @@ mod tests {
             "{\"a\":1}garbage",
             "[1e999]",
             "\"\u{1}\"",
+            // RFC 8259 numbers: no leading zeros, digits after `.` and
+            // after an exponent marker, a digit before any `.`.
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-.5",
+            "1.e3",
+            "1e",
+            "1e+",
+            "-",
+            "[.5]",
+            "{\"a\":01}",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
             assert_outline_agrees(bad);

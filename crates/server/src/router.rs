@@ -35,8 +35,9 @@
 //! determinism tests byte-diff.
 
 use crate::http::{Request, Response};
+use crate::json::{self, Json};
 use crate::metrics::{Metrics, Route};
-use crate::{json::Json, wire};
+use crate::wire;
 use drafts_core::service::FeedHealth;
 use drafts_core::DraftsService;
 use obs::{InstantCounts, TraceContext, TraceIdGen};
@@ -385,10 +386,8 @@ impl Router {
                 }
             }
         };
-        Response::json(
-            200,
-            wire::graphs_json(self.catalog, combo, &response, &graphs).render(),
-        )
+        let body = wire::graphs_json(self.catalog, combo, &response, &graphs).render();
+        Response::json(200, body)
     }
 
     fn bid(&self, req: &Request, metrics: &Metrics) -> Response {
@@ -417,15 +416,15 @@ impl Router {
                 }
                 Response::json(200, wire::bid_quote_json(self.catalog, &quote).render())
             }
-            None => Response::json(
-                404,
-                Json::obj(vec![
-                    ("error", Json::str("no market guarantees this duration")),
-                    ("duration", Json::num_u64(duration)),
-                    ("p", Json::num(p)),
-                ])
-                .render(),
-            ),
+            None => {
+                let mut body =
+                    String::from("{\"error\":\"no market guarantees this duration\",\"duration\":");
+                json::write_u64(&mut body, duration);
+                body.push_str(",\"p\":");
+                json::write_f64(&mut body, p);
+                body.push('}');
+                Response::json(404, body)
+            }
         }
     }
 
@@ -435,10 +434,8 @@ impl Router {
             Err(resp) => return resp,
         };
         let rollup = self.service.health_rollup(now);
-        Response::json(
-            200,
-            wire::health_json(self.catalog, &self.instance, &rollup).render(),
-        )
+        let body = wire::health_json(self.catalog, &self.instance, &rollup).render();
+        Response::json(200, body)
     }
 }
 
@@ -610,8 +607,14 @@ mod tests {
         assert_eq!(get(&r, "/v1/bid?duration=x").0, 400);
         assert_eq!(get(&r, "/v1/bid?duration=3600&p=1.5").0, 400);
         assert_eq!(get(&r, "/v1/bid?duration=3600&now=abc").0, 400);
-        let (status, _) = get(&r, "/v1/bid?duration=999999999");
+        let (status, body) = get_with(&r, &Metrics::new(), "/v1/bid?duration=999999999");
         assert_eq!(status, 404, "impossible duration quotes nothing");
+        let tree = Json::obj(vec![
+            ("error", Json::str("no market guarantees this duration")),
+            ("duration", Json::num_u64(999_999_999)),
+            ("p", Json::num(0.95)),
+        ]);
+        assert_eq!(body, tree.render(), "the refusal as the tree encoded it");
     }
 
     #[test]

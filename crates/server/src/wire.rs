@@ -24,131 +24,179 @@
 //! graphs are no-guarantee fallbacks a client must not treat as bid
 //! guarantees (the §4.4 optimizer routes such requests to On-demand).
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use drafts_core::service::{BidQuote, ComboHealth, FeedHealth, GraphsResponse};
 use drafts_core::BidDurationGraph;
 use obs::{LogEvent, SloStatus, TraceRecord};
-use spotmarket::{Catalog, Combo, Price};
+use spotmarket::{Catalog, Combo};
 
-/// Bid prices cross the wire in dollars at tick (1/10000 USD) precision.
-fn bid_usd(p: Price) -> f64 {
-    // Price::dollars is ticks / 10^4 exactly; f64 holds it losslessly for
-    // every catalog price.
-    p.dollars()
+/// A graphs, bid or health answer, borrowed from the values it encodes.
+/// [`Doc::render`] writes it in one pass straight into the response body;
+/// no intermediate [`Json`] tree is built.
+pub struct Doc<W> {
+    /// Initial capacity of the rendered body.
+    size_hint: usize,
+    write: W,
 }
 
-fn combo_fields(catalog: &Catalog, combo: Combo) -> Vec<(&'static str, Json)> {
-    vec![
-        ("region", Json::str(combo.az.region().name())),
-        ("az", Json::str(combo.az.name())),
-        ("type", Json::str(catalog.spec(combo.ty).name)),
-    ]
-}
-
-fn health_fields(health: FeedHealth) -> Vec<(&'static str, Json)> {
-    match health {
-        FeedHealth::Fresh => vec![("state", Json::str("fresh"))],
-        FeedHealth::Stale { age } => vec![
-            ("state", Json::str("stale")),
-            ("age", Json::num_u64(age)),
-        ],
-        FeedHealth::Unavailable => vec![("state", Json::str("unavailable"))],
+impl<W: Fn(&mut String)> Doc<W> {
+    /// Writes the document in its canonical compact form.
+    pub fn render(&self) -> String {
+        let mut out = String::with_capacity(self.size_hint);
+        (self.write)(&mut out);
+        out
     }
 }
 
-/// Encodes one published graph.
-pub fn graph_json(graph: &BidDurationGraph) -> Json {
-    Json::obj(vec![
-        ("p", Json::num(graph.probability)),
-        ("computed_at", Json::num_u64(graph.computed_at)),
-        (
-            "points",
-            Json::Arr(
-                graph
-                    .points()
-                    .iter()
-                    .map(|pt| {
-                        Json::obj(vec![
-                            ("bid_usd", Json::num(bid_usd(pt.bid))),
-                            ("durability_secs", Json::num_u64(pt.durability_secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Writes `"region":…,"az":…,"type":…` (no braces).
+pub(crate) fn write_combo(out: &mut String, catalog: &Catalog, combo: Combo) {
+    let region = combo.az.region().name();
+    out.push_str("\"region\":");
+    json::write_str(out, region);
+    // `Az::name` without building the `String`: the region's name plus
+    // the zone letter, neither of which needs escaping.
+    out.push_str(",\"az\":\"");
+    out.push_str(region);
+    out.push(combo.az.letter());
+    out.push_str("\",\"type\":");
+    json::write_str(out, catalog.spec(combo.ty).name);
 }
 
-/// Encodes a `/v1/graphs` response. `only_p` filters to one published
-/// probability level (basis-point matched upstream by the router).
-pub fn graphs_json(
-    catalog: &Catalog,
+/// Writes `,"state":…` plus `,"age":…` when stale.
+fn write_health(out: &mut String, health: FeedHealth) {
+    match health {
+        FeedHealth::Fresh => out.push_str(",\"state\":\"fresh\""),
+        FeedHealth::Stale { age } => {
+            out.push_str(",\"state\":\"stale\",\"age\":");
+            json::write_u64(out, age);
+        }
+        FeedHealth::Unavailable => out.push_str(",\"state\":\"unavailable\""),
+    }
+}
+
+/// Writes `"fresh":…,"stale":…,"unavailable":…` (no braces).
+pub(crate) fn write_counts(out: &mut String, counts: HealthCountsWire) {
+    out.push_str("\"fresh\":");
+    json::write_u64(out, counts.fresh);
+    out.push_str(",\"stale\":");
+    json::write_u64(out, counts.stale);
+    out.push_str(",\"unavailable\":");
+    json::write_u64(out, counts.unavailable);
+}
+
+fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Encodes a `/v1/graphs` response. `graphs` is every published level,
+/// or the one the request's `?p=` selected (basis-point matched upstream
+/// by the router).
+pub fn graphs_json<'a>(
+    catalog: &'a Catalog,
     combo: Combo,
-    response: &GraphsResponse,
-    graphs: &[&BidDurationGraph],
-) -> Json {
-    let mut fields = combo_fields(catalog, combo);
-    fields.extend(health_fields(response.health));
-    fields.push(("degraded", Json::Bool(!response.is_guaranteed())));
-    fields.push(("covered_until", Json::num_u64(response.covered_until)));
-    fields.push((
-        "graphs",
-        Json::Arr(graphs.iter().map(|g| graph_json(g)).collect()),
-    ));
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    response: &'a GraphsResponse,
+    graphs: &'a [&'a BidDurationGraph],
+) -> Doc<impl Fn(&mut String) + 'a> {
+    // About 45 bytes per point, plus the header and each graph's own.
+    let points: usize = graphs.iter().map(|g| g.points().len()).sum();
+    Doc {
+        size_hint: 160 + 64 * graphs.len() + 48 * points,
+        write: move |out: &mut String| {
+            out.push('{');
+            write_combo(out, catalog, combo);
+            write_health(out, response.health);
+            out.push_str(",\"degraded\":");
+            write_bool(out, !response.is_guaranteed());
+            out.push_str(",\"covered_until\":");
+            json::write_u64(out, response.covered_until);
+            out.push_str(",\"graphs\":[");
+            for (i, graph) in graphs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"p\":");
+                json::write_f64(out, graph.probability);
+                out.push_str(",\"computed_at\":");
+                json::write_u64(out, graph.computed_at);
+                out.push_str(",\"points\":[");
+                for (j, pt) in graph.points().iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("{\"bid_usd\":");
+                    json::write_price(out, pt.bid);
+                    out.push_str(",\"durability_secs\":");
+                    json::write_u64(out, pt.durability_secs);
+                    out.push('}');
+                }
+                out.push_str("]}");
+            }
+            out.push_str("]}");
+        },
+    }
 }
 
 /// Encodes a `/v1/bid` quote.
-pub fn bid_quote_json(catalog: &Catalog, quote: &BidQuote) -> Json {
-    let mut fields = combo_fields(catalog, quote.combo);
-    fields.push(("bid_usd", Json::num(bid_usd(quote.bid))));
-    fields.push(("durability_secs", Json::num_u64(quote.durability_secs)));
-    fields.push(("p", Json::num(quote.probability)));
-    fields.push(("degraded", Json::Bool(quote.degraded)));
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+pub fn bid_quote_json<'a>(
+    catalog: &'a Catalog,
+    quote: &'a BidQuote,
+) -> Doc<impl Fn(&mut String) + 'a> {
+    Doc {
+        size_hint: 160,
+        write: move |out: &mut String| {
+            out.push('{');
+            write_combo(out, catalog, quote.combo);
+            out.push_str(",\"bid_usd\":");
+            json::write_price(out, quote.bid);
+            out.push_str(",\"durability_secs\":");
+            json::write_u64(out, quote.durability_secs);
+            out.push_str(",\"p\":");
+            json::write_f64(out, quote.probability);
+            out.push_str(",\"degraded\":");
+            write_bool(out, quote.degraded);
+            out.push('}');
+        },
+    }
 }
 
 /// Encodes the `/v1/health` rollup. `instance` is the serving process's
 /// stable configured identity (never the bind address — ephemeral ports
 /// would break two-boot byte determinism).
-pub fn health_json(catalog: &Catalog, instance: &str, rollup: &[ComboHealth]) -> Json {
-    let mut fresh = 0u64;
-    let mut stale = 0u64;
-    let mut unavailable = 0u64;
-    for ch in rollup {
-        match ch.health {
-            FeedHealth::Fresh => fresh += 1,
-            FeedHealth::Stale { .. } => stale += 1,
-            FeedHealth::Unavailable => unavailable += 1,
-        }
+pub fn health_json<'a>(
+    catalog: &'a Catalog,
+    instance: &'a str,
+    rollup: &'a [ComboHealth],
+) -> Doc<impl Fn(&mut String) + 'a> {
+    Doc {
+        size_hint: 96 + 128 * rollup.len(),
+        write: move |out: &mut String| {
+            let mut counts = HealthCountsWire::default();
+            for ch in rollup {
+                match ch.health {
+                    FeedHealth::Fresh => counts.fresh += 1,
+                    FeedHealth::Stale { .. } => counts.stale += 1,
+                    FeedHealth::Unavailable => counts.unavailable += 1,
+                }
+            }
+            out.push_str("{\"instance\":");
+            json::write_str(out, instance);
+            out.push_str(",\"counts\":{");
+            write_counts(out, counts);
+            out.push_str("},\"combos\":[");
+            for (i, ch) in rollup.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('{');
+                write_combo(out, catalog, ch.combo);
+                write_health(out, ch.health);
+                out.push_str(",\"covered_until\":");
+                json::write_u64(out, ch.covered_until);
+                out.push('}');
+            }
+            out.push_str("]}");
+        },
     }
-    Json::obj(vec![
-        ("instance", Json::Str(instance.to_string())),
-        (
-            "counts",
-            Json::obj(vec![
-                ("fresh", Json::num_u64(fresh)),
-                ("stale", Json::num_u64(stale)),
-                ("unavailable", Json::num_u64(unavailable)),
-            ]),
-        ),
-        (
-            "combos",
-            Json::Arr(
-                rollup
-                    .iter()
-                    .map(|ch| {
-                        let mut fields = combo_fields(catalog, ch.combo);
-                        fields.extend(health_fields(ch.health));
-                        fields.push(("covered_until", Json::num_u64(ch.covered_until)));
-                        Json::Obj(
-                            fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// Encodes the `/v1/slo` report: every field is an integer count or a
@@ -329,7 +377,7 @@ impl BidQuoteWire {
 }
 
 /// Decoded `/v1/health` counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthCountsWire {
     /// Combos serving fresh data.
     pub fresh: u64,
@@ -354,7 +402,232 @@ impl HealthCountsWire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spotmarket::Az;
+    use drafts_core::predictor::DraftsConfig;
+    use drafts_core::service::ServiceConfig;
+    use drafts_core::DraftsService;
+    use spotmarket::archetype::Archetype;
+    use spotmarket::tracegen::{generate_with_archetype, TraceConfig};
+    use spotmarket::{Az, Price, DAY, HOUR, MINUTE};
+
+    /// The tree encoders the one-pass writers replaced, kept as their
+    /// byte oracle.
+    mod tree {
+        use crate::json::Json;
+        use drafts_core::service::{BidQuote, ComboHealth, FeedHealth, GraphsResponse};
+        use drafts_core::BidDurationGraph;
+        use spotmarket::{Catalog, Combo};
+
+        fn combo_fields(catalog: &Catalog, combo: Combo) -> Vec<(&'static str, Json)> {
+            vec![
+                ("region", Json::str(combo.az.region().name())),
+                ("az", Json::str(combo.az.name())),
+                ("type", Json::str(catalog.spec(combo.ty).name)),
+            ]
+        }
+
+        fn health_fields(health: FeedHealth) -> Vec<(&'static str, Json)> {
+            match health {
+                FeedHealth::Fresh => vec![("state", Json::str("fresh"))],
+                FeedHealth::Stale { age } => {
+                    vec![("state", Json::str("stale")), ("age", Json::num_u64(age))]
+                }
+                FeedHealth::Unavailable => vec![("state", Json::str("unavailable"))],
+            }
+        }
+
+        fn graph_json(graph: &BidDurationGraph) -> Json {
+            Json::obj(vec![
+                ("p", Json::num(graph.probability)),
+                ("computed_at", Json::num_u64(graph.computed_at)),
+                (
+                    "points",
+                    Json::Arr(
+                        graph
+                            .points()
+                            .iter()
+                            .map(|pt| {
+                                Json::obj(vec![
+                                    ("bid_usd", Json::num(pt.bid.dollars())),
+                                    ("durability_secs", Json::num_u64(pt.durability_secs)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])
+        }
+
+        pub fn graphs_json(
+            catalog: &Catalog,
+            combo: Combo,
+            response: &GraphsResponse,
+            graphs: &[&BidDurationGraph],
+        ) -> Json {
+            let mut fields = combo_fields(catalog, combo);
+            fields.extend(health_fields(response.health));
+            fields.push(("degraded", Json::Bool(!response.is_guaranteed())));
+            fields.push(("covered_until", Json::num_u64(response.covered_until)));
+            fields.push((
+                "graphs",
+                Json::Arr(graphs.iter().map(|g| graph_json(g)).collect()),
+            ));
+            Json::obj(fields)
+        }
+
+        pub fn bid_quote_json(catalog: &Catalog, quote: &BidQuote) -> Json {
+            let mut fields = combo_fields(catalog, quote.combo);
+            fields.push(("bid_usd", Json::num(quote.bid.dollars())));
+            fields.push(("durability_secs", Json::num_u64(quote.durability_secs)));
+            fields.push(("p", Json::num(quote.probability)));
+            fields.push(("degraded", Json::Bool(quote.degraded)));
+            Json::obj(fields)
+        }
+
+        pub fn health_json(catalog: &Catalog, instance: &str, rollup: &[ComboHealth]) -> Json {
+            let mut fresh = 0u64;
+            let mut stale = 0u64;
+            let mut unavailable = 0u64;
+            for ch in rollup {
+                match ch.health {
+                    FeedHealth::Fresh => fresh += 1,
+                    FeedHealth::Stale { .. } => stale += 1,
+                    FeedHealth::Unavailable => unavailable += 1,
+                }
+            }
+            Json::obj(vec![
+                ("instance", Json::Str(instance.to_string())),
+                (
+                    "counts",
+                    Json::obj(vec![
+                        ("fresh", Json::num_u64(fresh)),
+                        ("stale", Json::num_u64(stale)),
+                        ("unavailable", Json::num_u64(unavailable)),
+                    ]),
+                ),
+                (
+                    "combos",
+                    Json::Arr(
+                        rollup
+                            .iter()
+                            .map(|ch| {
+                                let mut fields = combo_fields(catalog, ch.combo);
+                                fields.extend(health_fields(ch.health));
+                                fields.push(("covered_until", Json::num_u64(ch.covered_until)));
+                                Json::obj(fields)
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])
+        }
+    }
+
+    /// A seeded three-archetype service whose feeds end at day 30, 40
+    /// minutes before it and 2 hours before it, so one rollup can hold a
+    /// fresh, a stale and an unavailable combo.
+    fn mixed_service() -> DraftsService {
+        let catalog = Catalog::standard();
+        let mut svc = DraftsService::new(ServiceConfig {
+            drafts: DraftsConfig {
+                changepoint: None,
+                autocorr: false,
+                duration_stride: 6,
+                ..DraftsConfig::default()
+            },
+            ..ServiceConfig::default()
+        });
+        for (i, (az, ty, archetype, cut)) in [
+            ("us-east-1c", "c3.4xlarge", Archetype::Choppy, 0),
+            ("us-west-2a", "c4.large", Archetype::Calm, 40 * MINUTE),
+            ("us-west-1b", "m3.medium", Archetype::Spiky, 2 * HOUR),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let combo = Combo::new(
+                Az::parse(az).expect("known az"),
+                catalog.type_id(ty).expect("known type"),
+            );
+            let cfg = TraceConfig {
+                end: 30 * DAY - cut,
+                ..TraceConfig::days(30, 0x5eed + i as u64)
+            };
+            svc.register(generate_with_archetype(combo, catalog, &cfg, archetype));
+        }
+        svc
+    }
+
+    #[test]
+    fn one_pass_answers_equal_the_tree_encoders() {
+        let catalog = Catalog::standard();
+        let svc = mixed_service();
+        let mut states = std::collections::BTreeSet::new();
+        let mut quotes = [0usize; 2];
+        for now in [
+            20 * DAY,
+            30 * DAY,
+            30 * DAY + 30 * MINUTE,
+            30 * DAY + 2 * HOUR,
+        ] {
+            let rollup = svc.health_rollup(now);
+            assert_eq!(
+                health_json(catalog, "shard-0", &rollup).render(),
+                tree::health_json(catalog, "shard-0", &rollup).render(),
+                "health at {now}"
+            );
+            for combo in svc.combos() {
+                let response = svc.fetch(combo, now).expect("registered combo");
+                states.insert(match response.health {
+                    FeedHealth::Fresh => "fresh",
+                    FeedHealth::Stale { .. } => "stale",
+                    FeedHealth::Unavailable => "unavailable",
+                });
+                let all: Vec<&BidDurationGraph> = response.graphs.graphs.iter().collect();
+                assert!(!all.is_empty(), "{combo:?} publishes graphs at {now}");
+                let mut selections = vec![all.clone()];
+                selections.extend(all.iter().map(|&graph| vec![graph]));
+                for graphs in &selections {
+                    assert_eq!(
+                        graphs_json(catalog, combo, &response, graphs).render(),
+                        tree::graphs_json(catalog, combo, &response, graphs).render(),
+                        "graphs for {combo:?} at {now}"
+                    );
+                }
+            }
+            for p in [0.95, 0.99] {
+                for duration in [
+                    0,
+                    60,
+                    600,
+                    3600,
+                    4 * HOUR,
+                    12 * HOUR,
+                    DAY,
+                    3 * DAY,
+                    30 * DAY,
+                ] {
+                    let Some(quote) = svc.cheapest_bid(p, duration, now) else {
+                        continue;
+                    };
+                    quotes[usize::from(quote.degraded)] += 1;
+                    assert_eq!(
+                        bid_quote_json(catalog, &quote).render(),
+                        tree::bid_quote_json(catalog, &quote).render(),
+                        "bid p={p} duration={duration} at {now}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            states.into_iter().collect::<Vec<_>>(),
+            ["fresh", "stale", "unavailable"],
+            "the sweep covers every feed state"
+        );
+        assert!(
+            quotes[0] > 0 && quotes[1] > 0,
+            "guaranteed and degraded quotes: {quotes:?}"
+        );
+    }
 
     fn quote() -> BidQuote {
         let catalog = Catalog::standard();
