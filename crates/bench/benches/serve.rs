@@ -69,8 +69,7 @@ fn main() {
     let router = Router::new(Arc::new(service()), 20 * DAY);
     let metrics = Metrics::new();
     // Install the span tracer exactly as a server worker would: the
-    // handle_* numbers measure the instrumented production path, journal
-    // off (the serving default).
+    // handle_* numbers measure the instrumented production path.
     let _tracing = metrics.tracer().install();
     // Warm the service's bucket cache so the bench measures serving, not
     // the first QBETS graph computation.

@@ -148,31 +148,9 @@ impl Harness {
     }
 }
 
-/// The workspace's log-bucketed latency histogram now lives in the
-/// observability substrate; re-exported here so existing
-/// `bench::timing::LogHistogram` imports keep working.
-pub use obs::LogHistogram;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log_histogram_reexport_keeps_the_old_import_path_working() {
-        // The type itself (and the bucket-midpoint quantile fix) lives in
-        // `obs::hist`; this pins the compatibility re-export and the new
-        // interpolation at a bucket boundary: a single 1000 ns sample sits
-        // in bucket [512, 1023] and must report the midpoint 767, not the
-        // upper bound 1023 the old implementation returned.
-        let mut h = LogHistogram::new();
-        h.record(Duration::from_nanos(1000));
-        assert_eq!(h.quantile_ns(0.5), Some(767));
-        assert_eq!(h.max_ns(), 1000);
-        let mut other = LogHistogram::new();
-        other.record(Duration::from_millis(5));
-        h.merge(&other);
-        assert_eq!(h.count(), 2);
-    }
 
     #[test]
     fn measures_something_plausible() {

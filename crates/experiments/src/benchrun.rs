@@ -196,16 +196,16 @@ fn serve_bench(scale: Scale) -> (String, f64, f64, f64) {
     // record, measured directly below (two independently-benched µs
     // medians are too noisy to gate a ~100 ns difference).
     let handle_bid_traced = {
-        let traced_metrics = Metrics::with_tracing(0, 0, TRACE_RING, 0);
+        let traced_metrics = Metrics::with_logs(0, TRACE_RING);
         h.bench("handle_bid_traced", || {
             black_box(router.handle(black_box(&bid), &traced_metrics))
         })
     };
     // The per-hop record proper, on the steady-state overwrite path:
-    // the ring is pre-filled, so every iteration pays the sampling
+    // the ring is pre-filled, so every iteration pays the id-0 check,
     // predicate, the record's allocation, the lock, and the evicted
     // record's drop — exactly what a core-route request adds.
-    let trace_log = TraceLog::new(TRACE_RING, 0);
+    let trace_log = TraceLog::new(TRACE_RING);
     let trace_ctx = TraceContext::root(0x5eed);
     for _ in 0..TRACE_RING {
         trace_log.record(trace_ctx, b.plan.now, "drafts-serve", "http_bid", 200, "");

@@ -1,9 +1,8 @@
 //! Pipeline profile experiment: `repro profile [--quick]`.
 //!
 //! Reuses the `serve` plan — an in-process drafts-serve boot plus the
-//! seeded open-loop loadgen replay — but runs it with the span journal
-//! enabled and reads the per-stage histograms back out of the server's
-//! registry afterwards. The artifact (`profile.csv`) carries one row per
+//! seeded open-loop loadgen replay — and reads the per-stage span
+//! histograms back out of the server's registry afterwards. The artifact (`profile.csv`) carries one row per
 //! pipeline stage with its span count, cumulative (total) time, self
 //! time (net of child spans), and self-time share.
 //!
@@ -23,9 +22,6 @@ use crate::serve;
 use drafts_core::service::SERVICE_STAGES;
 use loadgen::RunReport;
 use server::Route;
-
-/// Span journal capacity for the profiled boot (events, ring buffer).
-const JOURNAL_CAPACITY: usize = 4096;
 
 /// One stage of the serving pipeline, measured.
 #[derive(Debug, Clone, Copy)]
@@ -50,8 +46,6 @@ pub struct ProfileOutput {
     /// Summed self time across every stage (ns); equals `root_total_ns`
     /// exactly (see the module docs).
     pub self_sum_ns: u64,
-    /// Events left in the span journal after the replay.
-    pub journal_events: usize,
     /// Aggregated loadgen report (client-side view).
     pub report: RunReport,
 }
@@ -77,23 +71,20 @@ pub(crate) fn stages() -> Vec<&'static str> {
         .collect()
 }
 
-/// Runs the experiment: boot with the journal on, replay, read stages.
+/// Runs the experiment: boot, replay, read stages.
 pub fn run(scale: Scale) -> ProfileOutput {
     // The shared `serve::boot` warms exactly as `repro serve` does: the
     // profile measures steady-state serving — the paper's service
     // recomputes graphs on its 15-minute schedule, not inside a client's
-    // request. Warming runs outside the journalled window, so the cold
-    // QBETS builds (and the single-flight waits they impose on concurrent
-    // workers) do not masquerade as per-request serving time.
-    let mut p = serve::plan(scale);
-    p.server.trace_journal = JOURNAL_CAPACITY;
-    let b = serve::boot(p, scale);
+    // request. Warming runs before the server and its tracer start, so
+    // the cold QBETS builds (and the single-flight waits they impose on
+    // concurrent workers) do not masquerade as per-request serving time.
+    let b = serve::boot(serve::plan(scale), scale);
     let metrics = b.server.metrics();
 
     let report = b.replay();
 
     let tracer = metrics.tracer().clone();
-    let journal_events = tracer.journal().map_or(0, |j| j.len());
     let rows: Vec<StageRow> = stages()
         .into_iter()
         .map(|stage| {
@@ -118,7 +109,6 @@ pub fn run(scale: Scale) -> ProfileOutput {
         rows,
         root_total_ns,
         self_sum_ns,
-        journal_events,
         report,
     }
 }
@@ -153,7 +143,7 @@ pub fn summarize(out: &ProfileOutput) -> String {
     format!(
         "profile: {} requests, {} spans over {} stages; \
          e2e (http root) {:.2}ms, self-time sum {:.2}ms; \
-         hot stage {} ({:.1}% of self time); {} journal events\n",
+         hot stage {} ({:.1}% of self time)\n",
         out.report.total(),
         out.rows.iter().map(|r| r.count).sum::<u64>(),
         out.rows.len(),
@@ -161,7 +151,6 @@ pub fn summarize(out: &ProfileOutput) -> String {
         out.self_sum_ns as f64 / 1e6,
         hot.stage,
         100.0 * hot.self_ns as f64 / out.self_sum_ns.max(1) as f64,
-        out.journal_events,
     )
 }
 
@@ -184,10 +173,6 @@ mod tests {
             out.self_sum_ns,
             out.root_total_ns,
         );
-        // The journal saw spans and never outgrew its ring.
-        assert!(out.journal_events > 0);
-        assert!(out.journal_events <= JOURNAL_CAPACITY);
-
         // Deterministic columns are identical across runs.
         let cols = |o: &ProfileOutput| {
             to_csv(o)

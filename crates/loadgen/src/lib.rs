@@ -12,15 +12,14 @@
 //!   keep-alive client threads. Response *contents* are deterministic
 //!   (virtual time; the report captures counts, body bytes and an
 //!   order-independent checksum), while *latency* is wall clock and is
-//!   quarantined into a [`bench::timing::LogHistogram`] so the
+//!   quarantined into an [`obs::LogHistogram`] so the
 //!   deterministic half of the report can be byte-diffed in CI.
 //!
 //! Open loop means arrival times are fixed ahead of the run: a slow
 //! server does not slow the arrival process down, it just accumulates
 //! in-flight work — the standard way to make load shedding observable.
 
-use bench::timing::LogHistogram;
-use obs::{TraceContext, TraceIdGen, TRACE_HEADER};
+use obs::{LogHistogram, TraceContext, TraceIdGen, TRACE_HEADER};
 use simrng::dist::{Categorical, Exponential};
 use simrng::{Rng, StreamFactory};
 use spotmarket::{Catalog, Combo};

@@ -14,9 +14,10 @@
 //! dumps — the same two-boot CI diff that pins `/v1/metrics` pins
 //! `/v1/_debug/events` too.
 //!
-//! The ring itself mirrors [`crate::Journal`]: allocated once, overwrites
-//! oldest-first through a wrapping cursor, never reallocates.
+//! The events live in the crate's one bounded ring: allocated once,
+//! overwritten oldest-first, never reallocated.
 
+use crate::bounded::BoundedLog;
 use crate::registry::{Counter, Registry};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -64,19 +65,10 @@ pub struct LogEvent {
     pub fields: Vec<(&'static str, String)>,
 }
 
-#[derive(Debug)]
-struct Ring {
-    buf: Vec<LogEvent>,
-    cap: usize,
-    /// Overwrite cursor once `buf.len() == cap`; the oldest live event.
-    next: usize,
-    seq: u64,
-}
-
 /// A shared, bounded, oldest-first-truncating structured event log.
 #[derive(Debug, Clone)]
 pub struct EventLog {
-    ring: Arc<Mutex<Ring>>,
+    ring: Arc<Mutex<BoundedLog<LogEvent>>>,
     /// Per-level emission counters (count every emit, including ones the
     /// ring has since evicted).
     counts: [Counter; 3],
@@ -86,14 +78,8 @@ impl EventLog {
     /// An event log holding at most `capacity` events (minimum 1). The
     /// backing storage is allocated here, once.
     pub fn new(capacity: usize) -> EventLog {
-        let cap = capacity.max(1);
         EventLog {
-            ring: Arc::new(Mutex::new(Ring {
-                buf: Vec::with_capacity(cap),
-                cap,
-                next: 0,
-                seq: 0,
-            })),
+            ring: Arc::new(Mutex::new(BoundedLog::new(capacity))),
             counts: [Counter::new(), Counter::new(), Counter::new()],
         }
     }
@@ -111,12 +97,12 @@ impl EventLog {
 
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
-        lock(&self.ring).cap
+        lock(&self.ring).capacity()
     }
 
     /// Number of currently retained events.
     pub fn len(&self) -> usize {
-        lock(&self.ring).buf.len()
+        lock(&self.ring).len()
     }
 
     /// Whether no events have been recorded yet.
@@ -139,30 +125,19 @@ impl EventLog {
     ) {
         self.counts[level as usize].inc();
         let mut ring = lock(&self.ring);
-        ring.seq += 1;
-        let event = LogEvent {
-            seq: ring.seq,
+        let seq = ring.pushed() + 1;
+        ring.push(LogEvent {
+            seq,
             now,
             level,
             kind,
             fields,
-        };
-        if ring.buf.len() < ring.cap {
-            ring.buf.push(event);
-        } else {
-            let i = ring.next;
-            ring.buf[i] = event;
-            ring.next = (i + 1) % ring.cap;
-        }
+        });
     }
 
     /// The retained events, oldest first.
     pub fn snapshot(&self) -> Vec<LogEvent> {
-        let ring = lock(&self.ring);
-        let mut out = Vec::with_capacity(ring.buf.len());
-        out.extend_from_slice(&ring.buf[ring.next..]);
-        out.extend_from_slice(&ring.buf[..ring.next]);
-        out
+        lock(&self.ring).snapshot()
     }
 }
 
@@ -174,23 +149,6 @@ mod tests {
         for i in 0..n {
             log.emit(i, Level::Info, "tick", vec![("i", i.to_string())]);
         }
-    }
-
-    #[test]
-    fn truncates_oldest_first_at_capacity_without_reallocating() {
-        let log = EventLog::new(4);
-        let base_ptr = lock(&log.ring).buf.as_ptr();
-        emit_n(&log, 11);
-        let snap = log.snapshot();
-        assert_eq!(snap.len(), 4);
-        assert_eq!(
-            snap.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![8, 9, 10, 11],
-            "oldest events evicted first, order preserved"
-        );
-        let ring = lock(&log.ring);
-        assert_eq!(ring.buf.as_ptr(), base_ptr, "ring must never reallocate");
-        assert_eq!(ring.buf.capacity(), 4);
     }
 
     #[test]

@@ -14,9 +14,6 @@
 //!   pipeline stage's total and self (children-excluded) wall time into
 //!   per-stage histograms. Threads opt in by installing a tracer; without
 //!   one a span is a near-free no-op, so instrumentation is permanent.
-//! * **Journal** ([`Journal`]) — an optional bounded ring buffer of
-//!   closed spans (oldest-first eviction, no reallocation) for
-//!   `/v1/_debug/trace`-style dumps and profile reports.
 //!
 //! A second layer turns the cumulative substrate into *current* signals:
 //!
@@ -37,15 +34,18 @@
 //!   sanctioned id mint (CI lints away wall-clock or address-based
 //!   ids).
 //!
-//! [`LogHistogram`] lives here (promoted from `bench::timing`, which
-//! re-exports it) so every crate shares one histogram implementation, and
-//! [`Stopwatch`] is the workspace's sole gateway to the wall clock
-//! outside `obs`/`bench` — CI greps for stray `Instant::now` calls.
+//! The event and trace logs share one bounded ring type: allocated once,
+//! oldest-first eviction, no reallocation.
+//!
+//! [`LogHistogram`] lives here so every crate shares one histogram
+//! implementation, and [`Stopwatch`] is the workspace's sole gateway to
+//! the wall clock outside `obs`/`bench` — CI greps for stray
+//! `Instant::now` calls.
 
+mod bounded;
 pub mod clock;
 pub mod events;
 pub mod hist;
-pub mod journal;
 pub mod registry;
 pub mod slo;
 pub mod span;
@@ -55,12 +55,8 @@ pub mod window;
 pub use clock::Stopwatch;
 pub use events::{EventLog, Level, LogEvent};
 pub use hist::{LogHistogram, SharedHistogram};
-pub use journal::{Event, Journal};
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use slo::{InstantCounts, Objective, SloMonitor, SloState, SloStatus, Source};
-pub use span::{ambient, span, Exemplar, InstallGuard, Span, StageStats, Tracer};
-pub use trace::{
-    current_trace_id, SlowestTraceCell, TraceContext, TraceIdGen, TraceLog, TraceRecord,
-    TraceScope, TRACE_HEADER,
-};
+pub use span::{ambient, span, InstallGuard, Span, StageStats, Tracer};
+pub use trace::{SlowestTraceCell, TraceContext, TraceIdGen, TraceLog, TraceRecord, TRACE_HEADER};
 pub use window::WindowSet;

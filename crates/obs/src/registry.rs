@@ -6,8 +6,8 @@
 //! registers its metrics in one canonical place at boot produces
 //! byte-identical expositions across runs. Histograms expose only their
 //! sample `_count` in the deterministic exposition — durations are wall
-//! clock and belong in explicitly wall-clock artifacts (the journal,
-//! `profile.csv` wall columns), never in `?now=`-deterministic output.
+//! clock and belong in explicitly wall-clock artifacts (`profile.csv`
+//! wall columns), never in `?now=`-deterministic output.
 
 use crate::hist::{LogHistogram, SharedHistogram};
 use std::fmt::Write as _;
@@ -57,7 +57,7 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A detached gauge; attach it later with [`Registry::attach_gauge`].
+    /// A detached gauge.
     pub fn new() -> Gauge {
         Gauge::default()
     }
@@ -85,7 +85,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A detached histogram; attach it with [`Registry::attach_histogram`].
+    /// A detached histogram.
     pub fn new() -> Histogram {
         Histogram::default()
     }
@@ -150,16 +150,6 @@ impl Registry {
         m
     }
 
-    fn attach(&self, name: &str, m: Metric) {
-        let mut metrics = lock(&self.metrics);
-        match metrics.iter_mut().find(|(n, _)| n == name) {
-            // Re-attaching replaces the handle in place, keeping the
-            // exposition position stable.
-            Some(slot) => slot.1 = m,
-            None => metrics.push((name.to_string(), m)),
-        }
-    }
-
     /// The counter registered as `name`, creating it on first use.
     ///
     /// Panics if `name` is registered as a different metric kind.
@@ -190,26 +180,14 @@ impl Registry {
     /// create their handles at construction and attach them when a server
     /// or harness hands them a registry).
     pub fn attach_counter(&self, name: &str, counter: &Counter) {
-        self.attach(name, Metric::Counter(counter.clone()));
-    }
-
-    /// Exposes an existing detached gauge under `name`.
-    pub fn attach_gauge(&self, name: &str, gauge: &Gauge) {
-        self.attach(name, Metric::Gauge(gauge.clone()));
-    }
-
-    /// Exposes an existing detached histogram under `name`.
-    pub fn attach_histogram(&self, name: &str, histogram: &Histogram) {
-        self.attach(name, Metric::Histogram(histogram.clone()));
-    }
-
-    /// Snapshot of the histogram registered as `name`, if any.
-    pub fn histogram_snapshot(&self, name: &str) -> Option<LogHistogram> {
-        let metrics = lock(&self.metrics);
-        metrics.iter().find_map(|(n, m)| match m {
-            Metric::Histogram(h) if n == name => Some(h.snapshot()),
-            _ => None,
-        })
+        let m = Metric::Counter(counter.clone());
+        let mut metrics = lock(&self.metrics);
+        match metrics.iter_mut().find(|(n, _)| n == name) {
+            // Re-attaching replaces the handle in place, keeping the
+            // exposition position stable.
+            Some(slot) => slot.1 = m,
+            None => metrics.push((name.to_string(), m)),
+        }
     }
 
     /// The deterministic text exposition, in registration order.

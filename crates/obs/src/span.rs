@@ -1,79 +1,29 @@
 //! Lightweight span tracing with parent/child nesting.
 //!
-//! A [`Tracer`] owns per-stage histograms inside a [`Registry`] and an
-//! optional bounded [`Journal`]. Threads opt in by *installing* a tracer
-//! (worker threads do this at startup); [`span`] then returns an RAII
-//! guard that, on drop, records the stage's **total** duration and its
-//! **self** time (total minus the time spent in child spans) into the
-//! stage histograms, and appends an event to the journal if one is
-//! enabled.
+//! A [`Tracer`] owns per-stage histograms inside a [`Registry`]. Threads
+//! opt in by *installing* a tracer (worker threads do this at startup);
+//! [`span`] then returns an RAII guard that, on drop, records the stage's
+//! **total** duration and its **self** time (total minus the time spent
+//! in child spans) into the stage histograms.
 //!
 //! Without an installed tracer a span is a no-op costing one
 //! thread-local lookup — instrumentation can stay in place permanently.
 //!
 //! Determinism: span durations are wall clock. They flow only into
-//! histogram *durations* (exposed deterministically as `_count` only)
-//! and the journal (an explicitly wall-clock artifact). Stage histogram
-//! *registration order* is racy when stages are first recorded from
-//! concurrent threads, so processes that render the registry must
-//! [`Tracer::preregister`] their stage names in one canonical order at
-//! boot.
+//! histogram *durations* (exposed deterministically as `_count` only).
+//! Stage histogram *registration order* is racy when stages are first
+//! recorded from concurrent threads, so processes that render the
+//! registry must [`Tracer::preregister`] their stage names in one
+//! canonical order at boot.
 
-use crate::journal::Journal;
 use crate::registry::{Histogram, Registry};
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The slowest span yet closed for one stage — a concrete trace to chase
-/// when the histogram tail moves. Wall clock by nature; surfaces only
-/// through wall-clock outputs (`/v1/_debug/trace`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Exemplar {
-    /// The stage name.
-    pub stage: &'static str,
-    /// Total duration, children included (ns).
-    pub total_ns: u64,
-    /// Self time, net of children (ns).
-    pub self_ns: u64,
-    /// Wall-clock start, nanoseconds since the tracer's epoch.
-    pub start_ns: u64,
-    /// Nesting depth at open time (0 = root).
-    pub depth: u16,
-}
-
-/// Holder for a stage's exemplar. The fast span-close path reads only
-/// `max_ns` (one relaxed load); the lock is taken just when a new
-/// slowest span actually appears.
-#[derive(Debug, Clone, Default)]
-struct ExemplarCell {
-    /// Hint: the stored exemplar's `total_ns` (updated under the lock).
-    max_ns: Arc<AtomicU64>,
-    slot: Arc<Mutex<Option<Exemplar>>>,
-}
-
-impl ExemplarCell {
-    /// True when `total_ns` would beat the stored exemplar — the
-    /// lock-free pre-check the hot path uses.
-    fn beats(&self, total_ns: u64) -> bool {
-        total_ns > self.max_ns.load(Ordering::Relaxed)
-    }
-
-    /// Stores `e` if it is strictly slower than the current exemplar
-    /// (rechecked under the lock — concurrent offers race benignly).
-    fn offer(&self, e: Exemplar) {
-        let mut slot = lock(&self.slot);
-        if slot.as_ref().is_none_or(|cur| e.total_ns > cur.total_ns) {
-            self.max_ns.store(e.total_ns, Ordering::Relaxed);
-            *slot = Some(e);
-        }
-    }
 }
 
 /// The two histograms backing one pipeline stage.
@@ -83,41 +33,26 @@ pub struct StageStats {
     pub total: Histogram,
     /// Wall time net of child spans.
     pub self_time: Histogram,
-    /// The slowest closed span for the stage.
-    exemplar: ExemplarCell,
 }
 
 #[derive(Debug)]
 struct TracerInner {
     registry: Registry,
-    journal: Option<Journal>,
-    epoch: Instant,
     stages: Mutex<Vec<(&'static str, StageStats)>>,
 }
 
-/// A span sink: per-stage histograms plus an optional event journal.
+/// A span sink: per-stage histograms in a registry.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
 }
 
 impl Tracer {
-    /// A tracer recording into `registry`, journal disabled.
+    /// A tracer recording into `registry`.
     pub fn new(registry: Registry) -> Tracer {
-        Tracer::build(registry, None)
-    }
-
-    /// A tracer with a bounded event journal of `capacity` events.
-    pub fn with_journal(registry: Registry, capacity: usize) -> Tracer {
-        Tracer::build(registry, Some(Journal::new(capacity)))
-    }
-
-    fn build(registry: Registry, journal: Option<Journal>) -> Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
                 registry,
-                journal,
-                epoch: Instant::now(),
                 stages: Mutex::new(Vec::new()),
             }),
         }
@@ -126,11 +61,6 @@ impl Tracer {
     /// The registry this tracer records into.
     pub fn registry(&self) -> &Registry {
         &self.inner.registry
-    }
-
-    /// The event journal, if enabled.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.inner.journal.as_ref()
     }
 
     /// Registers stage histograms in the given canonical order, pinning
@@ -159,19 +89,9 @@ impl Tracer {
                 .inner
                 .registry
                 .histogram(&format!("drafts_stage_self_ns{{stage=\"{stage}\"}}")),
-            exemplar: ExemplarCell::default(),
         };
         stages.push((stage, stats.clone()));
         stats
-    }
-
-    /// The slowest closed span per stage, in stage-table (preregistered)
-    /// order; stages that have not closed a span yet are omitted.
-    pub fn exemplars(&self) -> Vec<Exemplar> {
-        lock(&self.inner.stages)
-            .iter()
-            .filter_map(|(_, stats)| lock(&stats.exemplar.slot).clone())
-            .collect()
     }
 
     /// Installs this tracer as the current thread's ambient span sink,
@@ -266,112 +186,43 @@ pub fn span(stage: &'static str) -> Span {
     }
 }
 
-/// Deferred work a span close could not finish under the thread-local
-/// borrow: a journal append, an uncached stage record, and/or a new
-/// slowest-span exemplar.
-struct SlowClose {
-    tracer: Tracer,
-    stage: &'static str,
-    total_ns: u64,
-    self_ns: u64,
-    depth: u16,
-    start_ns: u64,
-    /// The stage missed the per-thread cache: histograms (and the
-    /// exemplar) still need recording.
-    record: bool,
-    /// A journal event must be appended.
-    journal: bool,
-    /// The cache-hit fast path saw this span beat the stage's exemplar
-    /// hint; the exemplar slot needs a locked offer.
-    exemplar: bool,
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if !self.active {
             return;
         }
-        // Fast path: close the frame and record under the thread-local
-        // borrow. Histogram recording is lock-free, the stage stats come
-        // from the install-time cache, and the exemplar check is one
-        // relaxed load — so closing a preregistered, non-record-slowest
-        // span with the journal off takes no lock at all. Journal
-        // appends, cache misses, and exemplar updates defer to outside
-        // the borrow, so the RefCell is never held across shared locks.
-        let slow = AMBIENT.with(|cell| {
+        // Close the frame and record under the thread-local borrow.
+        // Histogram recording is lock-free and the stage stats come from
+        // the install-time cache, so closing a preregistered span takes
+        // no lock at all.
+        AMBIENT.with(|cell| {
             let mut slot = cell.borrow_mut();
-            let ambient = slot.as_mut()?;
-            let frame = ambient.stack.pop()?;
+            let Some(ambient) = slot.as_mut() else {
+                return;
+            };
+            let Some(frame) = ambient.stack.pop() else {
+                return;
+            };
             let total_ns = frame.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             if let Some(parent) = ambient.stack.last_mut() {
                 parent.child_ns = parent.child_ns.saturating_add(total_ns);
             }
             let self_ns = total_ns.saturating_sub(frame.child_ns);
-            let journal = ambient.tracer.inner.journal.is_some();
-            let (record, exemplar) = match ambient
+            let record = |stats: &StageStats| {
+                stats.total.record_ns(total_ns);
+                stats.self_time.record_ns(self_ns);
+            };
+            match ambient
                 .stats_cache
                 .iter()
                 .find(|(name, _)| *name == frame.stage)
             {
-                Some((_, stats)) => {
-                    stats.total.record_ns(total_ns);
-                    stats.self_time.record_ns(self_ns);
-                    (false, stats.exemplar.beats(total_ns))
-                }
-                // Cache miss: the slow path records histograms and
-                // offers the exemplar itself.
-                None => (true, false),
-            };
-            if !record && !journal && !exemplar {
-                return None;
+                Some((_, stats)) => record(stats),
+                // A stage first seen after install: resolve it through
+                // the tracer's shared stage table.
+                None => record(&ambient.tracer.stage_stats(frame.stage)),
             }
-            let start_ns = frame
-                .start
-                .duration_since(ambient.tracer.inner.epoch)
-                .as_nanos()
-                .min(u64::MAX as u128) as u64;
-            Some(SlowClose {
-                tracer: ambient.tracer.clone(),
-                stage: frame.stage,
-                total_ns,
-                self_ns,
-                depth: ambient.stack.len() as u16,
-                start_ns,
-                record,
-                journal,
-                exemplar,
-            })
         });
-        let Some(slow) = slow else {
-            return;
-        };
-        if slow.record || slow.exemplar {
-            let stats = slow.tracer.stage_stats(slow.stage);
-            if slow.record {
-                stats.total.record_ns(slow.total_ns);
-                stats.self_time.record_ns(slow.self_ns);
-            }
-            stats.exemplar.offer(Exemplar {
-                stage: slow.stage,
-                total_ns: slow.total_ns,
-                self_ns: slow.self_ns,
-                start_ns: slow.start_ns,
-                depth: slow.depth,
-            });
-        }
-        if slow.journal {
-            if let Some(journal) = slow.tracer.journal() {
-                // Stamp the ambient distributed-trace id so journal
-                // dumps carry cross-process causality.
-                journal.push(
-                    slow.stage,
-                    slow.depth,
-                    slow.start_ns,
-                    slow.total_ns,
-                    crate::trace::current_trace_id(),
-                );
-            }
-        }
     }
 }
 
@@ -448,60 +299,6 @@ mod tests {
         assert_eq!(t2.stage_stats("inner").total.count(), 1);
         assert_eq!(t1.stage_stats("inner").total.count(), 0);
         assert_eq!(t1.stage_stats("outer").total.count(), 1);
-    }
-
-    #[test]
-    fn journal_records_closed_spans_with_depth() {
-        let tracer = Tracer::with_journal(Registry::new(), 8);
-        let _guard = tracer.install();
-        {
-            let _outer = span("outer");
-            let _inner = span("inner");
-        }
-        let events = tracer.journal().unwrap().snapshot();
-        assert_eq!(events.len(), 2);
-        // Children close first.
-        assert_eq!(events[0].stage, "inner");
-        assert_eq!(events[0].depth, 1);
-        assert_eq!(events[1].stage, "outer");
-        assert_eq!(events[1].depth, 0);
-        assert!(events[1].dur_ns >= events[0].dur_ns);
-        assert!(events[1].start_ns <= events[0].start_ns);
-    }
-
-    #[test]
-    fn exemplar_tracks_the_slowest_span_per_stage() {
-        let tracer = Tracer::new(Registry::new());
-        tracer.preregister(&["fast", "slow"]);
-        let _guard = tracer.install();
-        {
-            let _s = span("fast");
-        }
-        {
-            let _s = span("slow");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        {
-            // A quicker second close must not displace the exemplar.
-            let _s = span("slow");
-        }
-        let exemplars = tracer.exemplars();
-        assert_eq!(exemplars.len(), 2, "one exemplar per closed stage");
-        assert_eq!(exemplars[0].stage, "fast", "stage-table order");
-        assert_eq!(exemplars[1].stage, "slow");
-        assert!(exemplars[1].total_ns >= 2_000_000);
-        assert_eq!(exemplars[1].depth, 0);
-        assert_eq!(
-            tracer.stage_stats("slow").total.count(),
-            2,
-            "both closes recorded; only the slowest is the exemplar"
-        );
-        // Uncached stages (seen after install) still capture exemplars
-        // via the slow path.
-        {
-            let _s = span("late");
-        }
-        assert!(tracer.exemplars().iter().any(|e| e.stage == "late"));
     }
 
     #[test]

@@ -18,13 +18,12 @@
 //! [`TraceContext::parse`]); each process appends what it saw to a
 //! bounded [`TraceLog`] ring keyed by virtual `now`, and the
 //! `/v1/_debug/trace/{id}` route reassembles the per-request timeline
-//! across the fleet. A modulus sample ([`TraceLog::new`]) caps journal
-//! growth under heavy traffic without breaking determinism: whether a
-//! trace is sampled depends only on its id.
+//! across the fleet.
 //!
-//! Trace id `0` means "no trace" everywhere; generators never mint it.
+//! Trace id `0` means "no trace" everywhere; generators never mint it
+//! and the log never records it.
 
-use std::cell::Cell;
+use crate::bounded::BoundedLog;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -180,51 +179,23 @@ pub struct TraceRecord {
     pub detail: String,
 }
 
-#[derive(Debug)]
-struct TraceLogInner {
-    buf: Vec<TraceRecord>,
-    /// Next write position (wrapping).
-    next: usize,
-    /// Records ever written (so len = total.min(cap)).
-    total: u64,
-}
-
-/// A bounded, allocate-once ring of [`TraceRecord`]s.
-///
-/// Mirrors the event ring: capacity fixed at construction, oldest
-/// records overwritten first. `sample` caps growth under load — a
-/// trace is recorded iff `sample <= 1 || trace_id % sample == 0`,
-/// a pure function of the id, so sampling never breaks two-boot
-/// determinism.
+/// A bounded, allocate-once log of [`TraceRecord`]s: capacity fixed at
+/// construction, oldest records overwritten first.
 #[derive(Debug)]
 pub struct TraceLog {
-    cap: usize,
-    sample: u64,
-    inner: Mutex<TraceLogInner>,
+    ring: Mutex<BoundedLog<TraceRecord>>,
 }
 
 impl TraceLog {
-    /// A ring holding the last `capacity` records, sampling 1-in-`sample`
-    /// trace ids (0 or 1 ⇒ record everything).
-    pub fn new(capacity: usize, sample: u64) -> TraceLog {
-        assert!(capacity > 0, "trace log capacity must be positive");
+    /// A log holding the last `capacity` records (a capacity of zero
+    /// becomes one).
+    pub fn new(capacity: usize) -> TraceLog {
         TraceLog {
-            cap: capacity,
-            sample,
-            inner: Mutex::new(TraceLogInner {
-                buf: Vec::with_capacity(capacity),
-                next: 0,
-                total: 0,
-            }),
+            ring: Mutex::new(BoundedLog::new(capacity)),
         }
     }
 
-    /// Whether this log records `trace_id` (the sampling predicate).
-    pub fn sampled(&self, trace_id: u64) -> bool {
-        trace_id != 0 && (self.sample <= 1 || trace_id.is_multiple_of(self.sample))
-    }
-
-    /// Appends one observation (no-op when the trace is unsampled).
+    /// Appends one observation (no-op for trace id 0, "no trace").
     pub fn record(
         &self,
         ctx: TraceContext,
@@ -234,7 +205,7 @@ impl TraceLog {
         status: u16,
         detail: impl Into<String>,
     ) {
-        if !self.sampled(ctx.trace_id) {
+        if ctx.trace_id == 0 {
             return;
         }
         let record = TraceRecord {
@@ -248,28 +219,12 @@ impl TraceLog {
             status,
             detail: detail.into(),
         };
-        let mut inner = lock(&self.inner);
-        if inner.buf.len() < self.cap {
-            inner.buf.push(record);
-        } else {
-            let at = inner.next;
-            inner.buf[at] = record;
-        }
-        inner.next = (inner.next + 1) % self.cap;
-        inner.total += 1;
+        lock(&self.ring).push(record);
     }
 
     /// Every retained record, oldest first.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let inner = lock(&self.inner);
-        if inner.buf.len() < self.cap {
-            inner.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.cap);
-            out.extend_from_slice(&inner.buf[inner.next..]);
-            out.extend_from_slice(&inner.buf[..inner.next]);
-            out
-        }
+        lock(&self.ring).snapshot()
     }
 
     /// Retained records for one trace, in insertion order.
@@ -282,38 +237,7 @@ impl TraceLog {
 
     /// Records ever written (including evicted ones).
     pub fn total(&self) -> u64 {
-        lock(&self.inner).total
-    }
-}
-
-thread_local! {
-    static CURRENT_TRACE: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The trace id of the request this thread is currently serving
-/// (0 outside any [`enter`] scope). Lets deep layers — the span
-/// tracer's journal, the slow-close path — stamp causality without
-/// threading the context through every signature.
-pub fn current_trace_id() -> u64 {
-    CURRENT_TRACE.with(|c| c.get())
-}
-
-/// Marks `trace_id` as this thread's current trace until the returned
-/// guard drops (scopes nest; the previous id is restored).
-pub fn enter(trace_id: u64) -> TraceScope {
-    let prev = CURRENT_TRACE.with(|c| c.replace(trace_id));
-    TraceScope { prev }
-}
-
-/// RAII guard from [`enter`]; restores the previous current trace.
-#[derive(Debug)]
-pub struct TraceScope {
-    prev: u64,
-}
-
-impl Drop for TraceScope {
-    fn drop(&mut self) {
-        CURRENT_TRACE.with(|c| c.set(self.prev));
+        lock(&self.ring).pushed()
     }
 }
 
@@ -442,7 +366,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_first_without_reallocating() {
-        let log = TraceLog::new(4, 0);
+        let log = TraceLog::new(4);
         for i in 1..=11u64 {
             log.record(ctx(i), 100 + i, "shard-0", "graphs", 200, "");
         }
@@ -453,34 +377,12 @@ mod tests {
         assert_eq!(log.total(), 11);
         assert_eq!(log.for_trace(9).len(), 1);
         assert_eq!(log.for_trace(1).len(), 0, "evicted");
-    }
-
-    #[test]
-    fn sampling_is_a_pure_function_of_the_id() {
-        let log = TraceLog::new(16, 4);
-        assert!(log.sampled(8));
-        assert!(!log.sampled(9));
-        assert!(!log.sampled(0), "id 0 is never recorded");
-        log.record(ctx(8), 1, "i", "s", 200, "");
-        log.record(ctx(9), 2, "i", "s", 200, "");
-        assert_eq!(log.snapshot().len(), 1);
-        let all = TraceLog::new(16, 1);
-        assert!(all.sampled(9));
-    }
-
-    #[test]
-    fn ambient_scopes_nest_and_restore() {
-        assert_eq!(current_trace_id(), 0);
-        {
-            let _outer = enter(11);
-            assert_eq!(current_trace_id(), 11);
-            {
-                let _inner = enter(22);
-                assert_eq!(current_trace_id(), 22);
-            }
-            assert_eq!(current_trace_id(), 11);
-        }
-        assert_eq!(current_trace_id(), 0);
+        let untraced = TraceContext {
+            trace_id: 0,
+            ..ctx(12)
+        };
+        log.record(untraced, 112, "shard-0", "graphs", 200, "");
+        assert_eq!(log.total(), 11, "id 0 is never recorded");
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::http::{self, Request, Response, MAX_HEADERS, MAX_HEADER_LINE};
 use crate::json::{self, Json};
 use crate::metrics::{Metrics, Route};
 use crate::ring::Ring;
-use crate::router::{parse_graphs_path, Router};
+use crate::router::{bid_query, now_of, parse_graphs_path, traced, Router};
 use crate::server::{DrainReport, Handler, Server, ServerConfig};
 use crate::wire::{self, trace_timeline_json, BidQuoteWire, HealthCountsWire, TraceEntry};
 use drafts_core::DraftsService;
@@ -527,21 +527,31 @@ impl FrontRouter {
         }
     }
 
-    /// Whether the front may route a request with virtual time `now` to
-    /// `shard`. Fault-plan kills/hangs are evaluated per request (not
-    /// just at probe boundaries) so a request landing inside a fault
-    /// window deterministically routes around the victim.
-    fn routable(&self, shard: usize, now: u64) -> bool {
+    /// The shard's state as a request with virtual time `now` sees it:
+    /// draining first, then the fault plan, then the probe fold.
+    /// Fault-plan kills/hangs are evaluated per request (not just at
+    /// probe boundaries) so a request landing inside a fault window
+    /// deterministically routes around the victim.
+    fn serving_state(&self, shard: usize, now: u64) -> ShardState {
         if self.shards[shard].draining.load(Ordering::Acquire) {
-            return false;
+            return ShardState::Draining;
         }
         if matches!(
             self.cfg.faults.active(shard, now),
             Some(ShardFaultKind::Kill) | Some(ShardFaultKind::Hang)
         ) {
-            return false;
+            return ShardState::Down;
         }
-        self.shard_state(shard, now) != ShardState::Down
+        self.shard_state(shard, now)
+    }
+
+    /// Whether the front may route a request with virtual time `now` to
+    /// `shard`.
+    fn routable(&self, shard: usize, now: u64) -> bool {
+        matches!(
+            self.serving_state(shard, now),
+            ShardState::Up | ShardState::Degraded
+        )
     }
 
     /// Proxies a GET of `target` to each leg's shard, overlapped: every
@@ -596,20 +606,83 @@ impl FrontRouter {
             .expect("one leg, one answer")
     }
 
-    /// Appends one front-side observation to the front's trace ring
-    /// (no-op when tracing is disabled).
-    fn trace_record(
+    /// Reads `target` from every shard routable at `now`, overlapped:
+    /// routability (and with it each shard's probe fold) is settled for
+    /// every shard first, then one [`FrontRouter::scatter`] reads them
+    /// all. Returns each shard's 200 body in shard order; an unroutable
+    /// shard is `None`, as is a failed or non-200 read, which
+    /// `count_errors` counts as a proxy error.
+    fn gather(&self, target: &str, now: u64, count_errors: bool) -> Vec<Option<Vec<u8>>> {
+        let routable: Vec<bool> = (0..self.cfg.shards)
+            .map(|shard| self.routable(shard, now))
+            .collect();
+        let legs: Vec<(usize, Option<TraceContext>)> = (0..self.cfg.shards)
+            .filter(|&shard| routable[shard])
+            .map(|shard| (shard, None))
+            .collect();
+        let mut answers = self.scatter(target, &legs).into_iter();
+        routable
+            .into_iter()
+            .map(|up| {
+                if !up {
+                    return None;
+                }
+                match answers.next().expect("one answer per routable shard") {
+                    Ok((200, body)) => Some(body),
+                    _ => {
+                        if count_errors {
+                            self.counters.proxy_errors.inc();
+                        }
+                        None
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Settles leg `leg` of a proxied request, sent to `shard`: `answer`
+    /// is `None` when the leg was skipped because the shard was not
+    /// routable. A transport failure counts a proxy error. The front's
+    /// trace ring records the leg under `stage` with the shard's status,
+    /// as 502 with `error=proxy` on a transport failure, or as a
+    /// `proxy_skip` 503. The record's detail names the shard and the leg,
+    /// plus the answer's `failover` attribution when one is given; it is
+    /// formatted only when the ring is on. Returns the shard's answer.
+    fn settle_leg(
         &self,
-        metrics: &Metrics,
-        ctx: TraceContext,
-        now: u64,
+        hop: Hop,
         stage: &'static str,
-        status: u16,
-        detail: String,
-    ) {
-        if let Some(log) = metrics.trace_log() {
-            log.record(ctx, now, "fleet-front", stage, status, detail);
+        (shard, leg): (usize, usize),
+        failover: Option<bool>,
+        answer: Option<io::Result<(u16, Vec<u8>)>>,
+    ) -> Option<(u16, Vec<u8>)> {
+        let status = match &answer {
+            None => 503,
+            Some(Ok((status, _))) => *status,
+            Some(Err(_)) => {
+                self.counters.proxy_errors.inc();
+                502
+            }
+        };
+        if let Some(log) = hop.metrics.trace_log() {
+            let (stage, suffix) = match (&answer, failover) {
+                (None, _) => ("proxy_skip", ""),
+                (Some(Err(_)), _) => (stage, " error=proxy"),
+                (Some(Ok(_)), Some(true)) => (stage, " failover=true"),
+                (Some(Ok(_)), Some(false)) => (stage, " failover=false"),
+                (Some(Ok(_)), None) => (stage, ""),
+            };
+            let detail = format!("shard-{shard} leg={leg}{suffix}");
+            log.record(
+                hop.ctx.child(leg as u64),
+                hop.now,
+                FRONT,
+                stage,
+                status,
+                detail,
+            );
         }
+        answer.and_then(Result::ok)
     }
 
     /// Decorates a proxied answer with routing provenance and enforces
@@ -698,102 +771,39 @@ impl FrontRouter {
         resp
     }
 
-    fn now_of(&self, req: &Request) -> Result<u64, Response> {
-        match req.query_param("now") {
-            None => Ok(self.default_now),
-            Some(v) => v
-                .parse::<u64>()
-                .map_err(|_| Response::error(400, "now must be an integer")),
-        }
-    }
-
-    fn graphs(
-        &self,
-        req: &Request,
-        now: u64,
-        ctx: TraceContext,
-        metrics: &Metrics,
-    ) -> Response {
+    fn graphs(&self, req: &Request, hop: Hop) -> Response {
         let combo = match parse_graphs_path(self.catalog, &req.path) {
             Ok(combo) => combo,
             Err(resp) => return resp,
         };
         let owners = self.ring.owners(combo.key());
         let primary = owners[0];
-        let target = target_of(req);
+        let target = req.target();
         // Leg numbering walks the ring-owner order, skips included, so a
         // timeline names exactly which failover leg served (leg 0 is
         // always the primary).
         for (leg, shard) in owners.into_iter().enumerate() {
-            let leg_ctx = ctx.child(leg as u64);
-            if !self.routable(shard, now) {
-                self.trace_record(
-                    metrics,
-                    leg_ctx,
-                    now,
-                    "proxy_skip",
-                    503,
-                    format!("shard-{shard} leg={leg}"),
-                );
+            let off_owner = shard != primary;
+            let answer = self
+                .routable(shard, hop.now)
+                .then(|| self.proxy(shard, &target, Some(hop.ctx.child(leg as u64))));
+            let Some((status, body)) =
+                self.settle_leg(hop, "proxy_graphs", (shard, leg), Some(off_owner), answer)
+            else {
                 continue;
-            }
-            match self.proxy(shard, &target, Some(leg_ctx)) {
-                Ok((status, body)) => {
-                    let off_owner = shard != primary;
-                    self.trace_record(
-                        metrics,
-                        leg_ctx,
-                        now,
-                        "proxy_graphs",
-                        status,
-                        format!("shard-{shard} leg={leg} failover={off_owner}"),
-                    );
-                    let degraded_shard =
-                        self.shard_state(shard, now) == ShardState::Degraded;
-                    return self.decorate(
-                        shard,
-                        off_owner,
-                        off_owner || degraded_shard,
-                        status,
-                        body,
-                    );
-                }
-                Err(_) => {
-                    self.counters.proxy_errors.inc();
-                    self.trace_record(
-                        metrics,
-                        leg_ctx,
-                        now,
-                        "proxy_graphs",
-                        502,
-                        format!("shard-{shard} leg={leg} error=proxy"),
-                    );
-                }
-            }
+            };
+            let degraded_shard = self.shard_state(shard, hop.now) == ShardState::Degraded;
+            return self.decorate(shard, off_owner, off_owner || degraded_shard, status, body);
         }
         self.refuse("no owner routable for this market")
     }
 
-    fn bid(
-        &self,
-        req: &Request,
-        now: u64,
-        ctx: TraceContext,
-        metrics: &Metrics,
-    ) -> Response {
-        let Some(duration) = req.query_param("duration") else {
-            return Response::error(400, "duration query parameter is required");
-        };
-        if duration.parse::<u64>().is_err() {
-            return Response::error(400, "duration must be an integer");
+    fn bid(&self, req: &Request, hop: Hop) -> Response {
+        if let Err(resp) = bid_query(req) {
+            return resp;
         }
-        if let Some(v) = req.query_param("p") {
-            match v.parse::<f64>() {
-                Ok(p) if drafts_core::service::valid_probability(p) => {}
-                _ => return Response::error(400, "p must be in (0, 1]"),
-            }
-        }
-        let target = target_of(req);
+        let Hop { metrics, ctx, now } = hop;
+        let target = req.target();
         // Scatter to every routable shard; each answers the cheapest
         // guaranteed bid over the combos it registered (owned + replica
         // copies), so replicas would duplicate owners' quotes. Dedup
@@ -819,43 +829,12 @@ impl FrontRouter {
         // counters, dedup and the winner come out as for legs run one
         // after another.
         for shard in 0..self.cfg.shards {
-            let leg_ctx = ctx.child(shard as u64);
-            if !routable[shard] {
-                self.trace_record(
-                    metrics,
-                    leg_ctx,
-                    now,
-                    "proxy_skip",
-                    503,
-                    format!("shard-{shard} leg={shard}"),
-                );
+            let answer =
+                routable[shard].then(|| answers.next().expect("one answer per routable shard"));
+            let Some((status, body)) =
+                self.settle_leg(hop, "proxy_bid", (shard, shard), None, answer)
+            else {
                 continue;
-            }
-            let answer = answers.next().expect("one answer per routable shard");
-            let (status, body) = match answer {
-                Ok(out) => {
-                    self.trace_record(
-                        metrics,
-                        leg_ctx,
-                        now,
-                        "proxy_bid",
-                        out.0,
-                        format!("shard-{shard} leg={shard}"),
-                    );
-                    out
-                }
-                Err(_) => {
-                    self.counters.proxy_errors.inc();
-                    self.trace_record(
-                        metrics,
-                        leg_ctx,
-                        now,
-                        "proxy_bid",
-                        502,
-                        format!("shard-{shard} leg={shard} error=proxy"),
-                    );
-                    continue;
-                }
             };
             if status != 200 {
                 if fallback.is_none() {
@@ -931,22 +910,12 @@ impl FrontRouter {
         }
     }
 
-    fn health(&self, now: u64, ctx: TraceContext, metrics: &Metrics) -> Response {
+    fn health(&self, hop: Hop) -> Response {
+        let Hop { ctx, now, .. } = hop;
         // Every shard's state first (probing as needed), then one
         // overlapped scatter collects each serving shard's own rollup.
         let states: Vec<ShardState> = (0..self.cfg.shards)
-            .map(|shard| {
-                if self.shards[shard].draining.load(Ordering::Acquire) {
-                    ShardState::Draining
-                } else if matches!(
-                    self.cfg.faults.active(shard, now),
-                    Some(ShardFaultKind::Kill) | Some(ShardFaultKind::Hang)
-                ) {
-                    ShardState::Down
-                } else {
-                    self.shard_state(shard, now)
-                }
-            })
+            .map(|shard| self.serving_state(shard, now))
             .collect();
         let reachable =
             |shard: usize| matches!(states[shard], ShardState::Up | ShardState::Degraded);
@@ -960,38 +929,16 @@ impl FrontRouter {
         let mut docs: Vec<Option<Json>> = Vec::with_capacity(self.cfg.shards);
         for shard in 0..self.cfg.shards {
             let doc = if reachable(shard) {
-                let leg_ctx = ctx.child(shard as u64);
-                match answers.next().expect("one answer per serving shard") {
-                    Ok((status, body)) => {
-                        self.trace_record(
-                            metrics,
-                            leg_ctx,
-                            now,
-                            "proxy_health",
-                            status,
-                            format!("shard-{shard} leg={shard}"),
-                        );
-                        if status == 200 {
-                            std::str::from_utf8(&body)
-                                .ok()
-                                .and_then(|s| Json::parse(s).ok())
-                        } else {
-                            self.counters.proxy_errors.inc();
-                            None
-                        }
-                    }
-                    Err(_) => {
+                let answer = answers.next().expect("one answer per serving shard");
+                match self.settle_leg(hop, "proxy_health", (shard, shard), None, Some(answer)) {
+                    Some((200, body)) => std::str::from_utf8(&body)
+                        .ok()
+                        .and_then(|s| Json::parse(s).ok()),
+                    Some(_) => {
                         self.counters.proxy_errors.inc();
-                        self.trace_record(
-                            metrics,
-                            leg_ctx,
-                            now,
-                            "proxy_health",
-                            502,
-                            format!("shard-{shard} leg={shard} error=proxy"),
-                        );
                         None
                     }
+                    None => None,
                 }
             } else {
                 None
@@ -1032,6 +979,18 @@ impl FrontRouter {
         write_front_health(&mut body, self.catalog, now, &shard_rows, &combo_rows);
         Response::json(200, body)
     }
+}
+
+/// The identity the front records its own trace observations under.
+const FRONT: &str = "fleet-front";
+
+/// One front request as its proxied legs see it: the front's metrics,
+/// the request's trace context and its virtual time.
+#[derive(Clone, Copy)]
+struct Hop<'a> {
+    metrics: &'a Metrics,
+    ctx: TraceContext,
+    now: u64,
 }
 
 /// One shard's row of the front's `/v1/health` answer.
@@ -1189,25 +1148,6 @@ pub(crate) fn label_instance(exposition: &str, instance: &str) -> String {
     out
 }
 
-/// Rebuilds the original request target (path + query) for proxying.
-fn target_of(req: &Request) -> String {
-    if req.query.is_empty() {
-        return req.path.clone();
-    }
-    let query: Vec<String> = req
-        .query
-        .iter()
-        .map(|(k, v)| {
-            if v.is_empty() {
-                k.clone()
-            } else {
-                format!("{k}={v}")
-            }
-        })
-        .collect();
-    format!("{}?{}", req.path, query.join("&"))
-}
-
 impl FrontRouter {
     /// `/v1/fleet/metrics` — the whole fleet's expositions in one page:
     /// a liveness gauge plus the instance's own `/v1/metrics` text, every
@@ -1220,25 +1160,15 @@ impl FrontRouter {
         let mut out = String::new();
         out.push_str("drafts_fleet_instance_up{instance=\"front\"} 1\n");
         out.push_str(&label_instance(&metrics.render_text(), "front"));
-        for shard in 0..self.cfg.shards {
-            let instance = self.shards[shard].instance.clone();
-            let text = if self.routable(shard, now) {
-                match self.proxy(shard, "/v1/metrics", None) {
-                    Ok((200, body)) => String::from_utf8(body).ok(),
-                    _ => {
-                        self.counters.proxy_errors.inc();
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-            match text {
+        let bodies = self.gather("/v1/metrics", now, true);
+        for (handle, body) in self.shards.iter().zip(bodies) {
+            let instance = &handle.instance;
+            match body.and_then(|body| String::from_utf8(body).ok()) {
                 Some(text) => {
                     out.push_str(&format!(
                         "drafts_fleet_instance_up{{instance=\"{instance}\"}} 1\n"
                     ));
-                    out.push_str(&label_instance(&text, &instance));
+                    out.push_str(&label_instance(&text, instance));
                 }
                 None => out.push_str(&format!(
                     "drafts_fleet_instance_up{{instance=\"{instance}\"}} 0\n"
@@ -1261,22 +1191,15 @@ impl FrontRouter {
             ("instance", Json::str("front")),
             ("slo", crate::wire::slo_json(now, &statuses)),
         ])];
-        for shard in 0..self.cfg.shards {
-            let doc = if self.routable(shard, now) {
-                match self.proxy(shard, &format!("/v1/slo?now={now}"), None) {
-                    Ok((200, body)) => std::str::from_utf8(&body)
-                        .ok()
-                        .and_then(|s| Json::parse(s).ok()),
-                    _ => {
-                        self.counters.proxy_errors.inc();
-                        None
-                    }
-                }
-            } else {
-                None
-            };
+        let bodies = self.gather(&format!("/v1/slo?now={now}"), now, true);
+        for (handle, body) in self.shards.iter().zip(bodies) {
+            let doc = body.and_then(|body| {
+                std::str::from_utf8(&body)
+                    .ok()
+                    .and_then(|s| Json::parse(s).ok())
+            });
             instances.push(Json::obj(vec![
-                ("instance", Json::Str(self.shards[shard].instance.clone())),
+                ("instance", Json::Str(handle.instance.clone())),
                 ("slo", doc.unwrap_or(Json::Null)),
             ]));
         }
@@ -1304,17 +1227,13 @@ impl FrontRouter {
         };
         let mut entries: Vec<TraceEntry> =
             log.for_trace(trace_id).iter().map(TraceEntry::of).collect();
-        for shard in 0..self.cfg.shards {
-            if !self.routable(shard, now) {
-                continue;
-            }
-            // A shard 404s when it retains nothing for the id — that's
-            // an empty contribution here, not an error.
-            let Ok((200, body)) =
-                self.proxy(shard, &format!("/v1/_debug/trace/{hex}"), None)
-            else {
-                continue;
-            };
+        // A shard 404s when it retains nothing for the id — that's an
+        // empty contribution here, not a proxy error.
+        for body in self
+            .gather(&format!("/v1/_debug/trace/{hex}"), now, false)
+            .into_iter()
+            .flatten()
+        {
             let Some(doc) = std::str::from_utf8(&body)
                 .ok()
                 .and_then(|s| Json::parse(s).ok())
@@ -1331,8 +1250,8 @@ impl FrontRouter {
         Response::json(200, trace_timeline_json(trace_id, &entries).render())
     }
 
-    /// The route switch proper (everything `handle` does minus the trace
-    /// plumbing).
+    /// The route switch proper, run through the shared traced-request
+    /// path.
     fn dispatch(
         &self,
         route: Route,
@@ -1343,15 +1262,16 @@ impl FrontRouter {
         if req.method != "GET" {
             return Response::error(405, "only GET is supported");
         }
-        let now = match self.now_of(req) {
+        let now = match now_of(req, self.default_now) {
             Ok(now) => now,
             Err(resp) => return resp,
         };
         metrics.windows().advance(now);
+        let hop = Hop { metrics, ctx, now };
         match route {
-            Route::Graphs => self.graphs(req, now, ctx, metrics),
-            Route::Bid => self.bid(req, now, ctx, metrics),
-            Route::Health => self.health(now, ctx, metrics),
+            Route::Graphs => self.graphs(req, hop),
+            Route::Bid => self.bid(req, hop),
+            Route::Health => self.health(hop),
             Route::Metrics => Response::text(200, metrics.render_text()),
             Route::Other => {
                 if req.path == "/v1/fleet/metrics" {
@@ -1371,23 +1291,9 @@ impl FrontRouter {
 
 impl Handler for FrontRouter {
     fn handle(&self, req: &Request, metrics: &Metrics) -> Response {
-        let route = Router::route_of(&req.path);
-        metrics.count_request(route);
-        // Same trace resolution as a shard router: header if valid, else
-        // a pure hash of the target — so front and shards agree on a
-        // headerless request's identity.
-        let ctx = Router::trace_context(req);
-        let _trace = obs::trace::enter(ctx.trace_id);
-        let _span = obs::span(route.stage());
-        let mut resp = self.dispatch(route, req, metrics, ctx);
-        if let Some(log) = metrics.trace_log() {
-            if matches!(route, Route::Graphs | Route::Bid | Route::Health) {
-                let now = self.now_of(req).unwrap_or(self.default_now);
-                log.record(ctx, now, "fleet-front", route.stage(), resp.status, "");
-            }
-        }
-        resp.extra_headers.push((obs::TRACE_HEADER, ctx.encode()));
-        resp
+        traced(req, metrics, FRONT, self.default_now, |route, ctx| {
+            self.dispatch(route, req, metrics, ctx)
+        })
     }
 
     fn default_now(&self) -> u64 {
@@ -1544,12 +1450,19 @@ mod tests {
 
     #[test]
     fn target_of_round_trips_path_and_query() {
-        let raw = "GET /v1/bid?duration=3600&p=0.95&now=7 HTTP/1.1\r\n\r\n";
-        let req = crate::http::read_request(&mut BufReader::new(raw.as_bytes())).unwrap();
-        assert_eq!(target_of(&req), "/v1/bid?duration=3600&p=0.95&now=7");
-        let raw = "GET /v1/health HTTP/1.1\r\n\r\n";
-        let req = crate::http::read_request(&mut BufReader::new(raw.as_bytes())).unwrap();
-        assert_eq!(target_of(&req), "/v1/health");
+        // The front relays `Request::target` to the shards verbatim: the
+        // query keeps its order, a bare path stays bare, and a valueless
+        // key keeps no `=`.
+        let parse = |raw: &str| {
+            crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes())).unwrap()
+        };
+        let req = parse("GET /v1/bid?duration=3600&p=0.95&now=7 HTTP/1.1\r\n\r\n");
+        assert_eq!(req.target(), "/v1/bid?duration=3600&p=0.95&now=7");
+        let req = parse("GET /v1/health HTTP/1.1\r\n\r\n");
+        assert_eq!(req.target(), "/v1/health");
+        let req = parse("GET /v1/bid?duration=3600&flag&now=7 HTTP/1.1\r\n\r\n");
+        assert_eq!(req.query_param("flag"), Some(""));
+        assert_eq!(req.target(), "/v1/bid?duration=3600&flag&now=7");
     }
 
     #[test]
@@ -1854,6 +1767,45 @@ mod tests {
         ]);
         assert_eq!(resp.body, want.render().into_bytes());
         assert_eq!(resp.status, 503);
+    }
+
+    #[test]
+    fn bid_validation_answers_as_the_instance_does() {
+        // The front validates a bid before scattering it: each malformed
+        // query gets the instance router's status and body bytes. A 400
+        // proxies nothing, so the front's shards need not exist.
+        let front = FrontRouter::new(
+            FleetConfig::new(2),
+            vec![
+                "127.0.0.1:1".parse().unwrap(),
+                "127.0.0.1:2".parse().unwrap(),
+            ],
+            Vec::new(),
+            0,
+        );
+        let service = DraftsService::new(drafts_core::service::ServiceConfig::default());
+        let router = Router::new(Arc::new(service), 0);
+        for query in [
+            "p=0.95",
+            "duration=x",
+            "duration=-1",
+            "duration=3600&p=NaN",
+            "duration=3600&p=0",
+            "duration=3600&p=1.5",
+            "duration=3600&now=abc",
+        ] {
+            let raw = format!("GET /v1/bid?{query} HTTP/1.1\r\n\r\n");
+            let req = http::read_request(&mut BufReader::new(raw.as_bytes())).unwrap();
+            let want = router.handle(&req, &Metrics::new());
+            let got = front.handle(&req, &Metrics::new());
+            assert_eq!(want.status, 400, "{query}");
+            assert_eq!(
+                (got.status, String::from_utf8_lossy(&got.body)),
+                (want.status, String::from_utf8_lossy(&want.body)),
+                "{query}"
+            );
+        }
+        assert_eq!(front.counters.proxy_errors.get(), 0);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! The second observability layer also hangs off [`Metrics`]: the
 //! request-latency histogram and quote counters feed a [`WindowSet`] of
 //! rolling virtual-time windows, an [`SloMonitor`] judges the standing
-//! objectives (`/v1/slo`), and an optional [`EventLog`] ring collects
-//! structured events (`/v1/_debug/events`).
+//! objectives (`/v1/slo`), an optional [`EventLog`] ring collects
+//! structured events (`/v1/_debug/events`), and an optional [`TraceLog`]
+//! ring keeps per-hop trace observations (`/v1/_debug/trace/{id}`).
 
 use obs::{
     Counter, EventLog, Histogram, Objective, Registry, SloMonitor, SlowestTraceCell, Source,
@@ -207,43 +208,15 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Fresh zeroed metrics, span journal and event log disabled.
+    /// Fresh zeroed metrics, event and trace logs disabled.
     pub fn new() -> Self {
-        Metrics::build(None, 0, 0, 0)
+        Metrics::with_logs(0, 0)
     }
 
-    /// Fresh metrics with a bounded span journal of `capacity` events
-    /// (served at `/v1/_debug/trace` when debug routes are on).
-    pub fn with_journal(capacity: usize) -> Self {
-        Metrics::build(Some(capacity), 0, 0, 0)
-    }
-
-    /// Fresh metrics with both debug stores sized explicitly: a span
-    /// journal of `trace_journal` events and a structured event ring of
-    /// `event_log` entries (`0` disables either).
-    pub fn with_observability(trace_journal: usize, event_log: usize) -> Self {
-        Metrics::build((trace_journal > 0).then_some(trace_journal), event_log, 0, 0)
-    }
-
-    /// Fresh metrics with every observability store sized explicitly,
-    /// including the distributed-trace ring: `trace_log` records
-    /// retained, sampling 1-in-`trace_sample` trace ids (`<= 1` records
-    /// every trace; `trace_log == 0` disables tracing).
-    pub fn with_tracing(
-        trace_journal: usize,
-        event_log: usize,
-        trace_log: usize,
-        trace_sample: u64,
-    ) -> Self {
-        Metrics::build(
-            (trace_journal > 0).then_some(trace_journal),
-            event_log,
-            trace_log,
-            trace_sample,
-        )
-    }
-
-    fn build(journal: Option<usize>, event_log: usize, trace_log: usize, trace_sample: u64) -> Self {
+    /// Fresh metrics with a structured event ring of `event_log` entries
+    /// and a distributed-trace ring of `trace_log` records (`0` disables
+    /// either).
+    pub fn with_logs(event_log: usize, trace_log: usize) -> Self {
         let registry = Registry::new();
         // Historical names first, historical order: the exposition stays
         // a strict superset of the pre-obs `/v1/metrics` output.
@@ -261,10 +234,7 @@ impl Metrics {
         let handler_panics = registry.counter("drafts_handler_panics_total");
         let degraded_quotes = registry.counter("drafts_degraded_quotes_total");
 
-        let tracer = match journal {
-            Some(capacity) => Tracer::with_journal(registry.clone(), capacity),
-            None => Tracer::new(registry.clone()),
-        };
+        let tracer = Tracer::new(registry.clone());
         // Stage histograms register here, once, in canonical order —
         // first-use registration from concurrent workers would make the
         // exposition order racy across boots.
@@ -294,8 +264,7 @@ impl Metrics {
         windows.register_counter("degraded", &degraded_quotes);
         windows.register_counter("quotes", &quotes_total);
         let slo = Arc::new(SloMonitor::new(standing_objectives()));
-        let trace_log =
-            (trace_log > 0).then(|| Arc::new(TraceLog::new(trace_log, trace_sample)));
+        let trace_log = (trace_log > 0).then(|| Arc::new(TraceLog::new(trace_log)));
 
         Metrics {
             registry,
@@ -466,7 +435,7 @@ drafts_degraded_quotes_total 0
         assert!(replay < quotes, "new families must append, not interleave");
         // Event counters render only when the ring is enabled.
         assert!(!text.contains("drafts_events_total"));
-        let with_events = Metrics::with_observability(0, 8);
+        let with_events = Metrics::with_logs(8, 0);
         assert!(with_events.events().is_some());
         assert!(with_events
             .render_text()

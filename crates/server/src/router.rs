@@ -14,9 +14,6 @@
 //!   rolling virtual-time windows (dual-window burn rates).
 //! * `/v1/_debug/events?n=N` — the newest `n` structured events (debug
 //!   routes only; 404 when the event ring is disabled).
-//! * `/v1/_debug/trace?n=N` — the newest `n` closed spans plus per-stage
-//!   slowest-request exemplars (debug routes only; wall clock, exempt
-//!   from byte determinism).
 //! * `/v1/_debug/trace/{trace_id}` — the distributed-trace timeline for
 //!   one request: every hop this process observed for the hex trace id,
 //!   sorted by hop (debug routes only; 404 when the trace ring is
@@ -26,7 +23,9 @@
 //! `x-drafts-trace` header: propagated verbatim when the client sent
 //! one, otherwise derived as a pure hash of the request target
 //! ([`TraceIdGen::derive`]) so even headerless requests trace
-//! deterministically.
+//! deterministically. The fleet front shares this traced-request path
+//! ([`traced`]), so front and shards agree on a headerless request's
+//! identity.
 //!
 //! The service clock is **virtual** (the underlying service is
 //! bucket-cached simulation time): `now` defaults to the configured
@@ -35,7 +34,7 @@
 //! determinism tests byte-diff.
 
 use crate::http::{Request, Response};
-use crate::json::{self, Json};
+use crate::json;
 use crate::metrics::{Metrics, Route};
 use crate::wire;
 use drafts_core::service::FeedHealth;
@@ -45,9 +44,8 @@ use spotmarket::{Az, Catalog, Combo};
 use std::sync::Arc;
 
 /// Seed folded into target-derived trace ids for requests that arrive
-/// without an `x-drafts-trace` header. Shared by the fleet front so a
-/// headerless request hashes to the same trace id at every tier.
-pub(crate) const TRACE_DERIVE_SEED: u64 = 0xD8AF_7500_7ACE_5EED;
+/// without an `x-drafts-trace` header.
+const TRACE_DERIVE_SEED: u64 = 0xD8AF_7500_7ACE_5EED;
 
 /// The dispatcher shared by every worker.
 pub struct Router {
@@ -57,7 +55,7 @@ pub struct Router {
     default_now: u64,
     /// Default probability for `/v1/bid` when `p` is absent.
     default_p: f64,
-    /// Enables `/v1/_debug/panic` (stress tests only).
+    /// Enables the `/v1/_debug/*` routes.
     debug_routes: bool,
     /// Stable identity reported in `/v1/health` (`instance` field) so
     /// fleet rollups and probe logs are attributable. Configured, not
@@ -79,7 +77,8 @@ impl Router {
         }
     }
 
-    /// Enables the debug routes (`/v1/_debug/panic`).
+    /// Enables the debug routes: `/v1/_debug/panic` (stress tests only),
+    /// `/v1/_debug/events` and `/v1/_debug/trace/{id}`.
     pub fn with_debug_routes(mut self) -> Router {
         self.debug_routes = true;
         self
@@ -121,46 +120,20 @@ impl Router {
         }
     }
 
-    /// Resolves the request's trace context: the `x-drafts-trace` header
-    /// when the client (or the fleet front) sent a valid one, otherwise a
-    /// fresh root whose id is a pure hash of the request target — so the
-    /// context is always a deterministic function of the request bytes.
-    pub(crate) fn trace_context(req: &Request) -> TraceContext {
-        req.header(obs::TRACE_HEADER)
-            .and_then(TraceContext::parse)
-            .unwrap_or_else(|| {
-                TraceContext::root(TraceIdGen::derive(TRACE_DERIVE_SEED, &req.target()))
-            })
-    }
-
     /// Handles one request. Never blocks on anything but the service's
     /// own single-flight computation; may panic only on internal bugs
     /// (the worker catches and converts those to 500s).
     ///
-    /// Wraps [`Router::dispatch`] with the cross-cutting trace plumbing:
-    /// the resolved [`TraceContext`] becomes the thread's ambient trace
-    /// (so slow-span journal entries get stamped), lands in the trace
-    /// ring for the core routes, and echoes on every response.
+    /// Runs [`Router::dispatch`] through the shared traced-request path
+    /// ([`traced`]).
     pub fn handle(&self, req: &Request, metrics: &Metrics) -> Response {
-        let route = Self::route_of(&req.path);
-        metrics.count_request(route);
-        let ctx = Self::trace_context(req);
-        let _trace = obs::trace::enter(ctx.trace_id);
-        // Root span of the request's stage tree (a no-op unless the
-        // calling thread installed a tracer — workers do).
-        let _span = obs::span(route.stage());
-        let mut resp = self.dispatch(route, req, metrics);
-        if let Some(log) = metrics.trace_log() {
-            // Record only the core serving routes: metrics/SLO/debug
-            // reads must stay pure observers, or reading a timeline
-            // would grow the very ring it renders.
-            if matches!(route, Route::Graphs | Route::Bid | Route::Health) {
-                let now = self.now_of(req).unwrap_or(self.default_now);
-                log.record(ctx, now, &self.instance, route.stage(), resp.status, "");
-            }
-        }
-        resp.extra_headers.push((obs::TRACE_HEADER, ctx.encode()));
-        resp
+        traced(
+            req,
+            metrics,
+            &self.instance,
+            self.default_now,
+            |route, _| self.dispatch(route, req, metrics),
+        )
     }
 
     /// The route switch proper (everything [`Router::handle`] does minus
@@ -172,7 +145,7 @@ impl Router {
         // Every request moves the rolling-window clock: windows close on
         // virtual-time interval boundaries, never wall timers, so window
         // readouts stay a pure function of the request sequence.
-        if let Ok(now) = self.now_of(req) {
+        if let Ok(now) = now_of(req, self.default_now) {
             metrics.windows().advance(now);
         }
         match route {
@@ -188,17 +161,11 @@ impl Router {
                     if req.path == "/v1/_debug/panic" {
                         panic!("debug panic route hit");
                     }
-                    // The timeline route must match before the exact
-                    // journal-dump path: `/v1/_debug/trace/{id}` vs
-                    // `/v1/_debug/trace`.
-                    if let Some(hex) = req.path.strip_prefix("/v1/_debug/trace/") {
-                        return self.timeline(hex, metrics);
-                    }
-                    if req.path == "/v1/_debug/trace" {
-                        return Self::trace(req, metrics);
-                    }
                     if req.path == "/v1/_debug/events" {
                         return Self::events(req, metrics);
+                    }
+                    if let Some(hex) = req.path.strip_prefix("/v1/_debug/trace/") {
+                        return self.timeline(hex, metrics);
                     }
                 }
                 Response::error(404, "no such route")
@@ -233,7 +200,7 @@ impl Router {
     /// sequence under virtual `?now=`: every rendered field is an integer
     /// count or basis-point ratio.
     fn slo(&self, req: &Request, metrics: &Metrics) -> Response {
-        let now = match self.now_of(req) {
+        let now = match now_of(req, self.default_now) {
             Ok(n) => n,
             Err(resp) => return resp,
         };
@@ -258,17 +225,18 @@ impl Router {
         Response::json(200, wire::slo_json(now, &statuses).render())
     }
 
-    /// `/v1/_debug/events?n=` — the newest `n` structured events, oldest
-    /// first. 404 when the event ring is disabled. Event timestamps are
-    /// virtual, so for a sequential drive this output is byte-identical
-    /// across boots (unlike `/v1/_debug/trace`, which is wall clock).
+    /// `/v1/_debug/events?n=` — the newest `n` structured events (64 by
+    /// default), oldest first. 404 when the event ring is disabled, 400
+    /// on a non-integer `n`. Event timestamps are virtual, so for a
+    /// sequential drive this output is byte-identical across boots.
     fn events(req: &Request, metrics: &Metrics) -> Response {
         let Some(log) = metrics.events() else {
             return Response::error(404, "event log disabled");
         };
-        let n = match Self::dump_limit(req) {
-            Ok(n) => n,
-            Err(resp) => return resp,
+        let n = match req.query_param("n").map(str::parse::<usize>) {
+            None => 64,
+            Some(Ok(n)) => n,
+            Some(Err(_)) => return Response::error(400, "n must be an integer"),
         };
         let events = log.snapshot();
         let skip = events.len().saturating_sub(n);
@@ -278,87 +246,12 @@ impl Router {
         )
     }
 
-    /// `/v1/_debug/trace?n=` — the newest `n` closed spans from the
-    /// wall-clock journal, oldest first. 404 when journaling is off.
-    /// This output is explicitly wall clock and therefore exempt from
-    /// the byte-determinism contract.
-    fn trace(req: &Request, metrics: &Metrics) -> Response {
-        let Some(journal) = metrics.tracer().journal() else {
-            return Response::error(404, "span journal disabled");
-        };
-        let n = match Self::dump_limit(req) {
-            Ok(n) => n,
-            Err(resp) => return resp,
-        };
-        let events = journal.snapshot();
-        let skip = events.len().saturating_sub(n);
-        let items: Vec<Json> = events[skip..]
-            .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    ("seq", Json::num_u64(e.seq)),
-                    ("stage", Json::str(e.stage)),
-                    ("depth", Json::num_u64(u64::from(e.depth))),
-                    ("start_ns", Json::num_u64(e.start_ns)),
-                    ("dur_ns", Json::num_u64(e.dur_ns)),
-                    ("trace", Json::Str(format!("{:016x}", e.trace_id))),
-                ])
-            })
-            .collect();
-        // Per-stage slowest-request exemplars ride along: the one span
-        // that set each stage's observed maximum so far.
-        let exemplars: Vec<Json> = metrics
-            .tracer()
-            .exemplars()
-            .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    ("stage", Json::str(e.stage)),
-                    ("total_ns", Json::num_u64(e.total_ns)),
-                    ("self_ns", Json::num_u64(e.self_ns)),
-                    ("start_ns", Json::num_u64(e.start_ns)),
-                    ("depth", Json::num_u64(u64::from(e.depth))),
-                ])
-            })
-            .collect();
-        Response::json(
-            200,
-            Json::obj(vec![
-                ("capacity", Json::num_u64(journal.capacity() as u64)),
-                ("events", Json::Arr(items)),
-                ("exemplars", Json::Arr(exemplars)),
-            ])
-            .render(),
-        )
-    }
-
-    /// Parses the `?n=` window shared by the debug dump routes
-    /// (`/v1/_debug/trace`, `/v1/_debug/events`): the newest `n` entries,
-    /// defaulting to 64, 400 on anything non-integer.
-    fn dump_limit(req: &Request) -> Result<usize, Response> {
-        match req.query_param("n") {
-            None => Ok(64),
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| Response::error(400, "n must be an integer")),
-        }
-    }
-
-    fn now_of(&self, req: &Request) -> Result<u64, Response> {
-        match req.query_param("now") {
-            None => Ok(self.default_now),
-            Some(v) => v
-                .parse::<u64>()
-                .map_err(|_| Response::error(400, "now must be an integer")),
-        }
-    }
-
     fn graphs(&self, req: &Request) -> Response {
         let combo = match parse_graphs_path(self.catalog, &req.path) {
             Ok(combo) => combo,
             Err(resp) => return resp,
         };
-        let now = match self.now_of(req) {
+        let now = match now_of(req, self.default_now) {
             Ok(n) => n,
             Err(resp) => return resp,
         };
@@ -391,20 +284,11 @@ impl Router {
     }
 
     fn bid(&self, req: &Request, metrics: &Metrics) -> Response {
-        let Some(duration) = req.query_param("duration") else {
-            return Response::error(400, "duration query parameter is required");
+        let (duration, p) = match bid_query(req) {
+            Ok((duration, p)) => (duration, p.unwrap_or(self.default_p)),
+            Err(resp) => return resp,
         };
-        let Ok(duration) = duration.parse::<u64>() else {
-            return Response::error(400, "duration must be an integer");
-        };
-        let p = match req.query_param("p") {
-            None => self.default_p,
-            Some(v) => match v.parse::<f64>() {
-                Ok(p) if drafts_core::service::valid_probability(p) => p,
-                _ => return Response::error(400, "p must be in (0, 1]"),
-            },
-        };
-        let now = match self.now_of(req) {
+        let now = match now_of(req, self.default_now) {
             Ok(n) => n,
             Err(resp) => return resp,
         };
@@ -429,7 +313,7 @@ impl Router {
     }
 
     fn health(&self, req: &Request) -> Response {
-        let now = match self.now_of(req) {
+        let now = match now_of(req, self.default_now) {
             Ok(n) => n,
             Err(resp) => return resp,
         };
@@ -458,6 +342,76 @@ impl crate::server::Handler for Router {
             self.service.attach_events(log);
         }
     }
+}
+
+/// The traced-request path shared by [`Router`] and the fleet front.
+///
+/// Counts the request on its route, resolves its [`TraceContext`] and
+/// opens the route's root span around `dispatch`. The context is the
+/// `x-drafts-trace` header when the client (or the front) sent a valid
+/// one, otherwise a fresh root whose id is a pure hash of the request
+/// target, so it is always a deterministic function of the request
+/// bytes. A core serving route is then recorded in the trace ring under
+/// `instance`; metrics, SLO and debug reads stay pure observers, or
+/// reading a timeline would grow the very ring it renders. Every
+/// response echoes the context.
+pub(crate) fn traced(
+    req: &Request,
+    metrics: &Metrics,
+    instance: &str,
+    default_now: u64,
+    dispatch: impl FnOnce(Route, TraceContext) -> Response,
+) -> Response {
+    let route = Router::route_of(&req.path);
+    metrics.count_request(route);
+    let ctx = req
+        .header(obs::TRACE_HEADER)
+        .and_then(TraceContext::parse)
+        .unwrap_or_else(|| {
+            TraceContext::root(TraceIdGen::derive(TRACE_DERIVE_SEED, &req.target()))
+        });
+    // Root span of the request's stage tree (a no-op unless the calling
+    // thread installed a tracer — workers do).
+    let _span = obs::span(route.stage());
+    let mut resp = dispatch(route, ctx);
+    if let Some(log) = metrics.trace_log() {
+        if matches!(route, Route::Graphs | Route::Bid | Route::Health) {
+            let now = now_of(req, default_now).unwrap_or(default_now);
+            log.record(ctx, now, instance, route.stage(), resp.status, "");
+        }
+    }
+    resp.extra_headers.push((obs::TRACE_HEADER, ctx.encode()));
+    resp
+}
+
+/// The request's virtual time: its `?now=` override, else `default_now`.
+pub(crate) fn now_of(req: &Request, default_now: u64) -> Result<u64, Response> {
+    match req.query_param("now") {
+        None => Ok(default_now),
+        Some(v) => v
+            .parse::<u64>()
+            .map_err(|_| Response::error(400, "now must be an integer")),
+    }
+}
+
+/// Validates `/v1/bid`'s query: the required integer `duration` and the
+/// optional probability `p` in (0, 1]. The fleet front checks a bid with
+/// it before scattering, so both answer a malformed one alike.
+pub(crate) fn bid_query(req: &Request) -> Result<(u64, Option<f64>), Response> {
+    let Some(duration) = req.query_param("duration") else {
+        return Err(Response::error(400, "duration query parameter is required"));
+    };
+    let Ok(duration) = duration.parse::<u64>() else {
+        return Err(Response::error(400, "duration must be an integer"));
+    };
+    let p = match req.query_param("p") {
+        None => None,
+        Some(v) => match v.parse::<f64>() {
+            Ok(p) if drafts_core::service::valid_probability(p) => Some(p),
+            _ => return Err(Response::error(400, "p must be in (0, 1]")),
+        },
+    };
+    Ok((duration, p))
 }
 
 /// Parses `/v1/graphs/{region}/{az}/{type}` into a [`Combo`], with the
@@ -491,6 +445,7 @@ pub(crate) fn parse_graphs_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use drafts_core::predictor::DraftsConfig;
     use drafts_core::service::ServiceConfig;
     use spotmarket::archetype::Archetype;
@@ -687,7 +642,7 @@ mod tests {
         // its staleness budget, so feed_freshness must breach (1 of 1
         // combos unavailable blows a 10% budget) and the degraded quote
         // must drive the bid_degraded window.
-        let metrics = Metrics::with_observability(0, 16);
+        let metrics = Metrics::with_logs(16, 0);
         let now = 40 * DAY;
         let (status, _) =
             get_with(&r, &metrics, &format!("/v1/bid?duration=3600&now={now}"));
@@ -716,7 +671,7 @@ mod tests {
         assert_eq!(status, 404);
         assert!(body.contains("event log disabled"), "{body}");
         // Ring on: the dump renders virtual-time events oldest first.
-        let metrics = Metrics::with_observability(0, 8);
+        let metrics = Metrics::with_logs(8, 0);
         let log = metrics.events().unwrap();
         log.emit(900, obs::Level::Info, "snapshot_swap", vec![("shard", "3".into())]);
         log.emit(1800, obs::Level::Warn, "shed", vec![]);
@@ -805,7 +760,7 @@ mod tests {
         assert_eq!(resp.status, 404);
         assert!(String::from_utf8(resp.body).unwrap().contains("trace log disabled"));
         // Ring on: core-route requests record; the timeline renders them.
-        let m = Metrics::with_tracing(0, 0, 64, 0);
+        let m = Metrics::with_logs(0, 64);
         let sent = obs::TraceContext::root(0xF00D);
         let raw = format!(
             "GET /v1/health HTTP/1.1\r\nx-drafts-trace: {}\r\n\r\n",
@@ -838,7 +793,7 @@ mod tests {
     #[test]
     fn debug_reads_never_record_into_the_trace_ring() {
         let r = router().with_debug_routes();
-        let m = Metrics::with_tracing(0, 8, 64, 0);
+        let m = Metrics::with_logs(8, 64);
         let log = m.trace_log().unwrap().clone();
         for target in ["/v1/metrics", "/v1/slo", "/v1/_debug/events"] {
             let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
@@ -851,41 +806,28 @@ mod tests {
 
     #[test]
     fn dump_routes_share_n_parsing_edge_cases() {
-        // Satellite: both debug dumps go through the same `dump_limit`
-        // helper — identical 400s on malformed `n`, identical defaults.
+        // The events dump's `?n=` window: 400 on malformed `n`, an empty
+        // window for 0, a default when absent.
         let r = router().with_debug_routes();
-        let m = Metrics::with_observability(16, 16);
-        for route in ["/v1/_debug/trace", "/v1/_debug/events"] {
-            let (status, body) = get_with(&r, &m, &format!("{route}?n=abc"));
-            assert_eq!(status, 400, "{route} must 400 on non-integer n");
-            assert!(body.contains("n must be an integer"), "{route}: {body}");
-            let (status, _) = get_with(&r, &m, &format!("{route}?n=-1"));
-            assert_eq!(status, 400, "{route} must 400 on negative n");
-            let (status, _) = get_with(&r, &m, &format!("{route}?n=0"));
-            assert_eq!(status, 200, "{route} serves an empty window for n=0");
-            let (status, _) = get_with(&r, &m, route);
-            assert_eq!(status, 200, "{route} defaults n");
-        }
-    }
-
-    #[test]
-    fn slow_span_journal_entries_carry_the_ambient_trace_id() {
-        let r = router();
-        let m = Metrics::with_journal(16);
-        let _guard = m.tracer().install();
-        let sent = obs::TraceContext::root(0xCAFE);
-        let raw = format!(
-            "GET /v1/bid?duration=3600 HTTP/1.1\r\nx-drafts-trace: {}\r\n\r\n",
-            sent.encode()
-        );
-        assert_eq!(send(&r, &m, &raw).status, 200);
-        let journal = m.tracer().journal().unwrap();
-        let snap = journal.snapshot();
-        assert!(!snap.is_empty(), "the request's spans must journal");
-        assert!(
-            snap.iter().all(|e| e.trace_id == 0xCAFE),
-            "journaled spans stamp the ambient trace id: {snap:?}"
-        );
+        let m = Metrics::with_logs(16, 0);
+        let route = "/v1/_debug/events";
+        let (status, body) = get_with(&r, &m, &format!("{route}?n=abc"));
+        assert_eq!(status, 400, "{route} must 400 on non-integer n");
+        assert!(body.contains("n must be an integer"), "{route}: {body}");
+        let (status, _) = get_with(&r, &m, &format!("{route}?n=-1"));
+        assert_eq!(status, 400, "{route} must 400 on negative n");
+        let (status, _) = get_with(&r, &m, &format!("{route}?n=0"));
+        assert_eq!(status, 200, "{route} serves an empty window for n=0");
+        let (status, _) = get_with(&r, &m, route);
+        assert_eq!(status, 200, "{route} defaults n");
+        // Only the `/v1/_debug/trace/{id}` timelines live under that
+        // prefix: the bare path is no route, with or without `n`.
+        let (status, body) = get_with(&r, &m, "/v1/_debug/trace?n=8");
+        assert_eq!(status, 404);
+        assert!(body.contains("no such route"), "{body}");
+        let (status, body) = get_with(&r, &m, "/v1/_debug/trace");
+        assert_eq!(status, 404);
+        assert!(body.contains("no such route"), "{body}");
     }
 
     #[test]

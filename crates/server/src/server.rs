@@ -75,13 +75,6 @@ pub struct ServerConfig {
     pub max_requests_per_conn: usize,
     /// `Retry-After` seconds advertised on shed connections.
     pub retry_after_secs: u32,
-    /// Enables `/v1/_debug/panic` and `/v1/_debug/trace` (stress tests
-    /// and profiling only).
-    pub debug_routes: bool,
-    /// Span-journal capacity in events; `0` disables journaling (the
-    /// default — span histograms still record, only the per-event ring
-    /// buffer is off).
-    pub trace_journal: usize,
     /// Structured-event ring capacity; `0` disables the event log (the
     /// default) and with it the `/v1/_debug/events` route. When enabled,
     /// the ring collects health transitions, feed faults, snapshot swaps,
@@ -92,10 +85,6 @@ pub struct ServerConfig {
     /// `x-drafts-trace` header, only the per-hop observation ring and
     /// the `/v1/_debug/trace/{id}` timeline are off).
     pub trace_log: usize,
-    /// Trace sampling modulus: record a trace iff
-    /// `trace_id % trace_sample == 0` (`<= 1` records every trace). A
-    /// pure function of the id, so sampling never breaks determinism.
-    pub trace_sample: u64,
 }
 
 impl Default for ServerConfig {
@@ -106,11 +95,8 @@ impl Default for ServerConfig {
             connection_deadline: Duration::from_secs(5),
             max_requests_per_conn: 1024,
             retry_after_secs: 1,
-            debug_routes: false,
-            trace_journal: 0,
             event_log: 0,
             trace_log: 0,
-            trace_sample: 0,
         }
     }
 }
@@ -242,12 +228,7 @@ impl Server {
         assert!(cfg.accept_queue >= 1, "need a non-empty accept queue");
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let metrics = Metrics::with_tracing(
-            cfg.trace_journal,
-            cfg.event_log,
-            cfg.trace_log,
-            cfg.trace_sample,
-        );
+        let metrics = Metrics::with_logs(cfg.event_log, cfg.trace_log);
         // The handler registers its own counters (service cache/health/
         // fault families, fleet routing counters) in the same registry, at
         // boot, so the exposition order is canonical; event sinks attach
@@ -405,7 +386,7 @@ fn shed(conn: TcpStream, shared: &Shared) {
 
 fn worker_loop(shared: &Shared) {
     // Every span opened while this worker handles requests records into
-    // the server's tracer (per-stage histograms + optional journal).
+    // the server's tracer (per-stage histograms).
     let _tracing = shared.metrics.tracer().install();
     while let Some(conn) = shared.queue.pop() {
         // Counted here — not in the acceptor — so the increment is

@@ -426,6 +426,59 @@ fn fleet_rollups_and_timelines_are_two_boot_identical_with_tracing_on() {
 }
 
 #[test]
+fn rollups_count_a_dead_shard_as_one_proxy_error_and_timelines_do_not() {
+    // A shard crashes after its probe slot read Up, so the front still
+    // routes to it and every read of it fails on the wire. Each rollup
+    // counts that failure as one proxy error; the merged timeline does
+    // not, since a shard that holds nothing for a trace answers 404.
+    let mut cfg = FleetConfig::new(3);
+    cfg.front_server.trace_log = 64;
+    let (mut fleet, combos) = boot(cfg.clone());
+    let mut client = loadgen::Client::new(fleet.addr(), Duration::from_secs(5));
+    // The front's health read probes every shard's slot at NOW: all Up.
+    let ctx = obs::TraceContext::root(0xF1EE7);
+    let (status, _) = client
+        .get_traced(&format!("/v1/health?now={NOW}"), Some(&ctx.encode()))
+        .expect("front reachable");
+    assert_eq!(status, 200);
+    let victim = cfg.ring().primary(combos[0].key());
+    fleet.kill_shard(victim);
+    let errors = fleet.front().counters().proxy_errors.get();
+
+    let (status, body) = client
+        .get(&format!("/v1/fleet/metrics?now={NOW}"))
+        .expect("front reachable");
+    assert_eq!(status, 200);
+    let text = String::from_utf8(body).expect("utf8 exposition");
+    assert!(
+        text.contains(&format!(
+            "drafts_fleet_instance_up{{instance=\"shard-{victim}\"}} 0\n"
+        )),
+        "dead shard must read down:\n{text}"
+    );
+    assert_eq!(fleet.front().counters().proxy_errors.get(), errors + 1);
+
+    let (status, body) = client
+        .get(&format!("/v1/fleet/slo?now={NOW}"))
+        .expect("front reachable");
+    assert_eq!(status, 200);
+    let text = String::from_utf8(body).expect("utf8 slo");
+    assert!(
+        text.contains(&format!("{{\"instance\":\"shard-{victim}\",\"slo\":null}}")),
+        "dead shard must report no slo: {text}"
+    );
+    assert_eq!(fleet.front().counters().proxy_errors.get(), errors + 2);
+
+    let (status, _) = client
+        .get(&format!("/v1/_debug/trace/{:016x}?now={NOW}", ctx.trace_id))
+        .expect("front reachable");
+    assert_eq!(status, 200, "the front's own records still answer");
+    assert_eq!(fleet.front().counters().proxy_errors.get(), errors + 2);
+
+    fleet.shutdown();
+}
+
+#[test]
 fn two_boots_answer_identical_bytes_under_seeded_chaos() {
     // The determinism contract extended to the fleet: with chaos
     // expressed as a seeded logical fault plan evaluated in virtual

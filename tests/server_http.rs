@@ -556,71 +556,3 @@ fn injected_outage_sweep_flips_slos_to_breach_with_events_in_the_ring() {
     a.shutdown();
     b.shutdown();
 }
-
-#[test]
-fn debug_trace_route_serves_the_span_journal() {
-    // Journal off: the route 404s even with debug routes enabled.
-    let plain = start_debug(82, ServerConfig::default());
-    let mut client = Client::new(plain.addr(), Duration::from_secs(5));
-    let (status, _) = client.get("/v1/_debug/trace").expect("trace get");
-    assert_eq!(status, 404, "journal disabled must 404");
-    drop(client);
-    plain.shutdown();
-
-    // Journal on: recent closed spans come back oldest-first with their
-    // stage labels and wall-clock durations.
-    let srv = start_debug(
-        82,
-        ServerConfig {
-            trace_journal: 64,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = Client::new(srv.addr(), Duration::from_secs(5));
-    for path in PATHS {
-        let (status, _) = client.get(path).expect("warm-up get");
-        assert_eq!(status, 200);
-    }
-    let (status, body) = client.get("/v1/_debug/trace?n=8").expect("trace get");
-    assert_eq!(status, 200);
-    let doc = server::Json::parse(&String::from_utf8(body).unwrap()).unwrap();
-    assert_eq!(doc.get("capacity").unwrap().as_u64(), Some(64));
-    let events = doc.get("events").unwrap().as_arr().unwrap();
-    assert!(!events.is_empty() && events.len() <= 8);
-    let mut prev_seq = None;
-    for event in events {
-        let stage = event.get("stage").unwrap().as_str().unwrap();
-        assert!(
-            stage.starts_with("http_")
-                || stage.starts_with("svc_")
-                || stage.starts_with("qbets_"),
-            "unexpected stage {stage}"
-        );
-        let seq = event.get("seq").unwrap().as_u64().unwrap();
-        assert!(prev_seq.is_none_or(|p| seq > p), "events must be oldest-first");
-        prev_seq = Some(seq);
-    }
-    // Per-stage slowest-request exemplars ride along with the journal.
-    let exemplars = doc.get("exemplars").unwrap().as_arr().unwrap();
-    assert!(!exemplars.is_empty(), "closed stages must expose exemplars");
-    for e in exemplars {
-        assert!(e.get("stage").unwrap().as_str().is_some());
-        let total = e.get("total_ns").unwrap().as_u64().unwrap();
-        assert!(total >= e.get("self_ns").unwrap().as_u64().unwrap());
-    }
-
-    // Edge cases: n=0 is empty, n beyond the ring capacity returns at
-    // most the capacity, malformed n is a 400.
-    let (status, body) = client.get("/v1/_debug/trace?n=0").expect("n=0");
-    assert_eq!(status, 200);
-    let doc = server::Json::parse(&String::from_utf8(body).unwrap()).unwrap();
-    assert!(doc.get("events").unwrap().as_arr().unwrap().is_empty());
-    let (status, body) = client.get("/v1/_debug/trace?n=100000").expect("big n");
-    assert_eq!(status, 200);
-    let doc = server::Json::parse(&String::from_utf8(body).unwrap()).unwrap();
-    assert!(doc.get("events").unwrap().as_arr().unwrap().len() <= 64);
-    let (status, _) = client.get("/v1/_debug/trace?n=abc").expect("bad n");
-    assert_eq!(status, 400);
-    drop(client);
-    srv.shutdown();
-}
