@@ -1,5 +1,6 @@
-//! Duration-series derivation ablation: the segment-tree
-//! `first_at_or_after_geq` path versus a naive linear scan.
+//! Duration-series derivation ablation: the one-pass scan
+//! (`duration_series`) versus a naive quadratic scan that searches forward
+//! from every start point.
 
 use bench::timing::{black_box, Harness};
 use drafts_core::duration::{duration_series, Censoring};
@@ -11,7 +12,7 @@ fn main() {
     let bid = bench::bench_od().scale(0.5);
 
     let mut h = Harness::new("duration");
-    h.bench("segment_tree_series", || {
+    h.bench("one_pass_series", || {
         black_box(duration_series(
             &history,
             black_box(upto),

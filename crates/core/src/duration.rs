@@ -56,36 +56,64 @@ pub fn duration_series(
     stride: usize,
     censoring: Censoring,
 ) -> Vec<u64> {
+    let mut out = Vec::new();
+    fill_duration_series(history, upto, bid, stride, censoring, &mut out);
+    out
+}
+
+/// [`duration_series`] into a caller's buffer (cleared first), so one
+/// allocation serves every bid of a graph.
+///
+/// One pass from `upto` down to 0 carries the time of the first later
+/// update whose price reaches the bid: O(upto) per bid, with no per-start
+/// search.
+pub(crate) fn fill_duration_series(
+    history: &PriceHistory,
+    upto: usize,
+    bid: Price,
+    stride: usize,
+    censoring: Censoring,
+    out: &mut Vec<u64>,
+) {
     assert!(upto < history.len(), "upto {upto} out of bounds");
     assert!(stride > 0, "stride must be positive");
     if let Censoring::Capped(cap) = censoring {
         assert!(cap > 0, "cap must be positive");
     }
-    let times = history.series().times();
+    let times = &history.series().times()[..=upto];
+    let prices = &history.series().values()[..=upto];
     let horizon = times[upto];
-    let mut out = Vec::with_capacity(upto / stride + 1);
-    let mut i = 0usize;
-    while i <= upto {
-        let crossing = match history.first_at_or_after_geq(i + 1, bid) {
-            Some(j) if j <= upto => Some(times[j] - times[i]),
-            _ => None,
-        };
-        let window = horizon - times[i];
-        match (censoring, crossing) {
-            (Censoring::IncludeElapsed, Some(d)) => out.push(d),
-            (Censoring::IncludeElapsed, None) => out.push(window),
-            (Censoring::ResolvedOnly, Some(d)) => out.push(d),
-            (Censoring::ResolvedOnly, None) => {}
-            (Censoring::Capped(cap), Some(d)) => out.push(d.min(cap)),
-            (Censoring::Capped(cap), None) => {
-                if window >= cap {
-                    out.push(cap);
+    out.clear();
+    out.reserve(upto / stride + 1);
+    // Walking back from `upto`: the time of the first later update whose
+    // price is >= bid, and how many updates remain until the next start
+    // point (starts sit at multiples of `stride`).
+    let mut next_crossing: Option<u64> = None;
+    let mut to_start = upto % stride;
+    for (&t, &price) in times.iter().zip(prices).rev() {
+        if to_start == 0 {
+            let crossing = next_crossing.map(|crossed| crossed - t);
+            let window = horizon - t;
+            match (censoring, crossing) {
+                (Censoring::IncludeElapsed, Some(d)) => out.push(d),
+                (Censoring::IncludeElapsed, None) => out.push(window),
+                (Censoring::ResolvedOnly, Some(d)) => out.push(d),
+                (Censoring::ResolvedOnly, None) => {}
+                (Censoring::Capped(cap), Some(d)) => out.push(d.min(cap)),
+                (Censoring::Capped(cap), None) => {
+                    if window >= cap {
+                        out.push(cap);
+                    }
                 }
             }
+            to_start = stride;
         }
-        i += stride;
+        to_start -= 1;
+        if price >= bid.ticks() {
+            next_crossing = Some(t);
+        }
     }
-    out
+    out.reverse();
 }
 
 /// Incremental resolver: streams price updates and resolves pending

@@ -38,29 +38,49 @@ impl BidDurationGraph {
     /// no grid point's duration series supports a bound either. Points
     /// whose duration series cannot support a bound are skipped.
     pub fn compute(predictor: &DraftsPredictor<'_>, upto: usize, probability: f64) -> Option<Self> {
-        let min = predictor.min_bid_or_max(upto, probability);
-        let mut points = Vec::new();
-        for bid in predictor.bid_grid(min) {
-            if let Some(durability_secs) = predictor.durability(upto, bid, probability) {
-                points.push(GraphPoint {
-                    bid,
-                    durability_secs,
-                });
-            }
-        }
-        // Enforce monotone durations (rounding on the shared grid can
-        // produce equal neighbours; durations are theoretically monotone
-        // in bid, so take the running maximum defensively).
-        let mut best = 0u64;
-        for p in &mut points {
-            best = best.max(p.durability_secs);
-            p.durability_secs = best;
-        }
-        (!points.is_empty()).then_some(Self {
-            probability,
-            computed_at: 0,
-            points,
-        })
+        Self::compute_levels(predictor, upto, &[probability])
+            .pop()
+            .flatten()
+    }
+
+    /// The graph of every level in `probabilities` at `upto`, in order,
+    /// each as [`Self::compute`] returns it. The levels share one
+    /// step-1 price QBETS.
+    pub(crate) fn compute_levels(
+        predictor: &DraftsPredictor<'_>,
+        upto: usize,
+        probabilities: &[f64],
+    ) -> Vec<Option<Self>> {
+        let min_bids = predictor.min_bids_or_max(upto, probabilities);
+        probabilities
+            .iter()
+            .zip(min_bids)
+            .map(|(&probability, min)| {
+                let mut step = predictor.duration_step(upto, probability);
+                let mut points = Vec::new();
+                for bid in predictor.bid_grid(min) {
+                    if let Some(durability_secs) = step.durability(bid) {
+                        points.push(GraphPoint {
+                            bid,
+                            durability_secs,
+                        });
+                    }
+                }
+                // Enforce monotone durations (rounding on the shared grid
+                // can produce equal neighbours; durations are theoretically
+                // monotone in bid, so take the running maximum defensively).
+                let mut best = 0u64;
+                for p in &mut points {
+                    best = best.max(p.durability_secs);
+                    p.durability_secs = best;
+                }
+                (!points.is_empty()).then_some(Self {
+                    probability,
+                    computed_at: 0,
+                    points,
+                })
+            })
+            .collect()
     }
 
     /// The graph points, ascending in bid.
@@ -88,13 +108,6 @@ impl BidDurationGraph {
             bid: p.bid,
             durability_secs: p.durability_secs,
         })
-    }
-
-    /// Smallest published bid guaranteeing at least `required_secs`
-    /// (alias of [`Self::cheapest_bid`], kept for the predictor-facing
-    /// call sites that predate the serving layer).
-    pub fn bid_for_duration(&self, required_secs: u64) -> Option<BidPrediction> {
-        self.cheapest_bid(required_secs)
     }
 
     /// Guaranteed duration of the largest published bid `<= bid`
@@ -173,16 +186,16 @@ mod tests {
         let h = history();
         let pred = DraftsPredictor::new(&h, cfg());
         let g = BidDurationGraph::compute(&pred, h.len() - 1, 0.95).unwrap();
-        let one_hour = g.bid_for_duration(3600);
+        let one_hour = g.cheapest_bid(3600);
         if let Some(bp) = one_hour {
             assert!(bp.durability_secs >= 3600);
             // Twelve hours needs at least as high a bid.
-            if let Some(bp12) = g.bid_for_duration(12 * 3600) {
+            if let Some(bp12) = g.cheapest_bid(12 * 3600) {
                 assert!(bp12.bid >= bp.bid);
             }
         }
         // An absurd duration is not guaranteed by any grid point.
-        assert!(g.bid_for_duration(u64::MAX).is_none());
+        assert!(g.cheapest_bid(u64::MAX).is_none());
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! "using square roots strikes a good balance between keeping a bid low
 //! ... and yielding a usable duration."
 
-use crate::duration::{duration_series, Censoring};
+use crate::duration::{fill_duration_series, Censoring};
 use spotmarket::{Price, PriceHistory};
 use tsforecast::changepoint::ChangePointConfig;
-use tsforecast::{BoundEstimator, Qbets, QbetsConfig};
+use tsforecast::{BoundEstimator, Qbets, QbetsConfig, SliceBound};
 
 /// DrAFTS tuning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -140,15 +140,7 @@ impl<'a> DraftsPredictor<'a> {
     /// stationary segment) is too short for a bound at the configured
     /// confidence.
     pub fn min_bid(&self, upto: usize, p: f64) -> Option<Price> {
-        let _span = obs::span("qbets_price");
-        let q = Self::step_quantile(p);
-        assert!(upto < self.history.len(), "upto out of range");
-        let mut qbets = Qbets::new(self.cfg.qbets_config());
-        for &v in &self.history.series().values()[..=upto] {
-            qbets.observe(v);
-        }
-        let bound = qbets.upper_bound(q)?;
-        Some(Price::from_ticks(bound) + Price::TICK)
+        self.price_step(upto, &[p])[0]
     }
 
     /// Like [`Self::min_bid`], but falling back to one tick above the
@@ -157,14 +149,43 @@ impl<'a> DraftsPredictor<'a> {
     /// cold-start/fresh-segment behaviour (QBETS assumes the bound is
     /// contained in the observed series, §3.2).
     pub fn min_bid_or_max(&self, upto: usize, p: f64) -> Price {
-        self.min_bid(upto, p).unwrap_or_else(|| {
-            let max_seen = self.history.series().values()[..=upto]
-                .iter()
-                .copied()
-                .max()
-                .expect("non-empty prefix");
-            Price::from_ticks(max_seen) + Price::TICK
-        })
+        self.min_bids_or_max(upto, &[p])[0]
+    }
+
+    /// [`Self::min_bid_or_max`] at every level of `ps`, in order, from one
+    /// price QBETS.
+    pub(crate) fn min_bids_or_max(&self, upto: usize, ps: &[f64]) -> Vec<Price> {
+        self.price_step(upto, ps)
+            .into_iter()
+            .map(|bid| {
+                bid.unwrap_or_else(|| {
+                    let max_seen = self.history.series().values()[..=upto]
+                        .iter()
+                        .copied()
+                        .max()
+                        .expect("non-empty prefix");
+                    Price::from_ticks(max_seen) + Price::TICK
+                })
+            })
+            .collect()
+    }
+
+    /// [`Self::min_bid`] at every level of `ps`, in order: the price QBETS
+    /// is built once over the prefix and asked once per level.
+    fn price_step(&self, upto: usize, ps: &[f64]) -> Vec<Option<Price>> {
+        let _span = obs::span("qbets_price");
+        let qs: Vec<f64> = ps.iter().map(|&p| Self::step_quantile(p)).collect();
+        assert!(upto < self.history.len(), "upto out of range");
+        let qbets = Qbets::from_history(
+            self.cfg.qbets_config(),
+            &self.history.series().values()[..=upto],
+        );
+        qs.into_iter()
+            .map(|q| {
+                let bound = qbets.upper_bound(q)?;
+                Some(Price::from_ticks(bound) + Price::TICK)
+            })
+            .collect()
     }
 
     /// Step 2: the durability (seconds) of `bid` at update index `upto`
@@ -177,23 +198,25 @@ impl<'a> DraftsPredictor<'a> {
     /// median-run detector would misread as a perpetual level shift and
     /// truncate away the whole informative history.
     pub fn durability(&self, upto: usize, bid: Price, p: f64) -> Option<u64> {
-        let _span = obs::span("qbets_duration");
+        self.duration_step(upto, p).durability(bid)
+    }
+
+    /// Step 2 at `upto` and level `p`, ready to answer for any number of
+    /// bids.
+    pub(crate) fn duration_step(&self, upto: usize, p: f64) -> DurationStep<'a> {
         let q = Self::step_quantile(p);
-        let series = duration_series(
-            self.history,
-            upto,
-            bid,
-            self.cfg.duration_stride,
-            self.cfg.censoring,
-        );
-        let mut qbets = Qbets::new(QbetsConfig {
+        let cfg = QbetsConfig {
             changepoint: None,
             ..self.cfg.qbets_config()
-        });
-        for &d in &series {
-            qbets.observe(d);
+        };
+        DurationStep {
+            history: self.history,
+            upto,
+            stride: self.cfg.duration_stride,
+            censoring: self.cfg.censoring,
+            series: Vec::new(),
+            bound: SliceBound::lower(cfg, 1.0 - q),
         }
-        qbets.lower_bound(1.0 - q)
     }
 
     /// The minimum-bid prediction with its durability.
@@ -237,8 +260,9 @@ impl<'a> DraftsPredictor<'a> {
     /// §3.3). `None` if even the grid ceiling cannot guarantee it.
     pub fn bid_for_duration(&self, upto: usize, p: f64, required_secs: u64) -> Option<BidPrediction> {
         let min = self.min_bid(upto, p)?;
+        let mut step = self.duration_step(upto, p);
         for bid in self.bid_grid(min) {
-            if let Some(d) = self.durability(upto, bid, p) {
+            if let Some(d) = step.durability(bid) {
                 if d >= required_secs {
                     return Some(BidPrediction {
                         bid: bid.scale(1.0 + self.cfg.safety_margin),
@@ -283,6 +307,37 @@ impl<'a> DraftsPredictor<'a> {
             bid,
             durability_secs: None,
         }
+    }
+}
+
+/// Step 2 at one prediction point and probability level, for many bids:
+/// one duration-series buffer and one memoized QBETS lower-bound
+/// evaluator serve every bid asked, so a graph's grid allocates one series
+/// and inverts the binomial once per effective sample size.
+pub(crate) struct DurationStep<'a> {
+    history: &'a PriceHistory,
+    upto: usize,
+    stride: usize,
+    censoring: Censoring,
+    series: Vec<u64>,
+    bound: SliceBound,
+}
+
+impl DurationStep<'_> {
+    /// The durability of `bid` (see [`DraftsPredictor::durability`]): a
+    /// lower bound, with change-point detection off, on the `1 - sqrt(p)`
+    /// quantile of its duration series.
+    pub(crate) fn durability(&mut self, bid: Price) -> Option<u64> {
+        let _span = obs::span("qbets_duration");
+        fill_duration_series(
+            self.history,
+            self.upto,
+            bid,
+            self.stride,
+            self.censoring,
+            &mut self.series,
+        );
+        self.bound.of(&mut self.series)
     }
 }
 

@@ -873,12 +873,12 @@ impl DraftsService {
             let upto = history.series().index_at(bucket_time)?;
             let covered_until = history.time(upto);
             let predictor = DraftsPredictor::new(&history, self.cfg.drafts);
-            let mut graphs = Vec::new();
-            for &p in &self.cfg.probabilities {
-                if let Some(g) = BidDurationGraph::compute(&predictor, upto, p) {
-                    graphs.push(g.with_timestamp(bucket_time));
-                }
-            }
+            let graphs =
+                BidDurationGraph::compute_levels(&predictor, upto, &self.cfg.probabilities)
+                    .into_iter()
+                    .flatten()
+                    .map(|g| g.with_timestamp(bucket_time))
+                    .collect();
             self.computes.inc();
             Some((Arc::new(ComboGraphs { graphs }), covered_until))
         });
@@ -1004,6 +1004,20 @@ mod tests {
         assert!(g.at_probability(0.95).is_some());
         assert!(g.at_probability(0.99).is_some());
         assert!(g.at_probability(0.5).is_none(), "unpublished level");
+    }
+
+    #[test]
+    fn a_cold_build_runs_one_price_step_for_every_level() {
+        let (svc, combo) = service();
+        let tracer = obs::Tracer::new(obs::Registry::new());
+        let _installed = tracer.install();
+        let g = svc.graphs(combo, 20 * spotmarket::DAY).unwrap();
+        assert_eq!(g.graphs.len(), 2);
+        // Two levels share one price QBETS; every grid bid of every level
+        // still runs its own duration step.
+        assert_eq!(tracer.stage_stats("qbets_price").total.count(), 1);
+        let grid_bids: usize = g.graphs.iter().map(|g| g.points().len()).sum();
+        assert!(tracer.stage_stats("qbets_duration").total.count() >= grid_bids as u64);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::common::Scale;
 use crate::{fleet, profile, serve, strategies};
 use bench::timing::{black_box, Harness, Measurement};
 use drafts_core::snapshot::Swap;
+use drafts_core::{BidDurationGraph, DraftsConfig, DraftsPredictor};
 use loadgen::Kind;
 use obs::{Counter, Histogram, TraceContext, TraceLog, WindowSet};
 use server::{http, Metrics, Router};
@@ -450,7 +451,9 @@ fn strategy_bench(scale: Scale) -> String {
 }
 
 /// The QBETS-kernel trajectory: the paper's §3.3 claim that batch
-/// rebuilds are slow while warm state updates incrementally.
+/// rebuilds are slow while warm state updates incrementally, plus the
+/// cold-path kernel every service refresh runs per combo and level, one
+/// bid–duration graph.
 fn qbets_bench() -> String {
     let history = bench::bench_history();
     let values: Vec<u64> = history.series().values().to_vec();
@@ -476,24 +479,41 @@ fn qbets_bench() -> String {
     let warm = h.bench("warm_upper_bound_query", || {
         black_box(q.upper_bound(black_box(0.975)))
     });
+    let predictor = DraftsPredictor::new(&history, DraftsConfig::default());
+    let upto = history.len() - 1;
+    let graph = h.bench("graph_compute", || {
+        black_box(BidDurationGraph::compute(&predictor, black_box(upto), 0.95))
+    });
+    let points = BidDurationGraph::compute(&predictor, upto, 0.95)
+        .map_or_else(Vec::new, |g| g.points().to_vec());
+    let graph_checksum = points.iter().fold(0u64, |acc, p| {
+        acc.rotate_left(1)
+            .wrapping_add(p.bid.ticks())
+            .rotate_left(1)
+            .wrapping_add(p.durability_secs)
+    });
 
+    let bound = |b: Option<u64>| b.map_or("null".to_string(), |v| v.to_string());
     let det: Vec<(&str, String)> = vec![
         ("history_len", values.len().to_string()),
         ("history_checksum", format!("\"{checksum:016x}\"")),
         ("segment_len", q.segment_len().to_string()),
-        (
-            "upper_bound_p975",
-            // `None` (not enough mass at the quantile under QBETS's
-            // confidence requirement) renders as JSON null — still a
-            // deterministic function of the seeded history.
-            q.upper_bound(0.975)
-                .map_or("null".to_string(), |v| v.to_string()),
-        ),
+        // `None` (the autocorrelation-corrected segment is too short for
+        // a bound at QBETS's confidence) renders as JSON null — still a
+        // deterministic function of the seeded history.
+        ("upper_bound_p975", bound(q.upper_bound(0.975))),
+        // Bounds the 271-point segment supports: the price step's tail
+        // and the duration step's.
+        ("upper_bound_q95", bound(q.upper_bound(0.95))),
+        ("lower_bound_q05", bound(q.lower_bound(0.05))),
+        ("graph_p95_points", points.len().to_string()),
+        ("graph_p95_checksum", format!("\"{graph_checksum:016x}\"")),
     ];
     let wall: Vec<(&str, String)> = vec![
         ("batch_rebuild_ns", ns(batch)),
         ("incremental_observe_ns", ns(incremental)),
         ("warm_upper_bound_query_ns", ns(warm)),
+        ("graph_compute_ns", ns(graph)),
     ];
     render("qbets", &det, &wall)
 }
@@ -535,7 +555,11 @@ mod tests {
         ] {
             assert!(out.serve_json.contains(key), "missing {key}");
         }
-        for key in ["history_checksum", "batch_rebuild_ns", "upper_bound_p975"] {
+        for key in [
+            "history_checksum", "batch_rebuild_ns", "upper_bound_p975",
+            "upper_bound_q95", "lower_bound_q05", "graph_p95_points", "graph_p95_checksum",
+            "graph_compute_ns",
+        ] {
             assert!(out.qbets_json.contains(key), "missing {key}");
         }
         for key in ["ring_checksum", "proxy_graphs_ns", "proxy_bid_ns", "proxy_health_ns"] {

@@ -233,7 +233,7 @@ mod tests {
         for combo in svc.combos() {
             if let Some(g) = svc.graphs(combo, now).and_then(|g| {
                 g.at_probability(0.95)
-                    .and_then(|g| g.bid_for_duration(3600))
+                    .and_then(|g| g.cheapest_bid(3600))
             }) {
                 assert!(p.bid <= g.bid, "{:?} offers a lower bid", combo);
             }

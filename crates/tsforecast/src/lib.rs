@@ -56,5 +56,5 @@ pub mod series;
 pub mod stats;
 
 pub use estimator::BoundEstimator;
-pub use qbets::{Qbets, QbetsConfig};
+pub use qbets::{Qbets, QbetsConfig, SliceBound};
 pub use series::TimeSeries;

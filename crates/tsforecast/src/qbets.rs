@@ -15,13 +15,16 @@
 //! State updates are O(log n) per observation (treap insert + running
 //! moments), which is what makes the on-line DrAFTS service viable
 //! (paper §3.3: "the predictor state can be updated incrementally (in a few
-//! milliseconds)").
+//! milliseconds)"). A caller that needs one bound of a whole series, with
+//! change points off, takes it from [`SliceBound`] instead: the same order
+//! statistic by selection, without the treap.
 
 use crate::changepoint::ChangePointConfig;
 use crate::estimator::{BoundEstimator, SegmentState};
 use crate::orderstat::OrderStat;
 use crate::quantile_bound;
-use crate::stats;
+use crate::stats::{self, RunningLag1};
+use std::collections::HashMap;
 
 /// QBETS tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,6 +76,51 @@ impl QbetsConfig {
             cp.validate();
         }
     }
+
+    /// Effective sample size of `n` observations whose lag-1
+    /// autocorrelation is `rho()`: `n` itself with the correction off,
+    /// otherwise Bartlett's shrinkage with `rho` capped at `autocorr_cap`.
+    fn effective_len(&self, n: usize, rho: impl FnOnce() -> f64) -> usize {
+        if !self.autocorr_correction {
+            return n;
+        }
+        stats::effective_sample_size(n, rho().min(self.autocorr_cap))
+    }
+
+    /// The step every QBETS bound takes from `n` observations to its order
+    /// statistic: the effective sample size, the binomial inversion
+    /// `invert` there, and that index scaled back onto the `n` real
+    /// observations. The index counts from the bound's own tail; `None`
+    /// when the effective sample is too short for a bound.
+    fn bound_index(
+        &self,
+        n: usize,
+        rho: impl FnOnce() -> f64,
+        invert: impl FnOnce(usize) -> Option<usize>,
+    ) -> Option<usize> {
+        let n_eff = self.effective_len(n, rho);
+        let k_eff = invert(n_eff)?;
+        Some(quantile_bound::scale_index_to_sample(k_eff, n_eff, n))
+    }
+}
+
+/// The tail of the sample a bound takes its order statistic from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tail {
+    /// Upper bound: the index counts down from the largest observation.
+    Upper,
+    /// Lower bound: the index counts up from the smallest observation.
+    Lower,
+}
+
+impl Tail {
+    /// The binomial inversion for this tail at sample size `n`.
+    fn invert(self, n: usize, q: f64, c: f64) -> Option<usize> {
+        match self {
+            Tail::Upper => quantile_bound::upper_bound_index(n, q, c),
+            Tail::Lower => quantile_bound::lower_bound_index(n, q, c),
+        }
+    }
 }
 
 /// Online QBETS estimator.
@@ -114,12 +162,18 @@ impl Qbets {
     /// Effective sample size of the current segment after autocorrelation
     /// compensation.
     pub fn effective_len(&self) -> usize {
-        let n = self.state.len();
-        if !self.cfg.autocorr_correction {
-            return n;
-        }
-        let rho = self.state.lag1().lag1_autocorr().min(self.cfg.autocorr_cap);
-        stats::effective_sample_size(n, rho)
+        self.cfg
+            .effective_len(self.state.len(), || self.state.lag1().lag1_autocorr())
+    }
+
+    /// The order-statistic index of a `tail` bound on the `q`-quantile of
+    /// the current segment.
+    fn bound_index(&self, tail: Tail, q: f64) -> Option<usize> {
+        self.cfg.bound_index(
+            self.state.len(),
+            || self.state.lag1().lag1_autocorr(),
+            |n_eff| tail.invert(n_eff, q, self.cfg.confidence),
+        )
     }
 
     /// Upper bound like [`BoundEstimator::upper_bound`], but falling back to
@@ -143,18 +197,12 @@ impl BoundEstimator for Qbets {
     }
 
     fn upper_bound(&self, q: f64) -> Option<u64> {
-        let n = self.state.len();
-        let n_eff = self.effective_len();
-        let k_eff = quantile_bound::upper_bound_index(n_eff, q, self.cfg.confidence)?;
-        let k = quantile_bound::scale_index_to_sample(k_eff, n_eff, n);
+        let k = self.bound_index(Tail::Upper, q)?;
         self.state.multiset().kth_largest(k)
     }
 
     fn lower_bound(&self, q: f64) -> Option<u64> {
-        let n = self.state.len();
-        let n_eff = self.effective_len();
-        let j_eff = quantile_bound::lower_bound_index(n_eff, q, self.cfg.confidence)?;
-        let j = quantile_bound::scale_index_to_sample(j_eff, n_eff, n);
+        let j = self.bound_index(Tail::Lower, q)?;
         self.state.multiset().kth_smallest(j)
     }
 
@@ -168,6 +216,84 @@ impl BoundEstimator for Qbets {
 
     fn reset(&mut self) {
         self.state.reset();
+    }
+}
+
+/// QBETS bounds of whole series at one quantile, change-point detection
+/// off.
+///
+/// `SliceBound::lower(cfg, q).of(xs)` is the value
+/// `Qbets::from_history(cfg, xs).lower_bound(q)` returns (likewise
+/// `upper`), without building the treap: the effective sample size comes
+/// from the series' lag-1 moments in arrival order, and the same order
+/// statistic is picked by selection. The binomial inversion is memoized
+/// per effective sample size, so a caller that bounds many series of
+/// similar length (the grid bids of one bid–duration graph) inverts each
+/// size once.
+#[derive(Debug, Clone)]
+pub struct SliceBound {
+    cfg: QbetsConfig,
+    tail: Tail,
+    q: f64,
+    /// Binomial-inversion index per effective sample size.
+    memo: HashMap<usize, Option<usize>>,
+}
+
+impl SliceBound {
+    /// Lower `cfg.confidence` bounds on the `q`-quantile.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration or one with change-point
+    /// detection on.
+    pub fn lower(cfg: QbetsConfig, q: f64) -> Self {
+        Self::new(cfg, Tail::Lower, q)
+    }
+
+    /// Upper `cfg.confidence` bounds on the `q`-quantile.
+    ///
+    /// # Panics
+    /// As [`Self::lower`].
+    pub fn upper(cfg: QbetsConfig, q: f64) -> Self {
+        Self::new(cfg, Tail::Upper, q)
+    }
+
+    fn new(cfg: QbetsConfig, tail: Tail, q: f64) -> Self {
+        cfg.validate();
+        assert!(
+            cfg.changepoint.is_none(),
+            "slice bounds run with change-point detection off"
+        );
+        Self {
+            cfg,
+            tail,
+            q,
+            memo: HashMap::new(),
+        }
+    }
+
+    /// The bound over `xs`, given in arrival order; `None` when `xs` is too
+    /// short for a bound. Leaves `xs` reordered.
+    ///
+    /// # Panics
+    /// Panics unless `0 < q < 1`.
+    pub fn of(&mut self, xs: &mut [u64]) -> Option<u64> {
+        let (cfg, tail, q) = (self.cfg, self.tail, self.q);
+        let memo = &mut self.memo;
+        let n = xs.len();
+        let k = cfg.bound_index(
+            n,
+            || RunningLag1::from_slice(xs).lag1_autocorr(),
+            |n_eff| {
+                *memo
+                    .entry(n_eff)
+                    .or_insert_with(|| tail.invert(n_eff, q, cfg.confidence))
+            },
+        )?;
+        let rank = match tail {
+            Tail::Upper => n - k,
+            Tail::Lower => k - 1,
+        };
+        Some(*xs.select_nth_unstable(rank).1)
     }
 }
 
@@ -348,6 +474,74 @@ mod tests {
         q.reset();
         assert_eq!(q.observed(), 0);
         assert_eq!(q.upper_bound(0.975), None);
+    }
+
+    #[test]
+    fn slice_bound_equals_the_streaming_estimator() {
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        // AR(1) with rho ~ 0.95: above the default 0.3 cap, below 0.99.
+        let mut x = 5000.0f64;
+        let ar: Vec<u64> = (0..3000)
+            .map(|_| {
+                x = 0.95 * x + 0.05 * 5000.0 + (rng.next_f64() - 0.5) * 400.0;
+                x.max(0.0) as u64
+            })
+            .collect();
+        // Four distinct values: every order statistic sits in a long tie.
+        let dupes: Vec<u64> = (0..2000).map(|_| rng.next_below(4) * 100).collect();
+        let uniform: Vec<u64> = (0..1500).map(|_| rng.next_below(1_000_000)).collect();
+        let short = [5u64, 9, 3];
+        let series: [&[u64]; 7] = [&ar, &dupes, &uniform, &short, &[], &ar[..181], &ar[..182]];
+        for (correction, cap) in [(false, 0.3), (true, 0.3), (true, 0.99)] {
+            let cfg = QbetsConfig {
+                confidence: 0.99,
+                changepoint: None,
+                autocorr_correction: correction,
+                autocorr_cap: cap,
+            };
+            for q in [0.025, 0.05, 0.5, 0.95, 0.975] {
+                let (mut lo, mut hi) = (SliceBound::lower(cfg, q), SliceBound::upper(cfg, q));
+                // Twice over: the second pass answers from the memo.
+                for _ in 0..2 {
+                    for xs in series {
+                        let oracle = Qbets::from_history(cfg, xs);
+                        let what =
+                            format!("n={} q={q} correction={correction} cap={cap}", xs.len());
+                        assert_eq!(
+                            lo.of(&mut xs.to_vec()),
+                            oracle.lower_bound(q),
+                            "lower, {what}"
+                        );
+                        assert_eq!(
+                            hi.of(&mut xs.to_vec()),
+                            oracle.upper_bound(q),
+                            "upper, {what}"
+                        );
+                    }
+                }
+            }
+            // One evaluator over prefixes of many lengths: memo hits for a
+            // repeated effective size must still scale onto each real n.
+            let mut lo = SliceBound::lower(cfg, 0.025);
+            for n in (150..ar.len()).step_by(37) {
+                let oracle = Qbets::from_history(cfg, &ar[..n]).lower_bound(0.025);
+                assert_eq!(lo.of(&mut ar[..n].to_vec()), oracle, "prefix n={n}");
+            }
+        }
+        let cfg = QbetsConfig {
+            changepoint: None,
+            ..QbetsConfig::default()
+        };
+        assert_eq!(SliceBound::lower(cfg, 0.025).of(&mut short.to_vec()), None);
+        assert!(SliceBound::upper(cfg, 0.975)
+            .of(&mut dupes.clone())
+            .is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "change-point detection off")]
+    fn slice_bound_rejects_change_points() {
+        SliceBound::lower(QbetsConfig::default(), 0.025);
     }
 
     /// End-to-end calibration check: predict an upper bound on the next
