@@ -107,7 +107,10 @@ impl ChaosResult {
 
     /// Fraction of requests served as guaranteed.
     pub fn guaranteed_share(&self) -> f64 {
-        ratio(self.combos.iter().map(|c| c.guaranteed).sum(), self.attempts())
+        ratio(
+            self.combos.iter().map(|c| c.guaranteed).sum(),
+            self.attempts(),
+        )
     }
 
     /// Attainment among guaranteed-served requests: the fraction that
@@ -127,7 +130,10 @@ impl ChaosResult {
 
     /// Fraction of requests demoted to no-guarantee fallbacks.
     pub fn fallback_rate(&self) -> f64 {
-        ratio(self.combos.iter().map(|c| c.fallbacks).sum(), self.attempts())
+        ratio(
+            self.combos.iter().map(|c| c.fallbacks).sum(),
+            self.attempts(),
+        )
     }
 
     /// Merged §4.4 accounting across combos.
@@ -221,11 +227,9 @@ pub fn run_combo(cfg: &ChaosConfig, catalog: &Catalog, combo: Combo) -> ChaosCom
             let newest = delivered.time(sweep.consumed() - 1);
             (quote, req.start.saturating_sub(newest))
         });
-        let served_guaranteed = quoted
-            .as_ref()
-            .is_some_and(|(q, staleness)| {
-                q.guarantees(req.duration) && *staleness <= cfg.staleness_budget
-            });
+        let served_guaranteed = quoted.as_ref().is_some_and(|(q, staleness)| {
+            q.guarantees(req.duration) && *staleness <= cfg.staleness_budget
+        });
 
         // Ground truth is always the unperturbed history.
         let survived = quoted.as_ref().is_some_and(|(q, _)| {
@@ -250,7 +254,8 @@ pub fn run_combo(cfg: &ChaosConfig, catalog: &Catalog, combo: Combo) -> ChaosCom
         // §4.4 serving discipline: spot only on an in-budget guarantee.
         let spot_bid = served_guaranteed.then(|| quoted.as_ref().unwrap().0.bid);
         let choice = optimizer::choose(spot_bid, od);
-        out.savings.record(choice, od, req.duration.div_ceil(HOUR).max(1));
+        out.savings
+            .record(choice, od, req.duration.div_ceil(HOUR).max(1));
     }
     out
 }

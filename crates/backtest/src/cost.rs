@@ -69,7 +69,7 @@ pub fn tightness(result: &BacktestResult) -> Option<Tightness> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BacktestConfig, run};
+    use crate::engine::{run, BacktestConfig};
 
     fn small_result() -> BacktestResult {
         run(&BacktestConfig {

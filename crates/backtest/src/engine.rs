@@ -342,10 +342,7 @@ mod tests {
                 assert_eq!(o.attempts, 40, "{:?}", o.policy);
                 assert!(o.successes <= o.attempts);
             }
-            assert_eq!(
-                combo.savings.spot_requests + combo.savings.od_requests,
-                40
-            );
+            assert_eq!(combo.savings.spot_requests + combo.savings.od_requests, 40);
             assert!(combo.savings.strategy_cost <= combo.savings.od_cost);
             assert!(combo.tightness_count > 0);
             assert!(combo.tightness() >= 1.0, "bids sit above market price");

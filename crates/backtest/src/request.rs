@@ -35,10 +35,7 @@ impl RequestConfig {
     /// Panics on an empty window or zero duration/count.
     pub fn validate(&self) {
         assert!(self.count > 0, "need at least one request");
-        assert!(
-            self.window_end > self.window_start,
-            "empty request window"
-        );
+        assert!(self.window_end > self.window_start, "empty request window");
         assert!(self.max_duration > 0, "zero max duration");
     }
 }

@@ -21,8 +21,8 @@ use drafts_core::duration::DurationResolver;
 use drafts_core::predictor::BidQuote;
 use parallel::Pool;
 use spotmarket::{Price, PriceHistory};
-use tsforecast::orderstat::{OrderStat, TreapMultiset};
 use tsforecast::changepoint::ChangePointConfig;
+use tsforecast::orderstat::{OrderStat, TreapMultiset};
 use tsforecast::stats::{effective_sample_size, RunningLag1};
 use tsforecast::{quantile_bound, BoundEstimator, Qbets, QbetsConfig};
 
@@ -295,8 +295,7 @@ impl<'a> ComboSweep<'a> {
             // continued drift would otherwise cross a bare max-plus-tick
             // within hours. The quote carries no guarantee.
             return BidQuote {
-                bid: Price::from_ticks(self.max_seen)
-                    .scale(1.0 + 4.0 * self.cfg.safety_margin)
+                bid: Price::from_ticks(self.max_seen).scale(1.0 + 4.0 * self.cfg.safety_margin)
                     + Price::TICK,
                 durability_secs: None,
             };
@@ -378,9 +377,7 @@ mod tests {
         let (h, od) = setup(Archetype::Calm, 2, 1);
         let mut sweep = ComboSweep::new(&h, od, SweepConfig::default());
         sweep.advance_to(10_000);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sweep.advance_to(5_000)
-        }));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep.advance_to(5_000)));
         assert!(r.is_err());
     }
 
@@ -491,8 +488,7 @@ mod tests {
         assert!(sweep.levels[top].resolved.len() > 1000);
         let bound = sweep.level_duration_bound(top, 0.975).unwrap();
         assert_eq!(
-            bound,
-            cfg.duration_cap,
+            bound, cfg.duration_cap,
             "uncrossed level must bound exactly at the cap"
         );
     }

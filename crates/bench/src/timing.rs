@@ -21,7 +21,9 @@ pub const SAMPLE_TARGET: Duration = Duration::from_millis(60);
 pub const SAMPLES: usize = 7;
 
 fn quick() -> bool {
-    std::env::var("DRAFTS_BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
+    std::env::var("DRAFTS_BENCH_QUICK")
+        .map(|v| v == "1")
+        .unwrap_or(false)
 }
 
 /// One benchmark's aggregated measurements, in ns per iteration.
@@ -86,8 +88,7 @@ impl Harness {
         } else {
             (SAMPLE_TARGET, SAMPLES)
         };
-        let iters = (target.as_nanos() / once.as_nanos().max(1))
-            .clamp(1, 10_000_000) as u64;
+        let iters = (target.as_nanos() / once.as_nanos().max(1)).clamp(1, 10_000_000) as u64;
         let per_iter: Vec<f64> = (0..samples)
             .map(|_| {
                 let t = Instant::now();

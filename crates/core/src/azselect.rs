@@ -151,7 +151,10 @@ mod tests {
             .map(|(az, h)| {
                 let upto = h.series().index_at(4 * spotmarket::DAY).unwrap();
                 let max = h.series().values()[..=upto].iter().max().copied().unwrap();
-                (*az, spotmarket::Price::from_ticks(max) + spotmarket::Price::TICK)
+                (
+                    *az,
+                    spotmarket::Price::from_ticks(max) + spotmarket::Price::TICK,
+                )
             })
             .min_by_key(|&(_, bid)| bid)
             .unwrap();

@@ -302,7 +302,10 @@ mod tests {
         batch_sorted.sort_unstable();
         out_sorted.sort_unstable();
         for v in &out_sorted {
-            assert!(batch_sorted.contains(v), "{v} not in batch {batch_sorted:?}");
+            assert!(
+                batch_sorted.contains(v),
+                "{v} not in batch {batch_sorted:?}"
+            );
         }
         // Advancing time past everyone's cap completes the set.
         r.age_out(1500 + cap, cap, &mut out);
@@ -336,8 +339,20 @@ mod tests {
             &spotmarket::tracegen::TraceConfig::days(20, 5),
         );
         let upto = h.len() - 1;
-        let lo = duration_series(&h, upto, Price::from_dollars(0.10), 7, Censoring::IncludeElapsed);
-        let hi = duration_series(&h, upto, Price::from_dollars(0.30), 7, Censoring::IncludeElapsed);
+        let lo = duration_series(
+            &h,
+            upto,
+            Price::from_dollars(0.10),
+            7,
+            Censoring::IncludeElapsed,
+        );
+        let hi = duration_series(
+            &h,
+            upto,
+            Price::from_dollars(0.30),
+            7,
+            Censoring::IncludeElapsed,
+        );
         assert_eq!(lo.len(), hi.len());
         for (a, b) in lo.iter().zip(&hi) {
             assert!(b >= a, "duration under higher bid must not shrink");
@@ -395,6 +410,10 @@ mod tests {
         assert!(out.is_empty());
         r.observe(600, Price::from_ticks(150), &mut out);
         assert_eq!(out, vec![600, 300]);
-        assert_eq!(r.pending_len(), 1, "the crossing update starts a new measurement");
+        assert_eq!(
+            r.pending_len(),
+            1,
+            "the crossing update starts a new measurement"
+        );
     }
 }

@@ -101,12 +101,7 @@ mod tests {
             Az::parse("us-west-2b").unwrap(),
             cat.type_id("c3.xlarge").unwrap(),
         );
-        let h = generate_with_archetype(
-            combo,
-            cat,
-            &TraceConfig::days(30, 31),
-            Archetype::Choppy,
-        );
+        let h = generate_with_archetype(combo, cat, &TraceConfig::days(30, 31), Archetype::Choppy);
         let od = cat.od_price(combo.ty, combo.az.region());
         (h, od)
     }
@@ -116,10 +111,7 @@ mod tests {
         assert_eq!(BidPolicy::OnDemand.label(), "On-demand");
         assert_eq!(BidPolicy::Ar1.label(), "AR(1)");
         assert_eq!(BidPolicy::EmpiricalCdf.label(), "Empirical-CDF");
-        assert_eq!(
-            BidPolicy::Drafts(DraftsConfig::default()).label(),
-            "DrAFTS"
-        );
+        assert_eq!(BidPolicy::Drafts(DraftsConfig::default()).label(), "DrAFTS");
         assert_eq!(BidPolicy::FixedFraction(0.8).label(), "FixedFraction");
     }
 
@@ -127,10 +119,7 @@ mod tests {
     fn on_demand_and_fraction_ignore_history() {
         let (h, od) = setup();
         let upto = h.len() - 1;
-        assert_eq!(
-            BidPolicy::OnDemand.bid(&h, upto, od, 0.99, 3600),
-            Some(od)
-        );
+        assert_eq!(BidPolicy::OnDemand.bid(&h, upto, od, 0.99, 3600), Some(od));
         assert_eq!(
             BidPolicy::FixedFraction(0.8).bid(&h, upto, od, 0.99, 3600),
             Some(od.scale(0.8))
@@ -175,9 +164,7 @@ mod tests {
     fn ecdf_bid_is_the_sample_quantile() {
         let (h, od) = setup();
         let upto = h.len() - 1;
-        let bid = BidPolicy::EmpiricalCdf
-            .bid(&h, upto, od, 0.99, 0)
-            .unwrap();
+        let bid = BidPolicy::EmpiricalCdf.bid(&h, upto, od, 0.99, 0).unwrap();
         let mut sorted = h.series().values()[..=upto].to_vec();
         sorted.sort_unstable();
         let k = ((0.99 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
@@ -191,12 +178,7 @@ mod tests {
             Az::parse("us-west-2b").unwrap(),
             cat.type_id("c3.xlarge").unwrap(),
         );
-        let h = generate_with_archetype(
-            combo,
-            cat,
-            &TraceConfig::days(1, 32),
-            Archetype::Calm,
-        );
+        let h = generate_with_archetype(combo, cat, &TraceConfig::days(1, 32), Archetype::Calm);
         let od = cat.od_price(combo.ty, combo.az.region());
         let policy = BidPolicy::Drafts(DraftsConfig::default());
         assert_eq!(policy.bid(&h, h.len() - 1, od, 0.99, 3600), None);

@@ -86,11 +86,7 @@ fn field(out: &mut String, key: &str, value: impl std::fmt::Display, last: bool)
 
 /// Renders one trajectory file: fixed key order, two-space indent, so
 /// the `deterministic` object can be byte-compared with `sed`/`cmp`.
-fn render(
-    bench: &str,
-    deterministic: &[(&str, String)],
-    wall_clock: &[(&str, String)],
-) -> String {
+fn render(bench: &str, deterministic: &[(&str, String)], wall_clock: &[(&str, String)]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"drafts-bench/1\",\n");
     out.push_str(&format!("  \"bench\": \"{bench}\",\n"));
@@ -284,7 +280,10 @@ fn serve_bench(scale: Scale) -> (String, f64, f64, f64) {
         ("swap_load_clone_ns", ns(swap_load)),
         ("loadgen_p50_us", q(0.50).to_string()),
         ("loadgen_p99_us", q(0.99).to_string()),
-        ("loadgen_throughput_rps", format!("{:.1}", report.throughput())),
+        (
+            "loadgen_throughput_rps",
+            format!("{:.1}", report.throughput()),
+        ),
         ("window_overhead_pct", format!("{window_overhead_pct:.2}")),
         ("svc_fetch_self_pct", format!("{svc_fetch_self_pct:.2}")),
         ("trace_overhead_pct", format!("{trace_overhead_pct:.2}")),
@@ -330,7 +329,11 @@ fn fleet_bench(scale: Scale) -> String {
         black_box(client.get(black_box(&graphs_path)).expect("proxied graphs"))
     });
     let proxy_bid = h.bench("proxy_bid", || {
-        black_box(client.get("/v1/bid?duration=3600&p=0.95").expect("proxied bid"))
+        black_box(
+            client
+                .get("/v1/bid?duration=3600&p=0.95")
+                .expect("proxied bid"),
+        )
     });
     let proxy_health = h.bench("proxy_health", || {
         black_box(client.get("/v1/health").expect("fleet health"))
@@ -548,26 +551,49 @@ mod tests {
             assert!(json.ends_with("}\n"));
         }
         for key in [
-            "route_graphs", "route_bid", "route_health", "route_metrics",
-            "handle_bid_ns", "handle_bid_traced_ns", "trace_record_ns", "window_per_request_ns",
-            "window_overhead_pct", "svc_fetch_self_pct", "trace_overhead_pct",
+            "route_graphs",
+            "route_bid",
+            "route_health",
+            "route_metrics",
+            "handle_bid_ns",
+            "handle_bid_traced_ns",
+            "trace_record_ns",
+            "window_per_request_ns",
+            "window_overhead_pct",
+            "svc_fetch_self_pct",
+            "trace_overhead_pct",
             "trace_ring",
         ] {
             assert!(out.serve_json.contains(key), "missing {key}");
         }
         for key in [
-            "history_checksum", "batch_rebuild_ns", "upper_bound_p975",
-            "upper_bound_q95", "lower_bound_q05", "graph_p95_points", "graph_p95_checksum",
+            "history_checksum",
+            "batch_rebuild_ns",
+            "upper_bound_p975",
+            "upper_bound_q95",
+            "lower_bound_q05",
+            "graph_p95_points",
+            "graph_p95_checksum",
             "graph_compute_ns",
         ] {
             assert!(out.qbets_json.contains(key), "missing {key}");
         }
-        for key in ["ring_checksum", "proxy_graphs_ns", "proxy_bid_ns", "proxy_health_ns"] {
+        for key in [
+            "ring_checksum",
+            "proxy_graphs_ns",
+            "proxy_bid_ns",
+            "proxy_health_ns",
+        ] {
             assert!(out.fleet_json.contains(key), "missing {key}");
         }
         for key in [
-            "strategy_seed", "anchor_cost_ticks", "anchor_attainment_bp",
-            "decide_drafts_ns", "decide_ema_ns", "decide_beta_ns", "decide_portfolio_ns",
+            "strategy_seed",
+            "anchor_cost_ticks",
+            "anchor_attainment_bp",
+            "decide_drafts_ns",
+            "decide_ema_ns",
+            "decide_beta_ns",
+            "decide_portfolio_ns",
         ] {
             assert!(out.strategy_json.contains(key), "missing {key}");
         }

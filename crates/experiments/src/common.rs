@@ -93,7 +93,10 @@ mod tests {
 
     #[test]
     fn artifacts_round_trip() {
-        std::env::set_var("DRAFTS_RESULTS_DIR", std::env::temp_dir().join("drafts_results"));
+        std::env::set_var(
+            "DRAFTS_RESULTS_DIR",
+            std::env::temp_dir().join("drafts_results"),
+        );
         let p = write_artifact("test.txt", "hello");
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "hello");
         std::env::remove_var("DRAFTS_RESULTS_DIR");

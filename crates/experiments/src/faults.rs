@@ -114,7 +114,10 @@ mod tests {
     fn quick_sweep_degrades_conservatively() {
         let out = run(Scale::Quick);
         assert_eq!(out.rows.len(), INTENSITIES.len());
-        assert!(out.conservative(), "guarantees must never be silently wrong");
+        assert!(
+            out.conservative(),
+            "guarantees must never be silently wrong"
+        );
         let clean = &out.rows[0].result;
         let hostile = &out.rows.last().unwrap().result;
         assert!(

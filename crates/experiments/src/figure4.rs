@@ -75,8 +75,14 @@ pub fn summarize(out: &Figure4Output) -> String {
             g.probability,
             g.points().len(),
             g.min_bid(),
-            g.points().first().map(|p| p.durability_secs / 3600).unwrap_or(0),
-            g.points().last().map(|p| p.durability_secs / 3600).unwrap_or(0),
+            g.points()
+                .first()
+                .map(|p| p.durability_secs / 3600)
+                .unwrap_or(0),
+            g.points()
+                .last()
+                .map(|p| p.durability_secs / 3600)
+                .unwrap_or(0),
         ));
     }
     s

@@ -238,11 +238,7 @@ mod tests {
     #[test]
     fn launches_are_spaced_by_the_interval_distribution() {
         let out = run(&small(LaunchConfig::figure2()));
-        let gaps: Vec<u64> = out
-            .records
-            .windows(2)
-            .map(|w| w[1].at - w[0].at)
-            .collect();
+        let gaps: Vec<u64> = out.records.windows(2).map(|w| w[1].at - w[0].at).collect();
         let mean = gaps.iter().sum::<u64>() as f64 / gaps.len() as f64;
         // duration (3300) + N(2748, 687): mean ~ 6048.
         assert!(

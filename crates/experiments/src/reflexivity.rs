@@ -66,9 +66,7 @@ mod tests {
         let outcomes = run();
         assert_eq!(outcomes.len(), 5);
         assert!(outcomes.iter().all(|o| o.mean_price > 0.0));
-        assert!(outcomes
-            .windows(2)
-            .all(|w| w[0].adoption < w[1].adoption));
+        assert!(outcomes.windows(2).all(|w| w[0].adoption < w[1].adoption));
         let rendered = render(&outcomes).render();
         assert!(rendered.contains("Adoption"));
         assert!(rendered.contains('%'));

@@ -140,8 +140,7 @@ fn config_for(jobs: u64, span: u64, intensity_bp: u64) -> StrategyReplayConfig {
     };
     StrategyReplayConfig {
         base,
-        feed_faults: (intensity_bp > 0)
-            .then(|| FaultPlan::with_intensity(STRATEGY_SEED ^ 2, frac)),
+        feed_faults: (intensity_bp > 0).then(|| FaultPlan::with_intensity(STRATEGY_SEED ^ 2, frac)),
         shard_faults,
     }
 }

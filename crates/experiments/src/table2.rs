@@ -44,7 +44,13 @@ pub fn run(scale: Scale) -> Table2Output {
 pub fn render(out: &Table2Output) -> Table {
     let mut t = Table::new(
         "Table 2: Original Spot tier usage vs DrAFTS selection (one replay)",
-        &["Method", "Instances", "Cost", "Maximum Bid Cost", "Terminations"],
+        &[
+            "Method",
+            "Instances",
+            "Cost",
+            "Maximum Bid Cost",
+            "Terminations",
+        ],
     );
     for (policy, m) in &out.rows {
         let label = match policy {

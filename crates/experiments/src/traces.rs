@@ -168,7 +168,10 @@ fn row_of(index: usize, trace: u64, route: &'static str, status: u16, body: &[u8
         failover: false,
         timeline: String::new(),
     };
-    let Some(doc) = std::str::from_utf8(body).ok().and_then(|s| Json::parse(s).ok()) else {
+    let Some(doc) = std::str::from_utf8(body)
+        .ok()
+        .and_then(|s| Json::parse(s).ok())
+    else {
         return row;
     };
     let Some(records) = doc.get("records").and_then(Json::as_arr) else {
@@ -178,7 +181,10 @@ fn row_of(index: usize, trace: u64, route: &'static str, status: u16, body: &[u8
     for rec in records {
         let get_str = |key| rec.get(key).and_then(Json::as_str).unwrap_or("");
         let get_num = |key| rec.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let (instance, stage) = (get_str("instance").to_string(), get_str("stage").to_string());
+        let (instance, stage) = (
+            get_str("instance").to_string(),
+            get_str("stage").to_string(),
+        );
         let (hop, rec_status) = (get_num("hop"), get_num("status"));
         row.records += 1;
         if instance == "fleet-front" && hop == 0 {
@@ -340,7 +346,11 @@ mod tests {
         // unconditional on core routes, so the merge is never empty.
         for row in &out.rows {
             assert!(row.records > 0, "request {} lost its timeline", row.index);
-            assert!(row.attempts >= 1, "request {} has no root record", row.index);
+            assert!(
+                row.attempts >= 1,
+                "request {} has no root record",
+                row.index
+            );
         }
         // The kill forces the slow path, and the timeline names the
         // shard and leg that absorbed it.

@@ -19,6 +19,7 @@
 //! server does not slow the arrival process down, it just accumulates
 //! in-flight work — the standard way to make load shedding observable.
 
+use obs::Stopwatch;
 use obs::{LogHistogram, TraceContext, TraceIdGen, TRACE_HEADER};
 use simrng::dist::{Categorical, Exponential};
 use simrng::{Rng, StreamFactory};
@@ -27,7 +28,6 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
-use obs::Stopwatch;
 use std::time::Duration;
 
 /// What a planned request asks for.
@@ -180,10 +180,7 @@ pub fn build_plan(
                     let ds = &durations[combo_ix];
                     let d = ds[per_combo_cursor[combo_ix] % ds.len()];
                     per_combo_cursor[combo_ix] += 1;
-                    (
-                        Kind::Bid,
-                        format!("/v1/bid?duration={d}&p={}", cfg.p),
-                    )
+                    (Kind::Bid, format!("/v1/bid?duration={d}&p={}", cfg.p))
                 }
                 2 => (Kind::Health, "/v1/health".to_string()),
                 _ => (Kind::Metrics, "/v1/metrics".to_string()),
@@ -359,9 +356,9 @@ impl Client {
         self.retry_after = None;
         let reader = self.connect()?;
         let req = match trace {
-            Some(ctx) => format!(
-                "GET {path} HTTP/1.1\r\nHost: drafts\r\n{TRACE_HEADER}: {ctx}\r\n\r\n"
-            ),
+            Some(ctx) => {
+                format!("GET {path} HTTP/1.1\r\nHost: drafts\r\n{TRACE_HEADER}: {ctx}\r\n\r\n")
+            }
             None => format!("GET {path} HTTP/1.1\r\nHost: drafts\r\n\r\n"),
         };
         reader.get_mut().write_all(req.as_bytes())?;
@@ -400,10 +397,7 @@ impl Client {
                 let value = value.trim();
                 if name.eq_ignore_ascii_case("content-length") {
                     content_length = value.parse().map_err(|_| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "bad content-length",
-                        )
+                        std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
                     })?;
                 } else if name.eq_ignore_ascii_case("connection")
                     && value.eq_ignore_ascii_case("close")
@@ -466,7 +460,13 @@ impl RetryPolicy {
 
 /// [`run_with`] under the default seeded [`RetryPolicy`].
 pub fn run(addr: SocketAddr, plan: &[Planned], clients: usize, timeout: Duration) -> RunReport {
-    run_with(addr, plan, clients, timeout, &RetryPolicy::seeded(0x5EED_0503))
+    run_with(
+        addr,
+        plan,
+        clients,
+        timeout,
+        &RetryPolicy::seeded(0x5EED_0503),
+    )
 }
 
 /// Replays `plan` against `addr` with `clients` open-loop threads and

@@ -190,8 +190,7 @@ mod tests {
         assert_eq!(seqs, vec![2, 3, 4, 5], "oldest (seq 1) evicted");
         assert_eq!(log.emitted(Level::Info), 4, "evicted emit still counted");
         assert_eq!(log.emitted(Level::Warn), 1);
-        let total = log.emitted(Level::Info) + log.emitted(Level::Warn)
-            + log.emitted(Level::Error);
+        let total = log.emitted(Level::Info) + log.emitted(Level::Warn) + log.emitted(Level::Error);
         let evicted = total - log.len() as u64;
         assert_eq!(evicted, 1, "counters = retained + evicted");
         let text = registry.render_text();
@@ -219,7 +218,10 @@ mod tests {
             1_728_000,
             Level::Error,
             "health_transition",
-            vec![("combo", "us-east-1b/c4.large".into()), ("to", "unavailable".into())],
+            vec![
+                ("combo", "us-east-1b/c4.large".into()),
+                ("to", "unavailable".into()),
+            ],
         );
         let snap = log.snapshot();
         assert_eq!(snap.len(), 1);

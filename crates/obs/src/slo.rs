@@ -241,9 +241,7 @@ impl SloMonitor {
                         let count = |k: usize| -> (u64, u64) {
                             match source {
                                 Source::LatencyUnder { hist, threshold_ns } => {
-                                    let w = windows
-                                        .hist_window(hist, k)
-                                        .unwrap_or_default();
+                                    let w = windows.hist_window(hist, k).unwrap_or_default();
                                     let total = w.count();
                                     let good = w.count_under_ns(*threshold_ns);
                                     (total - good.min(total), total)
@@ -260,15 +258,14 @@ impl SloMonitor {
                         let (slow_bad, slow_total) = count(o.slow_intervals);
                         let fast_burn = burn_bp(fast_bad, fast_total, budget_bp);
                         let slow_burn = burn_bp(slow_bad, slow_total, budget_bp);
-                        let state = if fast_burn >= o.breach_burn_bp
-                            && slow_burn >= o.breach_burn_bp
-                        {
-                            SloState::Breach
-                        } else if fast_burn >= o.warn_burn_bp {
-                            SloState::Warn
-                        } else {
-                            SloState::Ok
-                        };
+                        let state =
+                            if fast_burn >= o.breach_burn_bp && slow_burn >= o.breach_burn_bp {
+                                SloState::Breach
+                            } else if fast_burn >= o.warn_burn_bp {
+                                SloState::Warn
+                            } else {
+                                SloState::Ok
+                            };
                         SloStatus {
                             name: o.name,
                             state,
@@ -411,15 +408,25 @@ mod tests {
     fn instant_objective_judges_rollup_counts() {
         let monitor = SloMonitor::new(vec![objective(Source::Instant)]);
         let ws = WindowSet::new(INTERVAL, 4);
-        let eval = |counts| {
-            monitor.evaluate(0, &ws, &[("test", counts)], None)[0].clone()
-        };
-        let ok = eval(InstantCounts { good: 6, warn: 0, bad: 0 });
+        let eval = |counts| monitor.evaluate(0, &ws, &[("test", counts)], None)[0].clone();
+        let ok = eval(InstantCounts {
+            good: 6,
+            warn: 0,
+            bad: 0,
+        });
         assert_eq!(ok.state, SloState::Ok);
-        let warn = eval(InstantCounts { good: 5, warn: 1, bad: 0 });
+        let warn = eval(InstantCounts {
+            good: 5,
+            warn: 1,
+            bad: 0,
+        });
         assert_eq!(warn.state, SloState::Warn);
         // 1 of 6 unavailable blows a 1% budget instantly.
-        let breach = eval(InstantCounts { good: 5, warn: 0, bad: 1 });
+        let breach = eval(InstantCounts {
+            good: 5,
+            warn: 0,
+            bad: 1,
+        });
         assert_eq!(breach.state, SloState::Breach);
         assert_eq!(breach.fast_total, 6);
     }
@@ -429,8 +436,16 @@ mod tests {
         let log = EventLog::new(16);
         let monitor = SloMonitor::new(vec![objective(Source::Instant)]);
         let ws = WindowSet::new(INTERVAL, 4);
-        let bad = InstantCounts { good: 0, warn: 0, bad: 4 };
-        let good = InstantCounts { good: 4, warn: 0, bad: 0 };
+        let bad = InstantCounts {
+            good: 0,
+            warn: 0,
+            bad: 4,
+        };
+        let good = InstantCounts {
+            good: 4,
+            warn: 0,
+            bad: 0,
+        };
         monitor.evaluate(100, &ws, &[("test", bad)], Some(&log));
         monitor.evaluate(200, &ws, &[("test", bad)], Some(&log));
         monitor.evaluate(300, &ws, &[("test", good)], Some(&log));
@@ -440,9 +455,7 @@ mod tests {
         assert_eq!(snap[0].now, 100);
         assert_eq!(snap[1].level, Level::Info);
         assert_eq!(snap[1].now, 300);
-        assert!(snap[1]
-            .fields
-            .contains(&("from", "breach".to_string())));
+        assert!(snap[1].fields.contains(&("from", "breach".to_string())));
         assert!(snap[1].fields.contains(&("to", "ok".to_string())));
     }
 
@@ -467,26 +480,24 @@ mod tests {
                 ..objective(Source::Instant)
             },
         ]);
-        let bad = InstantCounts { good: 0, warn: 0, bad: 4 };
-        monitor.evaluate_with_exemplar(
-            100,
-            &ws,
-            &[("instant", bad)],
-            Some(&log),
-            0xABCD,
-        );
+        let bad = InstantCounts {
+            good: 0,
+            warn: 0,
+            bad: 4,
+        };
+        monitor.evaluate_with_exemplar(100, &ws, &[("instant", bad)], Some(&log), 0xABCD);
         let snap = log.snapshot();
         assert_eq!(snap.len(), 2, "both objectives breached: {snap:?}");
-        let latency = snap.iter().find(|e| {
-            e.fields.contains(&("slo", "test".to_string()))
-        });
+        let latency = snap
+            .iter()
+            .find(|e| e.fields.contains(&("slo", "test".to_string())));
         assert!(latency
             .expect("latency transition")
             .fields
             .contains(&("trace", "000000000000abcd".to_string())));
-        let instant = snap.iter().find(|e| {
-            e.fields.contains(&("slo", "instant".to_string()))
-        });
+        let instant = snap
+            .iter()
+            .find(|e| e.fields.contains(&("slo", "instant".to_string())));
         assert!(
             !instant
                 .expect("instant transition")

@@ -232,7 +232,11 @@ mod tests {
 
     fn sums(tracer: &Tracer, stage: &'static str) -> (u64, u64, u64) {
         let stats = tracer.stage_stats(stage);
-        (stats.total.count(), stats.total.sum_ns(), stats.self_time.sum_ns())
+        (
+            stats.total.count(),
+            stats.total.sum_ns(),
+            stats.self_time.sum_ns(),
+        )
     }
 
     #[test]

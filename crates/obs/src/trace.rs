@@ -260,12 +260,10 @@ impl SlowestTraceCell {
     pub fn offer(&self, ns: u64, trace_id: u64) {
         let mut cur = self.max_ns.load(Ordering::Relaxed);
         while ns > cur {
-            match self.max_ns.compare_exchange_weak(
-                cur,
-                ns,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
+            match self
+                .max_ns
+                .compare_exchange_weak(cur, ns, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => {
                     self.trace_id.store(trace_id, Ordering::Relaxed);
                     return;
@@ -305,11 +303,11 @@ mod tests {
         for bad in [
             "",
             "xyz",
-            "00ab-00cd-0",                       // missing field
-            "00ab-00cd-00ef-0-extra",            // extra field
-            "zzzz-00cd-00ef-0",                  // non-hex
-            "00ab-00cd-00ef-notanumber",         // non-numeric hop
-            "0000000000000000-00cd-00ef-0",      // zero trace id
+            "00ab-00cd-0",                  // missing field
+            "00ab-00cd-00ef-0-extra",       // extra field
+            "zzzz-00cd-00ef-0",             // non-hex
+            "00ab-00cd-00ef-notanumber",    // non-numeric hop
+            "0000000000000000-00cd-00ef-0", // zero trace id
         ] {
             assert_eq!(TraceContext::parse(bad), None, "accepted {bad:?}");
         }

@@ -290,7 +290,11 @@ mod tests {
         // Jump far ahead: the busy interval is long outside any window.
         ws.advance(100 * INTERVAL);
         assert_eq!(ws.counter_window("reqs", 4), Some(0));
-        assert_eq!(ws.counter_window("reqs", 200), Some(9), "huge window sees it");
+        assert_eq!(
+            ws.counter_window("reqs", 200),
+            Some(9),
+            "huge window sees it"
+        );
     }
 
     #[test]
@@ -309,7 +313,11 @@ mod tests {
                 }
             }
             let w = ws.hist_window("lat", 4).unwrap();
-            (w.count(), w.count_under_ns(1 << 11), ws.counter_window("bad", 4))
+            (
+                w.count(),
+                w.count_under_ns(1 << 11),
+                ws.counter_window("bad", 4),
+            )
         };
         assert_eq!(drive(), drive());
     }

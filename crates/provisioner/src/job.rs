@@ -109,6 +109,9 @@ mod tests {
         let cat = Catalog::standard();
         let types = suitable_types(cat, &profile(Family::Memory, 2, 10.0));
         let first = cat.spec(types[0]).name;
-        assert!(first.starts_with("r4.") || first.starts_with("r3."), "{first}");
+        assert!(
+            first.starts_with("r4.") || first.starts_with("r3."),
+            "{first}"
+        );
     }
 }

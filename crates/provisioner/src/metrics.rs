@@ -54,10 +54,19 @@ impl ReplayMetrics {
     pub fn export_to(&self, registry: &obs::Registry) {
         for (name, value) in [
             ("drafts_replay_requeues_total", self.requeues),
-            ("drafts_replay_capacity_failures_total", self.capacity_failures),
-            ("drafts_replay_throttle_failures_total", self.throttle_failures),
+            (
+                "drafts_replay_capacity_failures_total",
+                self.capacity_failures,
+            ),
+            (
+                "drafts_replay_throttle_failures_total",
+                self.throttle_failures,
+            ),
             ("drafts_replay_deadline_misses_total", self.deadline_misses),
-            ("drafts_replay_strategy_switches_total", self.strategy_switches),
+            (
+                "drafts_replay_strategy_switches_total",
+                self.strategy_switches,
+            ),
         ] {
             let counter = obs::Counter::new();
             counter.add(value);

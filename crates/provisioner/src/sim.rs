@@ -238,8 +238,8 @@ impl Replay {
                                     _ => {}
                                 }
                                 let shift = fault_attempts[ji].min(16);
-                                let delay = (cfg.scan_interval << shift)
-                                    .min(cfg.max_launch_backoff);
+                                let delay =
+                                    (cfg.scan_interval << shift).min(cfg.max_launch_backoff);
                                 not_before[ji] = t + delay;
                                 fault_attempts[ji] += 1;
                             }
@@ -257,9 +257,8 @@ impl Replay {
             queue = still_queued;
 
             // 5. Idle releases (and full drain once the workload is done).
-            let drained = next_job == jobs.len()
-                && queue.is_empty()
-                && pool.iter().all(|e| e.is_idle());
+            let drained =
+                next_job == jobs.len() && queue.is_empty() && pool.iter().all(|e| e.is_idle());
             let releases = if drained {
                 pool.iter().map(|e| e.id).collect()
             } else {
@@ -320,9 +319,7 @@ impl Replay {
             // The market has rejected this job repeatedly: escalate to
             // 1.5x the current price (capped by worst-case On-demand x2).
             if let Some(price) = sim.price_at(plan.combo, t) {
-                let od = self
-                    .catalog
-                    .od_price(plan.combo.ty, plan.combo.az.region());
+                let od = self.catalog.od_price(plan.combo.ty, plan.combo.az.region());
                 plan.bid = price.scale(1.5).min(od.scale(2.0)).max(plan.bid) + Price::TICK;
             }
         }

@@ -30,9 +30,7 @@ use spotmarket::faults::ShardFaults;
 use spotmarket::lifecycle::{InstanceId, InstanceState, TerminationReason};
 use spotmarket::simulator::{LaunchError, SpotSimulator};
 use spotmarket::tracegen::TraceConfig;
-use spotmarket::{
-    Combo, FaultPlan, FaultyFeed, Price, DAY, HOUR, MINUTE, UPDATE_PERIOD,
-};
+use spotmarket::{Combo, FaultPlan, FaultyFeed, Price, DAY, HOUR, MINUTE, UPDATE_PERIOD};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use strategy::{Action, JobState, MarketTick, PriceQuantiles, ResourceKind, SpotPlan, Strategy};
@@ -156,7 +154,11 @@ impl QuantileCache {
         }
         let mut vals: Vec<u64> = series.values()[lo..hi].to_vec();
         vals.sort_unstable();
-        let q = |p: u64| Some(Price::from_ticks(vals[((vals.len() - 1) as u64 * p / 100) as usize]));
+        let q = |p: u64| {
+            Some(Price::from_ticks(
+                vals[((vals.len() - 1) as u64 * p / 100) as usize],
+            ))
+        };
         PriceQuantiles {
             q50: q(50),
             q75: q(75),
@@ -202,10 +204,9 @@ impl StrategyReplay {
             for combo in self.catalog.combos_in_az(az) {
                 let history = sim.history(combo).clone();
                 match &cfg.feed_faults {
-                    Some(plan) => service.register_feed(Arc::new(FaultyFeed::new(
-                        Arc::new(history),
-                        *plan,
-                    ))),
+                    Some(plan) => {
+                        service.register_feed(Arc::new(FaultyFeed::new(Arc::new(history), *plan)))
+                    }
                     None => service.register(history),
                 }
             }
@@ -464,7 +465,10 @@ impl StrategyReplay {
                 break;
             }
             t += base.scan_interval;
-            assert!(t < convergence, "strategy replay failed to converge within 7 days");
+            assert!(
+                t < convergence,
+                "strategy replay failed to converge within 7 days"
+            );
         }
 
         out.metrics.makespan = last_completion - base.replay_start;
@@ -489,7 +493,8 @@ impl StrategyReplay {
         // routing to it).
         let gate = |combo: Combo| {
             !matches!(
-                cfg.shard_faults.active((combo.key() % shards as u64) as usize, t),
+                cfg.shard_faults
+                    .active((combo.key() % shards as u64) as usize, t),
                 Some(
                     spotmarket::faults::ShardFaultKind::Kill
                         | spotmarket::faults::ShardFaultKind::Hang

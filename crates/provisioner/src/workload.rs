@@ -139,7 +139,9 @@ mod tests {
         let jobs = gen(1);
         assert_eq!(jobs.len(), 1000);
         assert!(jobs.iter().all(|j| j.submit_offset <= 12_000));
-        assert!(jobs.windows(2).all(|w| w[0].submit_offset <= w[1].submit_offset));
+        assert!(jobs
+            .windows(2)
+            .all(|w| w[0].submit_offset <= w[1].submit_offset));
         assert!(jobs.iter().map(|j| j.id).eq(0..1000));
     }
 
@@ -149,7 +151,10 @@ mod tests {
         let long = jobs.iter().filter(|j| j.runtime > 3600).count();
         let frac = long as f64 / jobs.len() as f64;
         assert!(frac > 0.0, "some long jobs must exist");
-        assert!(frac < 0.15, "paper: few jobs last longer than one hour, got {frac}");
+        assert!(
+            frac < 0.15,
+            "paper: few jobs last longer than one hour, got {frac}"
+        );
     }
 
     #[test]
@@ -184,7 +189,10 @@ mod tests {
             .windows(2)
             .filter(|w| w[0].submit_offset == w[1].submit_offset)
             .count();
-        assert!(simultaneous > 100, "workflow bursts expected, got {simultaneous}");
+        assert!(
+            simultaneous > 100,
+            "workflow bursts expected, got {simultaneous}"
+        );
     }
 
     #[test]

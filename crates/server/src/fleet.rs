@@ -458,7 +458,9 @@ impl FrontRouter {
 
     /// Drops the parked connections to a shard and refuses re-parking.
     pub fn close_pool(&self, shard: usize) {
-        self.shards[shard].pool_closed.store(true, Ordering::Release);
+        self.shards[shard]
+            .pool_closed
+            .store(true, Ordering::Release);
         lock_clean(&self.shards[shard].pool).clear();
     }
 
@@ -505,9 +507,7 @@ impl FrontRouter {
     /// shard's real `/v1/health` answers.
     fn probe(&self, shard: usize, t: u64) -> ProbeOutcome {
         match self.cfg.faults.active(shard, t) {
-            Some(ShardFaultKind::Kill) | Some(ShardFaultKind::Hang) => {
-                return ProbeOutcome::Fail
-            }
+            Some(ShardFaultKind::Kill) | Some(ShardFaultKind::Hang) => return ProbeOutcome::Fail,
             Some(ShardFaultKind::Slow) => return ProbeOutcome::Degraded,
             None => {}
         }
@@ -862,9 +862,8 @@ impl FrontRouter {
                 continue; // the primary's own answer covers this combo
             }
             let off_owner = shard != primary;
-            let degraded = wire.degraded
-                || off_owner
-                || self.shard_state(shard, now) == ShardState::Degraded;
+            let degraded =
+                wire.degraded || off_owner || self.shard_state(shard, now) == ShardState::Degraded;
             let candidate = BidCandidate {
                 shard,
                 off_owner,
@@ -902,9 +901,7 @@ impl FrontRouter {
             None => match fallback {
                 // Uniform non-200 (e.g. 404 "no market guarantees"):
                 // relay the first shard's verdict verbatim.
-                Some((status, body, shard)) => {
-                    self.decorate(shard, false, false, status, body)
-                }
+                Some((status, body, shard)) => self.decorate(shard, false, false, status, body),
                 None => self.refuse("every routable shard failed"),
             },
         }
@@ -1091,8 +1088,7 @@ struct BidCandidate {
 /// Winner order: guaranteed beats degraded, then cheapest bid, then the
 /// lowest combo key and shard index as deterministic tie-breaks.
 fn better_bid(a: &BidCandidate, b: &BidCandidate) -> bool {
-    (a.degraded, a.bid_usd, a.key, a.shard)
-        .partial_cmp(&(b.degraded, b.bid_usd, b.key, b.shard))
+    (a.degraded, a.bid_usd, a.key, a.shard).partial_cmp(&(b.degraded, b.bid_usd, b.key, b.shard))
         == Some(std::cmp::Ordering::Less)
 }
 
@@ -1185,8 +1181,9 @@ impl FrontRouter {
     /// objectives evaluate over its windowed metrics only (it owns no
     /// feeds, so the instant freshness objective reads an empty rollup).
     fn fleet_slo(&self, now: u64, metrics: &Metrics) -> Response {
-        let statuses =
-            metrics.slo().evaluate(now, metrics.windows(), &[], metrics.events());
+        let statuses = metrics
+            .slo()
+            .evaluate(now, metrics.windows(), &[], metrics.events());
         let mut instances = vec![Json::obj(vec![
             ("instance", Json::str("front")),
             ("slo", crate::wire::slo_json(now, &statuses)),
@@ -1301,8 +1298,7 @@ impl Handler for FrontRouter {
     }
 
     fn on_boot(&self, metrics: &Metrics) {
-        let instances: Vec<String> =
-            self.shards.iter().map(|s| s.instance.clone()).collect();
+        let instances: Vec<String> = self.shards.iter().map(|s| s.instance.clone()).collect();
         self.counters.register(metrics.registry(), &instances);
     }
 }
@@ -1344,8 +1340,7 @@ impl Fleet {
         let mut addrs = Vec::with_capacity(cfg.shards);
         for (i, service) in services.into_iter().enumerate() {
             combos.extend(service.combos());
-            let mut router = Router::new(service, default_now)
-                .with_instance(format!("shard-{i}"));
+            let mut router = Router::new(service, default_now).with_instance(format!("shard-{i}"));
             if cfg.debug_routes {
                 router = router.with_debug_routes();
             }
@@ -1353,12 +1348,7 @@ impl Fleet {
             addrs.push(server.addr());
             shard_servers.push(Some(server));
         }
-        let router = Arc::new(FrontRouter::new(
-            cfg.clone(),
-            addrs,
-            combos,
-            default_now,
-        ));
+        let router = Arc::new(FrontRouter::new(cfg.clone(), addrs, combos, default_now));
         let front = Server::start_shared(router.clone(), cfg.front_server)?;
         Ok(Fleet {
             front: Some(front),
@@ -1424,11 +1414,7 @@ impl Fleet {
     /// Drains the whole fleet, front first (so no request is in flight
     /// when the shards drain), and returns every report.
     pub fn shutdown(mut self) -> FleetDrainReport {
-        let front = self
-            .front
-            .take()
-            .expect("front running")
-            .shutdown();
+        let front = self.front.take().expect("front running").shutdown();
         let shards = self
             .shard_servers
             .iter_mut()

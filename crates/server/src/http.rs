@@ -172,7 +172,9 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
         _ => return Err(ParseError::Malformed("unsupported HTTP version")),
     };
     if !target.starts_with('/') {
-        return Err(ParseError::Malformed("request target must be absolute path"));
+        return Err(ParseError::Malformed(
+            "request target must be absolute path",
+        ));
     }
 
     let (path, query_str) = match target.split_once('?') {
@@ -201,10 +203,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
         let (name, value) = line
             .split_once(':')
             .ok_or(ParseError::Malformed("header without colon"))?;
-        headers.push((
-            name.trim().to_ascii_lowercase(),
-            value.trim().to_string(),
-        ));
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
     // Drain (and discard) any Content-Length body so the next request on
@@ -395,7 +394,10 @@ mod tests {
     #[test]
     fn eof_and_malformed_are_distinguished() {
         assert!(matches!(parse(""), Err(ParseError::Eof)));
-        assert!(matches!(parse("garbage\r\n\r\n"), Err(ParseError::Malformed(_))));
+        assert!(matches!(
+            parse("garbage\r\n\r\n"),
+            Err(ParseError::Malformed(_))
+        ));
         assert!(matches!(
             parse("GET / HTTP/2.0\r\n\r\n"),
             Err(ParseError::Malformed(_))

@@ -601,7 +601,10 @@ mod tests {
     fn renders_compact_and_ordered() {
         let j = Json::obj(vec![
             ("b", Json::num_u64(2)),
-            ("a", Json::Arr(vec![Json::Null, Json::Bool(true), Json::str("x")])),
+            (
+                "a",
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::str("x")]),
+            ),
         ]);
         assert_eq!(j.render(), r#"{"b":2,"a":[null,true,"x"]}"#);
     }

@@ -424,10 +424,7 @@ drafts_degraded_quotes_total 0
     #[test]
     fn second_layer_metrics_append_after_the_legacy_families() {
         let text = Metrics::new().render_text();
-        for needle in [
-            "drafts_quotes_total 0",
-            "drafts_request_latency_ns_count 0",
-        ] {
+        for needle in ["drafts_quotes_total 0", "drafts_request_latency_ns_count 0"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
         let replay = text.find("drafts_replay_requeues_total").unwrap();
@@ -453,7 +450,10 @@ drafts_degraded_quotes_total 0
         assert_eq!(m.windows().counter_window("degraded", 1), Some(1));
         m.request_latency.record_ns(1_000);
         assert_eq!(
-            m.windows().hist_window("request_latency", 1).unwrap().count(),
+            m.windows()
+                .hist_window("request_latency", 1)
+                .unwrap()
+                .count(),
             1
         );
     }

@@ -189,8 +189,7 @@ impl Router {
         if records.is_empty() {
             return Response::error(404, "no records for this trace");
         }
-        let entries: Vec<wire::TraceEntry> =
-            records.iter().map(wire::TraceEntry::of).collect();
+        let entries: Vec<wire::TraceEntry> = records.iter().map(wire::TraceEntry::of).collect();
         Response::json(200, wire::trace_timeline_json(trace_id, &entries).render())
     }
 
@@ -273,9 +272,7 @@ impl Router {
                 }
                 match response.graphs.at_probability(p) {
                     Some(g) => vec![g],
-                    None => {
-                        return Response::error(404, "probability level not published")
-                    }
+                    None => return Response::error(404, "probability level not published"),
                 }
             }
         };
@@ -417,10 +414,7 @@ pub(crate) fn bid_query(req: &Request) -> Result<(u64, Option<f64>), Response> {
 /// Parses `/v1/graphs/{region}/{az}/{type}` into a [`Combo`], with the
 /// route's 400/404 distinctions. Shared by [`Router`] and the fleet
 /// front (which must resolve the owning shard before proxying).
-pub(crate) fn parse_graphs_path(
-    catalog: &'static Catalog,
-    path: &str,
-) -> Result<Combo, Response> {
+pub(crate) fn parse_graphs_path(catalog: &'static Catalog, path: &str) -> Result<Combo, Response> {
     let mut segments = path["/v1/graphs/".len()..].split('/');
     let (Some(region), Some(az), Some(ty), None) = (
         segments.next(),
@@ -428,7 +422,10 @@ pub(crate) fn parse_graphs_path(
         segments.next(),
         segments.next(),
     ) else {
-        return Err(Response::error(400, "expected /v1/graphs/{region}/{az}/{type}"));
+        return Err(Response::error(
+            400,
+            "expected /v1/graphs/{region}/{az}/{type}",
+        ));
     };
     let Some(az) = Az::parse(az) else {
         return Err(Response::error(404, "unknown availability zone"));
@@ -478,8 +475,7 @@ mod tests {
 
     fn get(router: &Router, target: &str) -> (u16, Json) {
         let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
-        let req = crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes()))
-            .unwrap();
+        let req = crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes())).unwrap();
         let metrics = Metrics::new();
         let resp = router.handle(&req, &metrics);
         let body = String::from_utf8(resp.body.clone()).unwrap();
@@ -502,13 +498,17 @@ mod tests {
         // only 0.95 compiles; 0.99 needs a longer duration series).
         let all = doc.get("graphs").unwrap().as_arr().unwrap().len();
         assert!(all >= 1, "no graphs published");
-        let (status, doc) =
-            get(&r, "/v1/graphs/us-east-1/us-east-1c/c3.4xlarge?p=0.95");
+        let (status, doc) = get(&r, "/v1/graphs/us-east-1/us-east-1c/c3.4xlarge?p=0.95");
         assert_eq!(status, 200);
         let graphs = doc.get("graphs").unwrap().as_arr().unwrap();
         assert_eq!(graphs.len(), 1, "p filter selects exactly one level");
         assert_eq!(graphs[0].get("p").unwrap().as_f64(), Some(0.95));
-        assert!(!graphs[0].get("points").unwrap().as_arr().unwrap().is_empty());
+        assert!(!graphs[0]
+            .get("points")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -594,16 +594,14 @@ mod tests {
     fn non_get_methods_are_rejected() {
         let r = router();
         let raw = "POST /v1/bid?duration=3600 HTTP/1.1\r\n\r\n";
-        let req = crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes()))
-            .unwrap();
+        let req = crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes())).unwrap();
         let resp = r.handle(&req, &Metrics::new());
         assert_eq!(resp.status, 405);
     }
 
     fn get_with(router: &Router, metrics: &Metrics, target: &str) -> (u16, String) {
         let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
-        let req = crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes()))
-            .unwrap();
+        let req = crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes())).unwrap();
         let resp = router.handle(&req, metrics);
         (resp.status, String::from_utf8(resp.body.clone()).unwrap())
     }
@@ -644,8 +642,7 @@ mod tests {
         // must drive the bid_degraded window.
         let metrics = Metrics::with_logs(16, 0);
         let now = 40 * DAY;
-        let (status, _) =
-            get_with(&r, &metrics, &format!("/v1/bid?duration=3600&now={now}"));
+        let (status, _) = get_with(&r, &metrics, &format!("/v1/bid?duration=3600&now={now}"));
         assert_eq!(status, 200);
         assert_eq!(metrics.quotes_total.get(), 1);
         assert_eq!(metrics.degraded_quotes.get(), 1);
@@ -673,7 +670,12 @@ mod tests {
         // Ring on: the dump renders virtual-time events oldest first.
         let metrics = Metrics::with_logs(8, 0);
         let log = metrics.events().unwrap();
-        log.emit(900, obs::Level::Info, "snapshot_swap", vec![("shard", "3".into())]);
+        log.emit(
+            900,
+            obs::Level::Info,
+            "snapshot_swap",
+            vec![("shard", "3".into())],
+        );
         log.emit(1800, obs::Level::Warn, "shed", vec![]);
         let (status, body) = get_with(&r, &metrics, "/v1/_debug/events?n=1");
         assert_eq!(status, 200);
@@ -694,8 +696,7 @@ mod tests {
     }
 
     fn send(router: &Router, metrics: &Metrics, raw: &str) -> crate::http::Response {
-        let req = crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes()))
-            .unwrap();
+        let req = crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes())).unwrap();
         router.handle(&req, metrics)
     }
 
@@ -756,9 +757,15 @@ mod tests {
     fn timeline_route_reconstructs_recorded_hops() {
         let r = router().with_debug_routes();
         // Ring off: explicit 404.
-        let resp = send(&r, &Metrics::new(), "GET /v1/_debug/trace/ab HTTP/1.1\r\n\r\n");
+        let resp = send(
+            &r,
+            &Metrics::new(),
+            "GET /v1/_debug/trace/ab HTTP/1.1\r\n\r\n",
+        );
         assert_eq!(resp.status, 404);
-        assert!(String::from_utf8(resp.body).unwrap().contains("trace log disabled"));
+        assert!(String::from_utf8(resp.body)
+            .unwrap()
+            .contains("trace log disabled"));
         // Ring on: core-route requests record; the timeline renders them.
         let m = Metrics::with_logs(0, 64);
         let sent = obs::TraceContext::root(0xF00D);
@@ -767,14 +774,16 @@ mod tests {
             sent.encode()
         );
         assert_eq!(send(&r, &m, &raw).status, 200);
-        let (status, body) =
-            get_with(&r, &m, &format!("/v1/_debug/trace/{:x}", sent.trace_id));
+        let (status, body) = get_with(&r, &m, &format!("/v1/_debug/trace/{:x}", sent.trace_id));
         assert_eq!(status, 200);
         let doc = Json::parse(&body).unwrap();
         assert_eq!(doc.get("trace").unwrap().as_str(), Some("000000000000f00d"));
         let records = doc.get("records").unwrap().as_arr().unwrap();
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].get("stage").unwrap().as_str(), Some("http_health"));
+        assert_eq!(
+            records[0].get("stage").unwrap().as_str(),
+            Some("http_health")
+        );
         assert_eq!(records[0].get("status").unwrap().as_u64(), Some(200));
         assert_eq!(records[0].get("now").unwrap().as_u64(), Some(20 * DAY));
         // Two reads render byte-identically (reads don't grow the ring).
@@ -836,8 +845,7 @@ mod tests {
         // At now=10 only the trace's first point exists: the service
         // serves, but no graph can compile yet. At the day-20 default the
         // graphs are there — so `?now=` demonstrably reaches the service.
-        let (status, doc) =
-            get(&r, "/v1/graphs/us-east-1/us-east-1c/c3.4xlarge?now=10");
+        let (status, doc) = get(&r, "/v1/graphs/us-east-1/us-east-1c/c3.4xlarge?now=10");
         assert_eq!(status, 200);
         assert!(doc.get("graphs").unwrap().as_arr().unwrap().is_empty());
         let target = format!(

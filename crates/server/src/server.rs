@@ -371,10 +371,7 @@ fn shed(conn: TcpStream, shared: &Shared) {
             shared.handler.default_now(),
             Level::Warn,
             "shed",
-            vec![(
-                "retry_after_secs",
-                shared.cfg.retry_after_secs.to_string(),
-            )],
+            vec![("retry_after_secs", shared.cfg.retry_after_secs.to_string())],
         );
     }
     let _ = conn.set_write_timeout(Some(shared.cfg.connection_deadline));
@@ -422,19 +419,11 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
             Err(ParseError::Eof) => return,
             Err(ParseError::Io(_)) => return, // deadline or torn transport
             Err(ParseError::Malformed(msg)) => {
-                let _ = http::write_response(
-                    &mut writer,
-                    &Response::error(400, msg),
-                    false,
-                );
+                let _ = http::write_response(&mut writer, &Response::error(400, msg), false);
                 return;
             }
             Err(ParseError::TooLarge(msg)) => {
-                let _ = http::write_response(
-                    &mut writer,
-                    &Response::error(413, msg),
-                    false,
-                );
+                let _ = http::write_response(&mut writer, &Response::error(413, msg), false);
                 return;
             }
         };
@@ -454,16 +443,18 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
             .find(|(k, _)| *k == obs::TRACE_HEADER)
         {
             if let Some(ctx) = obs::TraceContext::parse(enc) {
-                shared.metrics.slowest_trace().offer(elapsed_ns, ctx.trace_id);
+                shared
+                    .metrics
+                    .slowest_trace()
+                    .offer(elapsed_ns, ctx.trace_id);
             }
         }
         shared.metrics.count_status(resp.status);
         // Close after this response if the client asked, the per-conn
         // request budget is spent, or a drain has begun.
         let draining = shared.draining.load(Ordering::Acquire);
-        let keep_alive = req.keep_alive
-            && served + 1 < shared.cfg.max_requests_per_conn
-            && !draining;
+        let keep_alive =
+            req.keep_alive && served + 1 < shared.cfg.max_requests_per_conn && !draining;
         if http::write_response(&mut writer, &resp, keep_alive).is_err() || !keep_alive {
             return;
         }

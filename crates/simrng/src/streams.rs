@@ -7,7 +7,7 @@
 //! `("us-east-1a", "c4.large")` always receives the same stream regardless of
 //! what else the experiment does.
 
-use crate::{SeedableFrom, SplitMix64, Rng, Xoshiro256pp};
+use crate::{Rng, SeedableFrom, SplitMix64, Xoshiro256pp};
 
 /// Derives independent named random streams from a single root seed.
 #[derive(Debug, Clone, Copy)]
@@ -107,9 +107,6 @@ mod tests {
     #[test]
     fn stream_named_is_index_zero() {
         let f = StreamFactory::new(9);
-        assert_eq!(
-            f.stream_named("x").next_u64(),
-            f.stream("x", 0).next_u64()
-        );
+        assert_eq!(f.stream_named("x").next_u64(), f.stream("x", 0).next_u64());
     }
 }

@@ -178,8 +178,7 @@ mod tests {
         let mut m = AgentMarket::new(od(), AgentConfig::default(), rng(1));
         let series = m.run(0, 2000);
         assert_eq!(series.len(), 2000);
-        let distinct: std::collections::HashSet<u64> =
-            series.values().iter().copied().collect();
+        let distinct: std::collections::HashSet<u64> = series.values().iter().copied().collect();
         assert!(distinct.len() > 10, "price must actually move");
         // Prices bounded below by the reserve.
         let reserve = od().scale(AgentConfig::default().reserve_frac).ticks();

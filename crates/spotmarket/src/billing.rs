@@ -68,10 +68,7 @@ mod tests {
 
     fn flat_history(tick_price: u64) -> PriceHistory {
         let series: TimeSeries = (0..200u64).map(|i| (i * 300, tick_price)).collect();
-        PriceHistory::new(
-            Combo::new(Az::new(Region::UsWest2, 0), TypeId(0)),
-            series,
-        )
+        PriceHistory::new(Combo::new(Az::new(Region::UsWest2, 0), TypeId(0)), series)
     }
 
     #[test]
@@ -111,10 +108,7 @@ mod tests {
     fn cost_tracks_price_changes_at_hour_starts() {
         // Price doubles at t = 3600.
         let series: TimeSeries = vec![(0u64, 100u64), (3600, 200)].into_iter().collect();
-        let h = PriceHistory::new(
-            Combo::new(Az::new(Region::UsWest2, 0), TypeId(0)),
-            series,
-        );
+        let h = PriceHistory::new(Combo::new(Az::new(Region::UsWest2, 0), TypeId(0)), series);
         let c = instance_cost(&h, 0, 2 * 3600, EndReason::User);
         assert_eq!(c, Price::from_ticks(300), "100 for hour 1, 200 for hour 2");
     }
@@ -122,10 +116,7 @@ mod tests {
     #[test]
     fn mid_hour_launch_uses_price_in_effect() {
         let series: TimeSeries = vec![(0u64, 100u64), (4000, 500)].into_iter().collect();
-        let h = PriceHistory::new(
-            Combo::new(Az::new(Region::UsWest2, 0), TypeId(0)),
-            series,
-        );
+        let h = PriceHistory::new(Combo::new(Az::new(Region::UsWest2, 0), TypeId(0)), series);
         // Launch at t=1800: hour starts at 1800 (price 100) and 5400 (500).
         let c = instance_cost(&h, 1800, 2 * 3600, EndReason::User);
         assert_eq!(c, Price::from_ticks(600));
@@ -148,9 +139,6 @@ mod tests {
             worst_case_cost(bid, 9000, EndReason::User),
             Price::from_dollars(1.5)
         );
-        assert_eq!(
-            worst_case_cost(bid, 1800, EndReason::Price),
-            Price::ZERO
-        );
+        assert_eq!(worst_case_cost(bid, 1800, EndReason::Price), Price::ZERO);
     }
 }

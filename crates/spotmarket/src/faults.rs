@@ -275,8 +275,7 @@ impl FaultyFeed {
         let factory = StreamFactory::new(plan.seed);
         let faults = FaultCounters::default();
         let outages = Self::sample_outages(&truth, &plan, &factory, combo);
-        let events =
-            Self::sample_deliveries(&truth, &plan, &factory, combo, &outages, &faults);
+        let events = Self::sample_deliveries(&truth, &plan, &factory, combo, &outages, &faults);
 
         // The eventually-delivered series: every delivered timestamp once,
         // in time order (duplicates carry identical ticks, so keep-first).
@@ -948,7 +947,10 @@ mod tests {
         let &(s, e) = &feed.outages()[0];
         assert!(s < e);
         let mid = s + (e - s) / 2;
-        assert_eq!(feed.poll(mid, 0).err(), Some(FeedError::Outage { until: e }));
+        assert_eq!(
+            feed.poll(mid, 0).err(),
+            Some(FeedError::Outage { until: e })
+        );
         assert_eq!(feed.outage_at(mid), Some(e));
         assert_eq!(feed.outage_at(e), None, "window end is exclusive");
         // Nothing published inside the window becomes visible before it
@@ -971,10 +973,7 @@ mod tests {
         // Duplicates re-deliver existing updates; the assembled series is
         // still exactly the truth.
         assert_eq!(feed.delivered().series().times(), truth.series().times());
-        assert_eq!(
-            feed.delivered().series().values(),
-            truth.series().values()
-        );
+        assert_eq!(feed.delivered().series().values(), truth.series().values());
         let snap = feed.poll(9 * DAY, 0).unwrap();
         let upto = truth.series().index_at(9 * DAY).unwrap();
         assert_eq!(snap.series().times(), &truth.series().times()[..=upto]);
@@ -997,7 +996,10 @@ mod tests {
                     Ok(_) => ok += 1,
                     Err(e) => panic!("unexpected {e:?}"),
                 }
-                assert_eq!(feed.poll(now, attempt).is_ok(), feed.poll(now, attempt).is_ok());
+                assert_eq!(
+                    feed.poll(now, attempt).is_ok(),
+                    feed.poll(now, attempt).is_ok()
+                );
             }
         }
         assert!(throttled > 0 && ok > 0);
@@ -1017,11 +1019,7 @@ mod tests {
                 if !snap.is_empty() {
                     assert!(snap.time(snap.len() - 1) <= t);
                 }
-                assert!(snap
-                    .series()
-                    .values()
-                    .iter()
-                    .all(|&v| v > 0));
+                assert!(snap.series().values().iter().all(|&v| v > 0));
             }
         }
     }

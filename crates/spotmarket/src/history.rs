@@ -134,7 +134,11 @@ impl PriceHistory {
 
     /// Smallest observed price.
     pub fn min_price(&self) -> Option<Price> {
-        self.series.values().iter().min().map(|&v| Price::from_ticks(v))
+        self.series
+            .values()
+            .iter()
+            .min()
+            .map(|&v| Price::from_ticks(v))
     }
 
     /// First update index `>= from` whose price is `>= bid`, in O(log n).
@@ -153,7 +157,14 @@ impl PriceHistory {
             .filter(|&i| i < n)
     }
 
-    fn descend(&self, node: usize, lo: usize, hi: usize, from: usize, threshold: u64) -> Option<usize> {
+    fn descend(
+        &self,
+        node: usize,
+        lo: usize,
+        hi: usize,
+        from: usize,
+        threshold: u64,
+    ) -> Option<usize> {
         if hi <= from || self.tree[node] < threshold {
             return None;
         }
@@ -180,11 +191,7 @@ impl PriceHistory {
                 at: self.series.times()[i],
             },
             None => Survival::Censored {
-                until: *self
-                    .series
-                    .times()
-                    .last()
-                    .expect("non-empty by index_at"),
+                until: *self.series.times().last().expect("non-empty by index_at"),
             },
         }
     }
@@ -237,9 +244,7 @@ mod tests {
     fn first_at_or_after_matches_linear_scan() {
         use simrng::{Rng, SeedableFrom, Xoshiro256pp};
         let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let pts: Vec<(u64, u64)> = (0..1000)
-            .map(|i| (i * 300, rng.next_below(5000)))
-            .collect();
+        let pts: Vec<(u64, u64)> = (0..1000).map(|i| (i * 300, rng.next_below(5000))).collect();
         let h = history(&pts);
         for _ in 0..500 {
             let from = rng.next_below(1100) as usize;

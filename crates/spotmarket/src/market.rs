@@ -337,11 +337,7 @@ mod tests {
                     // All supply is taken unless every bid fell below the
                     // final price (possible only via the reserve floor).
                     if c.price == p(10) {
-                        assert_eq!(
-                            c.allocated(),
-                            supply.min(eligible_demand),
-                            "case {case}"
-                        );
+                        assert_eq!(c.allocated(), supply.min(eligible_demand), "case {case}");
                     }
                 } else {
                     assert_eq!(

@@ -68,7 +68,10 @@ impl AzMapping {
     }
 
     fn region_idx(region: Region) -> usize {
-        Region::ALL.iter().position(|&r| r == region).expect("all regions listed")
+        Region::ALL
+            .iter()
+            .position(|&r| r == region)
+            .expect("all regions listed")
     }
 
     /// Maps an account-visible AZ to the canonical AZ.

@@ -134,12 +134,14 @@ pub fn run(cfg: &ReflexivityConfig, od: Price, mut rng: Xoshiro256pp) -> Reflexi
                 match qbets.upper_bound(cfg.quantile) {
                     Some(b) => Price::from_ticks(b) + Price::TICK,
                     // Cold start: everything seen plus a tick.
-                    None => Price::from_ticks(
-                        prices.last().copied().unwrap_or(reserve.ticks()),
-                    ) + Price::TICK,
+                    None => {
+                        Price::from_ticks(prices.last().copied().unwrap_or(reserve.ticks()))
+                            + Price::TICK
+                    }
                 }
             } else {
-                od.scale(bid_dist.sample(&mut rng).min(12.0)).max(Price::TICK)
+                od.scale(bid_dist.sample(&mut rng).min(12.0))
+                    .max(Price::TICK)
             };
             let qty = 1 + qty_dist.sample(&mut rng);
             let life = lifetime.sample(&mut rng).ceil().max(1.0) as u64;
@@ -162,9 +164,7 @@ pub fn run(cfg: &ReflexivityConfig, od: Price, mut rng: Xoshiro256pp) -> Reflexi
         if tick > cfg.warmup {
             prices.push(clearing.price.ticks());
             for id in &clearing.outbid {
-                if let Some(&(_, _, is_drafts)) =
-                    live.iter().find(|(lid, _, _)| lid == id)
-                {
+                if let Some(&(_, _, is_drafts)) = live.iter().find(|(lid, _, _)| lid == id) {
                     revoked[is_drafts as usize] += 1;
                 }
             }
@@ -217,22 +217,14 @@ mod tests {
     /// Individual runs are chaotic (one supply shock reshapes a whole
     /// window); regime claims are made about seed-averaged behaviour.
     fn averaged(adoption: f64) -> ReflexivityOutcome {
-        let runs: Vec<ReflexivityOutcome> =
-            (0..8).map(|s| outcome(adoption, 100 + s)).collect();
+        let runs: Vec<ReflexivityOutcome> = (0..8).map(|s| outcome(adoption, 100 + s)).collect();
         let n = runs.len() as f64;
         ReflexivityOutcome {
             adoption,
             mean_price: runs.iter().map(|o| o.mean_price).sum::<f64>() / n,
             price_cv: runs.iter().map(|o| o.price_cv).sum::<f64>() / n,
-            drafts_revocation_rate: runs
-                .iter()
-                .map(|o| o.drafts_revocation_rate)
-                .sum::<f64>()
-                / n,
-            private_revocation_rate: runs
-                .iter()
-                .map(|o| o.private_revocation_rate)
-                .sum::<f64>()
+            drafts_revocation_rate: runs.iter().map(|o| o.drafts_revocation_rate).sum::<f64>() / n,
+            private_revocation_rate: runs.iter().map(|o| o.private_revocation_rate).sum::<f64>()
                 / n,
         }
     }

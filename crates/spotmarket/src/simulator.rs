@@ -183,9 +183,7 @@ impl SpotSimulator {
         let inst = &self.instances[id.0 as usize];
         let (duration, reason) = match inst.state() {
             InstanceState::Running => (inst.runtime(now), EndReason::Running),
-            InstanceState::Terminated { at, reason } => {
-                (at - inst.launched_at, reason.billing())
-            }
+            InstanceState::Terminated { at, reason } => (at - inst.launched_at, reason.billing()),
         };
         let combo = inst.combo;
         let start = inst.launched_at;
@@ -199,9 +197,7 @@ impl SpotSimulator {
         let inst = &self.instances[id.0 as usize];
         let (duration, reason) = match inst.state() {
             InstanceState::Running => (inst.runtime(now), EndReason::Running),
-            InstanceState::Terminated { at, reason } => {
-                (at - inst.launched_at, reason.billing())
-            }
+            InstanceState::Terminated { at, reason } => (at - inst.launched_at, reason.billing()),
         };
         billing::worst_case_cost(inst.bid, duration, reason)
     }

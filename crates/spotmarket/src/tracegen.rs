@@ -128,8 +128,7 @@ pub fn generate_with_archetype(
         }
         x = level + p.phi * (x - level) + noise.sample(&mut rng);
         let diurnal = p.diurnal_amp
-            * ((std::f64::consts::TAU * (t % crate::DAY) as f64 / crate::DAY as f64) + phase)
-                .sin();
+            * ((std::f64::consts::TAU * (t % crate::DAY) as f64 / crate::DAY as f64) + phase).sin();
 
         if spike_left > 0 {
             spike_left -= 1;
@@ -140,9 +139,7 @@ pub fn generate_with_archetype(
             // Era also scales spike magnitude: early-era excursions were
             // taller, so a history's upper quantiles are dominated by old
             // spikes that the calmer evaluation era rarely revisits.
-            spike_mult = (spike_ln.sample(&mut rng) * era.powf(0.4))
-                .exp()
-                .max(1.0);
+            spike_mult = (spike_ln.sample(&mut rng) * era.powf(0.4)).exp().max(1.0);
             // Geometric holding time with the configured mean.
             spike_left = 1;
             while rng.next_bool(spike_continue) {
@@ -179,10 +176,7 @@ mod tests {
     }
 
     fn combo_named(ty: &str, az: &str) -> Combo {
-        Combo::new(
-            Az::parse(az).unwrap(),
-            catalog().type_id(ty).unwrap(),
-        )
+        Combo::new(Az::parse(az).unwrap(), catalog().type_id(ty).unwrap())
     }
 
     #[test]

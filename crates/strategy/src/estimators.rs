@@ -144,7 +144,10 @@ mod tests {
         for _ in 0..100 {
             b.observe(false);
         }
-        assert!(b.availability_bp() < 500, "evidence must wash the prior out");
+        assert!(
+            b.availability_bp() < 500,
+            "evidence must wash the prior out"
+        );
         assert_eq!(b.observations(), 100);
     }
 

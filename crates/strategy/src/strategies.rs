@@ -113,12 +113,7 @@ impl Default for EmaAvailability {
 /// The shared adaptive skeleton: panic to on-demand when the backstop
 /// fires, otherwise gamble on spot (guaranteed plan first, fallback plan
 /// second).
-fn adaptive_decide(
-    tick: &MarketTick,
-    job: &JobState,
-    avail_bp: u64,
-    panics: &mut u64,
-) -> Action {
+fn adaptive_decide(tick: &MarketTick, job: &JobState, avail_bp: u64, panics: &mut u64) -> Action {
     if job.running_on == Some(ResourceKind::OnDemand) {
         return Action::Wait;
     }

@@ -164,7 +164,19 @@ mod tests {
     #[test]
     fn inv_phi_round_trips_phi() {
         for &p in &[
-            1e-9, 1e-6, 0.001, 0.01, 0.025, 0.1, 0.5, 0.9, 0.95, 0.975, 0.99, 0.999, 1.0 - 1e-9,
+            1e-9,
+            1e-6,
+            0.001,
+            0.01,
+            0.025,
+            0.1,
+            0.5,
+            0.9,
+            0.95,
+            0.975,
+            0.99,
+            0.999,
+            1.0 - 1e-9,
         ] {
             let x = inv_phi(p);
             assert!((phi(x) - p).abs() < 1e-11, "p={p}: phi(inv)= {}", phi(x));

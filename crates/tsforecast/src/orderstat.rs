@@ -462,7 +462,9 @@ mod tests {
                 shape(t, n.right)
             )
         }
-        let values: Vec<u64> = (0..200u64).map(|i| i.wrapping_mul(0x9E3779B9) % 97).collect();
+        let values: Vec<u64> = (0..200u64)
+            .map(|i| i.wrapping_mul(0x9E3779B9) % 97)
+            .collect();
         let mut cleared = TreapMultiset::with_seed(4242);
         for v in 0..300u64 {
             cleared.insert(v); // burn through priorities before clearing
@@ -567,11 +569,7 @@ mod tests {
                         treap.insert(v);
                         oracle.insert(v);
                     } else {
-                        assert_eq!(
-                            treap.remove_one(v),
-                            oracle.remove_one(v),
-                            "case {case}"
-                        );
+                        assert_eq!(treap.remove_one(v), oracle.remove_one(v), "case {case}");
                     }
                 }
                 assert_eq!(treap.iter_sorted(), oracle.as_slice(), "case {case}");
@@ -590,8 +588,7 @@ mod tests {
             for case in 0..256u64 {
                 let mut rng = Xoshiro256pp::seed_from_u64(0xB0B ^ case);
                 let len = rng.next_below(199) as usize + 1;
-                let mut values: Vec<u64> =
-                    (0..len).map(|_| rng.next_below(1000)).collect();
+                let mut values: Vec<u64> = (0..len).map(|_| rng.next_below(1000)).collect();
                 let mut treap = TreapMultiset::new();
                 for &v in &values {
                     treap.insert(v);

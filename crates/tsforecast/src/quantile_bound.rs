@@ -298,7 +298,7 @@ mod tests {
         assert_eq!(scale_index_to_sample(7, 500, 1000), 14);
         // Rounding goes down (more extreme order statistic).
         assert_eq!(scale_index_to_sample(5, 300, 1000), 16); // 16.67 -> 16
-        // Never below 1.
+                                                             // Never below 1.
         assert_eq!(scale_index_to_sample(1, 1000, 1000), 1);
     }
 }

@@ -166,7 +166,13 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.start_time(), Some(10));
         assert_eq!(s.end_time(), Some(40));
-        assert_eq!(s.point(2), Point { time: 30, value: 95 });
+        assert_eq!(
+            s.point(2),
+            Point {
+                time: 30,
+                value: 95
+            }
+        );
     }
 
     #[test]

@@ -28,9 +28,7 @@ fn main() {
         std::process::exit(2);
     };
     let od = catalog.od_price(ty, region);
-    println!(
-        "advising on {type_name} in {region} for a {hours}-hour hold (On-demand {od}/h)\n"
-    );
+    println!("advising on {type_name} in {region} for a {hours}-hour hold (On-demand {od}/h)\n");
 
     let cfg = DraftsConfig::default();
     let now = 28 * DAY;
@@ -47,7 +45,11 @@ fn main() {
             az.name(),
             history.price_at(now).expect("inside history"),
             quote.bid,
-            if guaranteed { "guaranteed" } else { "no guarantee" },
+            if guaranteed {
+                "guaranteed"
+            } else {
+                "no guarantee"
+            },
             match choice {
                 Choice::Spot { bid } => format!(
                     "SPOT at max {} (worst case {} for {hours}h)",

@@ -25,7 +25,11 @@ fn main() {
 
     println!("account {account_seed} sees:");
     for az in Az::all() {
-        println!("  {:<13} -> really {}", az.name(), mapping.to_canonical(az).name());
+        println!(
+            "  {:<13} -> really {}",
+            az.name(),
+            mapping.to_canonical(az).name()
+        );
     }
 
     let recovered = recover_mapping(&observed, &canonical).expect("identical series match");

@@ -6,13 +6,13 @@
 use drafts::core::predictor::DraftsConfig;
 use drafts::core::service::{DraftsService, FeedHealth, ServiceConfig};
 use drafts::market::archetype::Archetype;
+use drafts::market::catalog::Family;
 use drafts::market::faults::{CleanFeed, FaultPlan, FaultyFeed, FeedError, FeedSource};
 use drafts::market::tracegen::{generate_with_archetype, TraceConfig};
+use drafts::market::Region;
 use drafts::market::{Az, Catalog, Combo, PriceHistory, DAY, HOUR};
 use drafts::platform::job::JobProfile;
 use drafts::platform::policy::{self, ProvisionerPolicy};
-use drafts::market::catalog::Family;
-use drafts::market::Region;
 use std::sync::Arc;
 
 fn combo() -> Combo {
@@ -76,7 +76,8 @@ fn hostile_feed_degrades_but_never_over_promises() {
     let a = run();
     // An intensity-1 plan must actually degrade something.
     assert!(
-        a.iter().any(|(h, _)| !h.is_guaranteed() || matches!(h, FeedHealth::Stale { .. })),
+        a.iter()
+            .any(|(h, _)| !h.is_guaranteed() || matches!(h, FeedHealth::Stale { .. })),
         "hostile plan produced a perfectly fresh feed"
     );
     // And the whole health trace replays identically from the same seed.
@@ -92,7 +93,10 @@ fn concurrent_fanout_is_single_flighted() {
     let buckets = 5u64;
     let queries: Vec<u64> = (0..40).map(|i| t0 + (i % buckets) * period + i).collect();
     let results = drafts::parallel::Pool::new(8).par_map(&queries, |&t| {
-        (t / period, svc.graphs(combo(), t).expect("graphs published"))
+        (
+            t / period,
+            svc.graphs(combo(), t).expect("graphs published"),
+        )
     });
     assert_eq!(
         svc.compute_count(),
@@ -149,7 +153,10 @@ fn fault_counters_match_the_injected_plan_totals() {
             Ok(_) => {}
         }
     }
-    assert!(outages > 0 && throttles > 0, "hostile plan must reject polls");
+    assert!(
+        outages > 0 && throttles > 0,
+        "hostile plan must reject polls"
+    );
     assert_eq!(counters.outage_polls.get(), outages);
     assert_eq!(counters.throttled_polls.get(), throttles);
 
@@ -219,9 +226,7 @@ fn transition_and_fault_events_match_an_independent_replay_of_the_plan() {
         .iter()
         .filter(|e| e.kind == "health_transition")
         .map(|e| {
-            let field = |k: &str| {
-                e.fields.iter().find(|(n, _)| *n == k).unwrap().1.clone()
-            };
+            let field = |k: &str| e.fields.iter().find(|(n, _)| *n == k).unwrap().1.clone();
             assert_eq!(
                 field("combo"),
                 format!("{}/{}", combo().az, combo().ty.0),
@@ -233,7 +238,10 @@ fn transition_and_fault_events_match_an_independent_replay_of_the_plan() {
     assert_eq!(got, expected, "event stream diverges from the health trace");
     // The hostile plan must exercise the full decay arc and a recovery.
     let has = |f: &str, t: &str| expected.iter().any(|(a, b)| a == f && b == t);
-    assert!(has("fresh", "stale"), "no fresh->stale transition: {expected:?}");
+    assert!(
+        has("fresh", "stale"),
+        "no fresh->stale transition: {expected:?}"
+    );
     assert!(
         has("stale", "unavailable"),
         "no stale->unavailable transition: {expected:?}"
@@ -271,7 +279,10 @@ fn transition_and_fault_events_match_an_independent_replay_of_the_plan() {
             }
         }
     }
-    assert!(faults > 0, "an intensity-1 plan must exhaust some retry budgets");
+    assert!(
+        faults > 0,
+        "an intensity-1 plan must exhaust some retry budgets"
+    );
     let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count() as u64;
     assert_eq!(count("feed_fault"), faults);
     assert_eq!(count("feed_recovered"), recoveries);

@@ -203,7 +203,10 @@ fn crashed_shard_fails_over_with_explicit_degraded_tags() {
     assert_eq!(unavailable, 0, "replicas cover every combo");
 
     // Bids keep flowing too: the winner is never silently stale.
-    let (status, bid) = get(&mut client, &format!("/v1/bid?duration=3600&now={}", NOW + 120));
+    let (status, bid) = get(
+        &mut client,
+        &format!("/v1/bid?duration=3600&now={}", NOW + 120),
+    );
     assert_eq!(status, 200);
     let quoted = Combo::new(
         Az::parse(str_field(&bid, "az")).expect("az"),
@@ -384,7 +387,10 @@ fn fleet_rollups_and_timelines_are_two_boot_identical_with_tracing_on() {
     assert_eq!(ra.0, 200);
     assert_eq!(ra, rb, "SLO rollups diverged");
     let slo = Json::parse(std::str::from_utf8(&ra.1).unwrap()).expect("slo json");
-    let instances = slo.get("instances").and_then(Json::as_arr).expect("instances");
+    let instances = slo
+        .get("instances")
+        .and_then(Json::as_arr)
+        .expect("instances");
     assert_eq!(instances.len(), 1 + cfg.shards, "front + every shard");
 
     // The metrics rollup matches byte-for-byte outside the wall-clock
@@ -402,14 +408,19 @@ fn fleet_rollups_and_timelines_are_two_boot_identical_with_tracing_on() {
             .join("\n")
     };
     let (da, db) = (deterministic(&ba), deterministic(&bb));
-    assert_eq!(da, db, "metrics rollups diverged outside wall-clock families");
+    assert_eq!(
+        da, db,
+        "metrics rollups diverged outside wall-clock families"
+    );
     for instance in ["front", "shard-0", "shard-1", "shard-2"] {
         assert!(
             da.contains(&format!("instance=\"{instance}\"")),
             "rollup missing {instance}"
         );
         assert!(
-            da.contains(&format!("drafts_fleet_instance_up{{instance=\"{instance}\"}}")),
+            da.contains(&format!(
+                "drafts_fleet_instance_up{{instance=\"{instance}\"}}"
+            )),
             "rollup missing up marker for {instance}"
         );
     }

@@ -5,12 +5,12 @@
 
 use drafts_core::predictor::DraftsConfig;
 use drafts_core::service::{DraftsService, ServiceConfig};
+use loadgen::Client;
+use server::{Router, Server, ServerConfig};
 use spotmarket::archetype::Archetype;
 use spotmarket::faults::{CleanFeed, FeedError, FeedSource};
 use spotmarket::tracegen::{generate_with_archetype, TraceConfig};
 use spotmarket::{Az, Catalog, Combo, PriceHistory, DAY, HOUR};
-use loadgen::Client;
-use server::{Router, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -34,10 +34,7 @@ fn service(seed: u64) -> DraftsService {
         .into_iter()
         .enumerate()
     {
-        let combo = Combo::new(
-            Az::parse(az).unwrap(),
-            catalog.type_id(ty).unwrap(),
-        );
+        let combo = Combo::new(Az::parse(az).unwrap(), catalog.type_id(ty).unwrap());
         svc.register(generate_with_archetype(
             combo,
             catalog,
@@ -186,7 +183,10 @@ fn saturated_accept_queue_sheds_503_and_never_hangs() {
     stall.write_all(b" ").ok();
     drop(stall);
     let report = srv.shutdown();
-    assert_eq!(report.admitted, report.served, "drain dropped admitted work");
+    assert_eq!(
+        report.admitted, report.served,
+        "drain dropped admitted work"
+    );
 }
 
 #[test]
@@ -216,7 +216,9 @@ fn graceful_drain_finishes_in_flight_requests() {
         .write_all(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
         .expect("send during drain");
     let mut response = Vec::new();
-    lagging.read_to_end(&mut response).expect("read during drain");
+    lagging
+        .read_to_end(&mut response)
+        .expect("read during drain");
     let text = String::from_utf8_lossy(&response);
     assert!(
         text.starts_with("HTTP/1.1 200 OK\r\n"),
@@ -228,7 +230,10 @@ fn graceful_drain_finishes_in_flight_requests() {
     );
 
     let report = shutdown.join().expect("shutdown thread");
-    assert_eq!(report.admitted, report.served, "drain dropped admitted work");
+    assert_eq!(
+        report.admitted, report.served,
+        "drain dropped admitted work"
+    );
     assert!(report.admitted >= 1);
 }
 
@@ -252,8 +257,9 @@ fn handler_panics_are_isolated_from_other_connections_and_workers() {
             scope.spawn(move || {
                 let mut client = Client::new(addr, Duration::from_secs(5));
                 for _ in 0..5 {
-                    let (status, _) =
-                        client.get("/v1/_debug/panic").expect("panic route responds");
+                    let (status, _) = client
+                        .get("/v1/_debug/panic")
+                        .expect("panic route responds");
                     assert_eq!(status, 500, "panic surfaces as 500, not a hang");
                     let (status, _) = client.get("/v1/health").expect("health after panic");
                     assert_eq!(status, 200, "worker must survive the panic");
@@ -267,7 +273,9 @@ fn handler_panics_are_isolated_from_other_connections_and_workers() {
 
     // The pool still serves real queries afterwards.
     let mut client = Client::new(addr, Duration::from_secs(5));
-    let (status, body) = client.get("/v1/bid?duration=3600").expect("bid after storm");
+    let (status, body) = client
+        .get("/v1/bid?duration=3600")
+        .expect("bid after storm");
     assert_eq!(status, 200);
     let doc = server::Json::parse(&String::from_utf8(body).unwrap()).unwrap();
     assert!(
@@ -531,11 +539,14 @@ fn injected_outage_sweep_flips_slos_to_breach_with_events_in_the_ring() {
             )
         })
         .collect();
-    let arc_strs: Vec<(&str, &str)> =
-        arcs.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+    let arc_strs: Vec<(&str, &str)> = arcs.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
     assert_eq!(
         arc_strs,
-        [("none", "fresh"), ("fresh", "stale"), ("stale", "unavailable")],
+        [
+            ("none", "fresh"),
+            ("fresh", "stale"),
+            ("stale", "unavailable")
+        ],
         "health must decay through the full arc exactly once"
     );
     let kinds: Vec<&str> = events

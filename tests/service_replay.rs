@@ -31,7 +31,11 @@ fn service_graphs_drive_bids_that_survive_replay() {
     // Table 2's shape: DrAFTS reduces worst-case (bid-valued) cost.
     assert!(drafts.max_bid_cost < original.max_bid_cost);
     // And stays within the durability spirit: very few terminations.
-    assert!(drafts.terminations <= 2, "{} terminations", drafts.terminations);
+    assert!(
+        drafts.terminations <= 2,
+        "{} terminations",
+        drafts.terminations
+    );
 }
 
 #[test]
@@ -41,12 +45,7 @@ fn service_respects_refresh_buckets_under_load() {
         Az::parse("us-west-1a").unwrap(),
         cat.type_id("c3.2xlarge").unwrap(),
     );
-    let h = generate_with_archetype(
-        combo,
-        cat,
-        &TraceConfig::days(20, 5),
-        Archetype::Choppy,
-    );
+    let h = generate_with_archetype(combo, cat, &TraceConfig::days(20, 5), Archetype::Choppy);
     let mut svc = DraftsService::new(ServiceConfig {
         recompute_period: 15 * MINUTE,
         probabilities: vec![0.95],

@@ -65,11 +65,7 @@ fn targets(now: u64) -> Vec<String> {
     let cat = Catalog::standard();
     let mut t = Vec::new();
     for combo in combos() {
-        let (region, az, ty) = (
-            combo.az.region().name(),
-            combo.az,
-            cat.spec(combo.ty).name,
-        );
+        let (region, az, ty) = (combo.az.region().name(), combo.az, cat.spec(combo.ty).name);
         t.push(format!("/v1/graphs/{region}/{az}/{ty}?now={now}"));
         t.push(format!("/v1/graphs/{region}/{az}/{ty}?p=0.95&now={now}"));
     }
@@ -104,7 +100,10 @@ fn sixteen_steady_readers_get_identical_bytes_without_locking() {
     // The single-threaded reference transcript: warm, so it takes no
     // locks either — it must match what every concurrent reader sees.
     let reference = replay(&router, &Metrics::new(), T0, 1);
-    assert!(reference.iter().all(|(s, _)| *s == 200), "non-200 in reference");
+    assert!(
+        reference.iter().all(|(s, _)| *s == 200),
+        "non-200 in reference"
+    );
 
     let transcripts: Vec<_> = thread::scope(|scope| {
         let handles: Vec<_> = (0..READERS)
@@ -125,12 +124,19 @@ fn sixteen_steady_readers_get_identical_bytes_without_locking() {
     // Health consistency: every served body carries the fresh, guaranteed
     // state (byte-identity above makes this a single check).
     let body = String::from_utf8(reference[0].1.clone()).unwrap();
-    assert!(body.contains("\"state\":\"fresh\""), "unexpected health in {body}");
+    assert!(
+        body.contains("\"state\":\"fresh\""),
+        "unexpected health in {body}"
+    );
 
     // The acceptance gate: a steady-state read storm never enters the
     // slow path and never republishes.
     assert_eq!(svc.read_lock_count(), locks, "steady readers took a lock");
-    assert_eq!(svc.snapshot_swap_count(), swaps, "steady readers republished");
+    assert_eq!(
+        svc.snapshot_swap_count(),
+        swaps,
+        "steady readers republished"
+    );
 }
 
 #[test]
@@ -201,6 +207,10 @@ fn readers_survive_concurrent_bucket_rollover_byte_for_byte() {
             }
         }
     });
-    assert_eq!(svc.read_lock_count(), locks_warm, "post-rollover reads locked");
+    assert_eq!(
+        svc.read_lock_count(),
+        locks_warm,
+        "post-rollover reads locked"
+    );
     assert_eq!(svc.snapshot_swap_count(), swaps_warm);
 }
