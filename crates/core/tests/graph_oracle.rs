@@ -7,9 +7,9 @@
 //! points off, and one price QBETS per probability level. Every graph the
 //! predictor computes and the service publishes must equal it point for
 //! point, over every market archetype, change points on and off, the
-//! autocorrelation correction on and off (capped below the series' rho),
-//! every censoring mode, strides 1–5, the edges of the prediction point and
-//! a faulty feed's last-good fallback.
+//! autocorrelation correction on and off (capped below and above the
+//! series' rho), every censoring mode, strides 1–5, the edges of the
+//! prediction point and a faulty feed's last-good fallback.
 
 use drafts_core::duration::{duration_series, Censoring};
 use drafts_core::graph::{BidDurationGraph, GraphPoint};
@@ -249,9 +249,11 @@ fn polled(feed: &FaultyFeed, cfg: &ServiceConfig, bucket_time: u64) -> Option<Ar
     None
 }
 
-#[test]
-fn service_graphs_through_a_feed_outage_equal_the_batch_oracle() {
-    let truth = Arc::new(history(Archetype::Choppy, 5, 6));
+/// Drives a service with `drafts` over a `FaultyFeed` outage of an `arch`
+/// market, through hourly buckets of the last two days: every published
+/// graph, fresh or last-good, must equal the oracle on the polled history.
+fn check_service_through_outage(arch: Archetype, drafts: DraftsConfig) {
+    let truth = Arc::new(history(arch, 5, 6));
     let combo = truth.combo();
     let plan = FaultPlan {
         outages_per_day: 3.0,
@@ -261,10 +263,7 @@ fn service_graphs_through_a_feed_outage_equal_the_batch_oracle() {
     let feed = Arc::new(FaultyFeed::new(truth.clone(), plan));
     let cfg = ServiceConfig {
         probabilities: LEVELS.to_vec(),
-        drafts: DraftsConfig {
-            duration_stride: 3,
-            ..DraftsConfig::default()
-        },
+        drafts,
         ..ServiceConfig::default()
     };
     let mut service = DraftsService::new(cfg.clone());
@@ -302,10 +301,37 @@ fn service_graphs_through_a_feed_outage_equal_the_batch_oracle() {
                 .map(|g| (g.probability, g.points().to_vec()))
                 .collect::<Vec<_>>()
         });
-        assert_eq!(served, expected, "bucket {bucket}");
+        assert_eq!(served, expected, "bucket {bucket}, {arch:?} {drafts:?}");
     }
     assert!(
         fresh > 0 && fallback > 0,
         "fresh {fresh}, fallback {fallback}"
+    );
+}
+
+#[test]
+fn service_graphs_through_a_feed_outage_equal_the_batch_oracle() {
+    // Change points on: one price QBETS serves every level.
+    check_service_through_outage(
+        Archetype::Choppy,
+        DraftsConfig {
+            duration_stride: 3,
+            ..DraftsConfig::default()
+        },
+    );
+    // Change points off, correction on: each level selects its price
+    // bound from its own copy of the prefix. The prefix's lag-1 rho (about
+    // 0.78 on this spiky market) sits under the 0.9 cap, and one level's
+    // selection reorders the prefix into runs that read another rho: a
+    // later level that took rho from the reordered buffer would publish
+    // other minimum bids at some of these buckets.
+    check_service_through_outage(
+        Archetype::Spiky,
+        DraftsConfig {
+            changepoint: None,
+            autocorr_cap: 0.9,
+            duration_stride: 3,
+            ..DraftsConfig::default()
+        },
     );
 }
