@@ -67,6 +67,10 @@ pub fn duration_series(
 /// One pass from `upto` down to 0 carries the time of the first later
 /// update whose price reaches the bid: O(upto) per bid, with no per-start
 /// search.
+///
+/// Returns the smallest price in `values()[..=upto]` at or above the bid,
+/// or `u64::MAX` when none reaches it. Every bid from `bid` up to that
+/// price is reached at exactly the same updates, so it has the same series.
 pub(crate) fn fill_duration_series(
     history: &PriceHistory,
     upto: usize,
@@ -74,7 +78,7 @@ pub(crate) fn fill_duration_series(
     stride: usize,
     censoring: Censoring,
     out: &mut Vec<u64>,
-) {
+) -> u64 {
     assert!(upto < history.len(), "upto {upto} out of bounds");
     assert!(stride > 0, "stride must be positive");
     if let Censoring::Capped(cap) = censoring {
@@ -89,6 +93,7 @@ pub(crate) fn fill_duration_series(
     // price is >= bid, and how many updates remain until the next start
     // point (starts sit at multiples of `stride`).
     let mut next_crossing: Option<u64> = None;
+    let mut lowest_crossing = u64::MAX;
     let mut to_start = upto % stride;
     for (&t, &price) in times.iter().zip(prices).rev() {
         if to_start == 0 {
@@ -111,9 +116,11 @@ pub(crate) fn fill_duration_series(
         to_start -= 1;
         if price >= bid.ticks() {
             next_crossing = Some(t);
+            lowest_crossing = lowest_crossing.min(price);
         }
     }
     out.reverse();
+    lowest_crossing
 }
 
 /// Incremental resolver: streams price updates and resolves pending

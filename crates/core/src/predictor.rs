@@ -231,6 +231,7 @@ impl<'a> DraftsPredictor<'a> {
             censoring: self.cfg.censoring,
             series: Vec::new(),
             bound: SliceBound::lower(cfg, 1.0 - q),
+            class: None,
         }
     }
 
@@ -333,6 +334,14 @@ impl<'a> DraftsPredictor<'a> {
 /// one duration-series buffer and one memoized QBETS lower-bound
 /// evaluator serve every bid asked, so a graph's grid allocates one series
 /// and inverts the binomial once per effective sample size.
+///
+/// A bid's duration series depends only on which updates of the prefix
+/// reach it. Bids that no price of `values()[..=upto]` separates, a
+/// *crossing class*, are reached at the same updates and so share one
+/// series and one bound under every censoring mode, stride and
+/// autocorrelation setting. The step keeps the class of the last bid it
+/// scanned and answers a bid inside it without a scan, so an ascending
+/// grid walk scans once per class.
 pub(crate) struct DurationStep<'a> {
     history: &'a PriceHistory,
     upto: usize,
@@ -340,6 +349,17 @@ pub(crate) struct DurationStep<'a> {
     censoring: Censoring,
     series: Vec<u64>,
     bound: SliceBound,
+    class: Option<CrossingClass>,
+}
+
+/// The bids from `bid` up to `lowest_crossing`, the smallest price at or
+/// above `bid` in the prefix (`u64::MAX` when none), all in ticks, and
+/// their shared durability.
+#[derive(Clone, Copy)]
+struct CrossingClass {
+    bid: u64,
+    lowest_crossing: u64,
+    durability: Option<u64>,
 }
 
 impl DurationStep<'_> {
@@ -348,7 +368,14 @@ impl DurationStep<'_> {
     /// quantile of its duration series.
     pub(crate) fn durability(&mut self, bid: Price) -> Option<u64> {
         let _span = obs::span("qbets_duration");
-        fill_duration_series(
+        let ticks = bid.ticks();
+        if let Some(class) = self
+            .class
+            .filter(|c| (c.bid..=c.lowest_crossing).contains(&ticks))
+        {
+            return class.durability;
+        }
+        let lowest_crossing = fill_duration_series(
             self.history,
             self.upto,
             bid,
@@ -356,7 +383,13 @@ impl DurationStep<'_> {
             self.censoring,
             &mut self.series,
         );
-        self.bound.of(&mut self.series)
+        let durability = self.bound.of(&mut self.series);
+        self.class = Some(CrossingClass {
+            bid: ticks,
+            lowest_crossing,
+            durability,
+        });
+        durability
     }
 }
 
@@ -381,6 +414,7 @@ impl BidQuote {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{BidDurationGraph, GraphPoint};
     use spotmarket::archetype::Archetype;
     use spotmarket::tracegen::{generate_with_archetype, TraceConfig};
     use spotmarket::{Az, Catalog, Combo};
@@ -568,6 +602,94 @@ mod tests {
             .expect("a calm market must offer a 6-hour guarantee on the grid");
         assert!(long.bid >= min.bid);
         assert!(long.durability_secs >= 6 * 3600);
+    }
+
+    /// Prices placed on the crossing-class boundaries of a hand-built
+    /// history's bid grid, whose minimum bid is 1001 ticks (a 1000-tick base
+    /// plus the premium tick): 1100, 1101 and 1102 sit a tick below, on and
+    /// a tick above grid bid 1101, 1230 is reached only at the prediction
+    /// point, and every grid bid above 1480 clears the whole history. An
+    /// ascending graph walk and a descending walk on one `DurationStep`
+    /// must both equal a fresh step per bid.
+    #[test]
+    fn crossing_classes_share_a_bound_only_between_separating_prices() {
+        let n = 240;
+        // Every update off the 1000-tick base, as (index, price).
+        let spikes = [
+            (60, 1_100),
+            (100, 1_101),
+            (101, 1_101),
+            (102, 1_101),
+            (140, 1_102),
+            (180, 1_480),
+            (n - 1, 1_230),
+        ];
+        let points = (0..n).map(|i| {
+            let price = spikes.iter().find(|s| s.0 == i).map_or(1_000, |s| s.1);
+            (i as u64 * 300, price)
+        });
+        let combo = Combo::new(
+            Az::parse("us-west-2a").unwrap(),
+            Catalog::standard().type_id("c4.large").unwrap(),
+        );
+        let h = PriceHistory::new(combo, points.collect());
+        let upto = n - 1;
+        let p = 0.5;
+        for censoring in [
+            Censoring::IncludeElapsed,
+            Censoring::ResolvedOnly,
+            Censoring::Capped(4 * 3600),
+        ] {
+            for duration_stride in [1, 2] {
+                for autocorr in [false, true] {
+                    let cfg = DraftsConfig {
+                        changepoint: None,
+                        autocorr,
+                        duration_stride,
+                        censoring,
+                        ..DraftsConfig::default()
+                    };
+                    let what = format!("{cfg:?}");
+                    let pred = DraftsPredictor::new(&h, cfg);
+                    let min = pred.min_bid_or_max(upto, p);
+                    assert_eq!(min, Price::from_ticks(1_001), "{what}");
+                    let grid = pred.bid_grid(min);
+                    let fresh: Vec<Option<u64>> = grid
+                        .iter()
+                        .map(|&bid| pred.durability(upto, bid, p))
+                        .collect();
+                    // Grid bids 1051 | 1101 straddle 1100, and 1201 | 1251
+                    // straddle the last update's 1230. Each pair's bounds
+                    // differ, so a class stretched across either shows. An
+                    // elapsed duration equals one ending at `upto`, so only
+                    // the other modes see that last crossing.
+                    assert_eq!(grid[1..3], [1_051, 1_101].map(Price::from_ticks));
+                    assert_ne!(fresh[1], fresh[2], "{what}");
+                    assert_eq!(grid[4..6], [1_201, 1_251].map(Price::from_ticks));
+                    if censoring != Censoring::IncludeElapsed {
+                        assert_ne!(fresh[4], fresh[5], "{what}");
+                    }
+                    let mut best = 0;
+                    let want: Vec<GraphPoint> = grid
+                        .iter()
+                        .zip(&fresh)
+                        .filter_map(|(&bid, &d)| {
+                            best = best.max(d?);
+                            Some(GraphPoint {
+                                bid,
+                                durability_secs: best,
+                            })
+                        })
+                        .collect();
+                    let graph = BidDurationGraph::compute(&pred, upto, p).expect("a graph");
+                    assert_eq!(graph.points(), want, "ascending walk, {what}");
+                    let mut step = pred.duration_step(upto, p);
+                    for (&bid, &d) in grid.iter().zip(&fresh).rev() {
+                        assert_eq!(step.durability(bid), d, "descending walk at {bid}, {what}");
+                    }
+                }
+            }
+        }
     }
 
     /// The headline backtest property in miniature: at p = 0.9, DrAFTS

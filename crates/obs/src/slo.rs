@@ -146,11 +146,16 @@ pub struct SloMonitor {
 
 /// `bad/total` expressed as a burn rate against a `budget_bp` error
 /// budget, in 1/10000 units. Empty totals burn nothing.
-fn burn_bp(bad: u64, total: u64, budget_bp: u64) -> u64 {
+///
+/// Counts arrive as `u128`, so their basis-point products cannot wrap;
+/// with `bad <= total` the burn is at most `BP * BP`.
+fn burn_bp(bad: u128, total: u128, budget_bp: u64) -> u64 {
     if total == 0 || budget_bp == 0 {
         return 0;
     }
-    bad * BP / total * BP / budget_bp
+    let bp = u128::from(BP);
+    let burn = bad * bp / total * bp / u128::from(budget_bp);
+    u64::try_from(burn).unwrap_or(u64::MAX)
 }
 
 impl SloMonitor {
@@ -218,15 +223,19 @@ impl SloMonitor {
                             .find(|(n, _)| *n == o.name)
                             .map(|(_, c)| *c)
                             .unwrap_or_default();
-                        let total = counts.good + counts.warn + counts.bad;
-                        let burn = burn_bp(counts.bad, total, budget_bp);
-                        let state = if total > 0 && counts.bad * BP > budget_bp * total {
-                            SloState::Breach
-                        } else if counts.warn > 0 || counts.bad > 0 {
-                            SloState::Warn
-                        } else {
-                            SloState::Ok
-                        };
+                        let total = u128::from(counts.good)
+                            + u128::from(counts.warn)
+                            + u128::from(counts.bad);
+                        let bad = u128::from(counts.bad);
+                        let burn = burn_bp(bad, total, budget_bp);
+                        let state =
+                            if total > 0 && bad * u128::from(BP) > u128::from(budget_bp) * total {
+                                SloState::Breach
+                            } else if counts.warn > 0 || counts.bad > 0 {
+                                SloState::Warn
+                            } else {
+                                SloState::Ok
+                            };
                         SloStatus {
                             name: o.name,
                             state,
@@ -234,7 +243,7 @@ impl SloMonitor {
                             fast_burn_bp: burn,
                             slow_burn_bp: burn,
                             fast_good: counts.good,
-                            fast_total: total,
+                            fast_total: u64::try_from(total).unwrap_or(u64::MAX),
                         }
                     }
                     source => {
@@ -256,8 +265,8 @@ impl SloMonitor {
                         };
                         let (fast_bad, fast_total) = count(o.fast_intervals);
                         let (slow_bad, slow_total) = count(o.slow_intervals);
-                        let fast_burn = burn_bp(fast_bad, fast_total, budget_bp);
-                        let slow_burn = burn_bp(slow_bad, slow_total, budget_bp);
+                        let fast_burn = burn_bp(fast_bad.into(), fast_total.into(), budget_bp);
+                        let slow_burn = burn_bp(slow_bad.into(), slow_total.into(), budget_bp);
                         let state =
                             if fast_burn >= o.breach_burn_bp && slow_burn >= o.breach_burn_bp {
                                 SloState::Breach
@@ -349,6 +358,41 @@ mod tests {
         assert_eq!(burn_bp(0, 0, 100), 0, "empty window burns nothing");
         // Exactly on budget: burn 1.0.
         assert_eq!(burn_bp(1, 100, 100), BP);
+    }
+
+    #[test]
+    fn burn_and_breach_hold_at_u64_max_counts() {
+        // Past ~1.8e15 events a u64 basis-point product would wrap.
+        let max = u128::from(u64::MAX);
+        assert_eq!(burn_bp(max, max, 100), 1_000_000);
+        assert_eq!(burn_bp(1, max, 100), 0);
+        let monitor = SloMonitor::new(vec![objective(Source::Instant)]);
+        let ws = WindowSet::new(INTERVAL, 4);
+        let eval = |counts| monitor.evaluate(0, &ws, &[("test", counts)], None)[0].clone();
+        let third_bad = eval(InstantCounts {
+            good: u64::MAX,
+            warn: u64::MAX,
+            bad: u64::MAX,
+        });
+        assert_eq!(third_bad.state, SloState::Breach);
+        assert_eq!(third_bad.fast_burn_bp, 333_300);
+        assert_eq!(
+            third_bad.fast_total,
+            u64::MAX,
+            "the reported total saturates"
+        );
+        let one_bad = eval(InstantCounts {
+            good: u64::MAX - 1,
+            warn: 0,
+            bad: 1,
+        });
+        assert_eq!(
+            one_bad.state,
+            SloState::Warn,
+            "1 bad in 2^64 is within budget"
+        );
+        assert_eq!(one_bad.fast_burn_bp, 0);
+        assert_eq!(one_bad.fast_total, u64::MAX);
     }
 
     #[test]

@@ -70,6 +70,7 @@ pub struct BetaEstimator {
     a_quarters: u64,
     /// Failures in quarter-counts, prior included.
     b_quarters: u64,
+    observations: u64,
 }
 
 impl BetaEstimator {
@@ -87,6 +88,7 @@ impl BetaEstimator {
         Self {
             a_quarters,
             b_quarters,
+            observations: 0,
         }
     }
 
@@ -97,6 +99,7 @@ impl BetaEstimator {
         } else {
             self.b_quarters += 4;
         }
+        self.observations += 1;
     }
 
     /// Posterior mean availability in `[0, BP]`.
@@ -106,7 +109,7 @@ impl BetaEstimator {
 
     /// Total observations ingested (prior excluded).
     pub fn observations(&self) -> u64 {
-        (self.a_quarters + self.b_quarters - 20) / 4
+        self.observations
     }
 }
 
@@ -159,6 +162,8 @@ mod tests {
         b.observe(false);
         // a = 4 + 8 = 12, b = 4 + 4 = 8 → mean = 12/20 = 0.6.
         assert_eq!(b.availability_bp(), 6_000);
+        // The prior is not an observation, whatever its strength.
+        assert_eq!(b.observations(), 3);
     }
 
     #[test]
