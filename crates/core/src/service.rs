@@ -531,9 +531,10 @@ impl DraftsService {
     }
 
     /// Registers (or replaces) the history backing a combo as a perfect
-    /// always-available feed.
-    pub fn register(&mut self, history: PriceHistory) {
-        self.register_feed(Arc::new(CleanFeed::new(Arc::new(history))));
+    /// always-available feed. Pass an `Arc` to share one history between
+    /// services (a fleet's replicas) without copying it.
+    pub fn register(&mut self, history: impl Into<Arc<PriceHistory>>) {
+        self.register_feed(Arc::new(CleanFeed::new(history.into())));
     }
 
     /// Registers (or replaces) an arbitrary feed for its combo and

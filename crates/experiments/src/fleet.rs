@@ -189,9 +189,9 @@ pub fn plan(scale: Scale) -> FleetPlan {
 
 /// Builds one [`DraftsService`] per shard from the ring's ownership map:
 /// each combo's seeded history ([`serve::stand_in_histories`]) is
-/// generated once and registered with every shard that owns it (primary +
+/// generated once and shared by every shard that owns it (primary +
 /// replica) — the replication that makes failover serve real data instead
-/// of a guess.
+/// of a guess, without a copy per owner.
 pub fn build_shard_services(
     plan: &FleetPlan,
     ring: &Ring,
@@ -211,7 +211,7 @@ pub fn build_shard_services(
             });
             for (i, &combo) in plan.combos.iter().enumerate() {
                 if ring.owners(combo.key()).contains(&shard) {
-                    svc.register(histories[i].clone());
+                    svc.register(Arc::clone(&histories[i]));
                 }
             }
             Arc::new(svc)

@@ -125,8 +125,9 @@ pub fn plan(scale: Scale) -> ServePlan {
 /// history at boot. Archetypes cycle choppy, calm, spiky by population
 /// index. Each stream is seeded on its own (`seed ^ (index + 1)`), so the
 /// histories, generated in parallel on [`Pool::from_env`], do not depend
-/// on the thread count.
-pub fn stand_in_histories(combos: &[Combo], seed: u64) -> Vec<PriceHistory> {
+/// on the thread count. Each is generated once and shared by every service
+/// that registers it.
+pub fn stand_in_histories(combos: &[Combo], seed: u64) -> Vec<Arc<PriceHistory>> {
     let catalog = Catalog::standard();
     let indexed: Vec<(u64, Combo)> = (0..).zip(combos.iter().copied()).collect();
     Pool::from_env().par_map(&indexed, |&(i, combo)| {
@@ -136,7 +137,7 @@ pub fn stand_in_histories(combos: &[Combo], seed: u64) -> Vec<PriceHistory> {
             _ => Archetype::Spiky,
         };
         let cfg = TraceConfig::days(30, seed ^ (i + 1));
-        generate_with_archetype(combo, catalog, &cfg, archetype)
+        Arc::new(generate_with_archetype(combo, catalog, &cfg, archetype))
     })
 }
 

@@ -21,6 +21,7 @@ use spotmarket::simulator::{LaunchError, SpotSimulator};
 use spotmarket::tracegen::TraceConfig;
 use spotmarket::{LaunchFaults, Price, Region, DAY, MINUTE};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Replay parameters.
 #[derive(Debug, Clone)]
@@ -134,7 +135,7 @@ impl Replay {
         ) {
             for az in cfg.region.azs() {
                 for combo in self.catalog.combos_in_az(az) {
-                    service.register(sim.history(combo).clone());
+                    service.register(Arc::clone(sim.history(combo)));
                 }
             }
         }

@@ -202,11 +202,9 @@ impl StrategyReplay {
         });
         for az in base.region.azs() {
             for combo in self.catalog.combos_in_az(az) {
-                let history = sim.history(combo).clone();
+                let history = Arc::clone(sim.history(combo));
                 match &cfg.feed_faults {
-                    Some(plan) => {
-                        service.register_feed(Arc::new(FaultyFeed::new(Arc::new(history), *plan)))
-                    }
+                    Some(plan) => service.register_feed(Arc::new(FaultyFeed::new(history, *plan))),
                     None => service.register(history),
                 }
             }

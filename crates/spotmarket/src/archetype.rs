@@ -165,7 +165,8 @@ impl Archetype {
 /// spot market calmed substantially over the study period (the very change
 /// that later obsoleted bidding): regime jumps and price excursions were
 /// concentrated in the older part of any 90-day history. Rates interpolate
-/// linearly from `ERA_START_MULT` to `ERA_END_MULT` across the trace.
+/// geometrically from `ERA_START_MULT` to `ERA_END_MULT` across the trace,
+/// so the multiplier never exceeds `ERA_START_MULT`.
 pub const ERA_START_MULT: f64 = 2.0;
 
 /// Excursion-rate multiplier at the end of a generated trace.

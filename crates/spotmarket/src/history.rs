@@ -8,7 +8,13 @@
 //!   price is `>=` the bid. This powers the DrAFTS duration step ("the
 //!   duration from when the prediction is made until the market price
 //!   exceeds it", §3.2) and backtest survival checks; it is answered in
-//!   O(log n) by a max segment tree built once over the immutable history.
+//!   O(log n) by a max segment tree over the immutable history.
+//!
+//! The tree is built on the first query that reads it
+//! (`first_at_or_after_geq`, `survival`, `max_price`), once, however many
+//! threads ask at once. The serving path never asks, so a history
+//! generated, registered and served holds only its series: for 30 days of
+//! 5-minute updates that is 135 KiB, and the tree would add 256 KiB.
 //!
 //! Termination semantics: the paper notes Amazon "may or may not" terminate
 //! an instance whose bid exactly equals the market price (§3.2) — DrAFTS
@@ -18,6 +24,7 @@
 
 use crate::price::Price;
 use crate::types::Combo;
+use std::sync::OnceLock;
 use tsforecast::TimeSeries;
 
 /// Outcome of holding a bid from a start time onward.
@@ -63,33 +70,40 @@ impl Survival {
 }
 
 /// An immutable price history for one combo with O(log n) survival queries.
+///
+/// The survival index is built on the first query that reads it (see the
+/// module docs); a clone carries it only if it was already built.
 #[derive(Debug, Clone)]
 pub struct PriceHistory {
     combo: Combo,
     series: TimeSeries,
-    /// Max segment tree over the value array (1-indexed, size 2*cap).
-    tree: Vec<u64>,
-    cap: usize,
+    /// Max segment tree over the value array (1-indexed; the leaves start
+    /// at half its length, the value count rounded up to a power of two).
+    tree: OnceLock<Vec<u64>>,
 }
 
 impl PriceHistory {
-    /// Builds a history (and its query index) from a finished series.
+    /// Wraps a finished series; the query index is built on first use.
     pub fn new(combo: Combo, series: TimeSeries) -> Self {
-        let n = series.len();
-        let cap = n.max(1).next_power_of_two();
-        let mut tree = vec![0u64; 2 * cap];
-        for (i, &v) in series.values().iter().enumerate() {
-            tree[cap + i] = v;
-        }
-        for i in (1..cap).rev() {
-            tree[i] = tree[2 * i].max(tree[2 * i + 1]);
-        }
         Self {
             combo,
             series,
-            tree,
-            cap,
+            tree: OnceLock::new(),
         }
+    }
+
+    /// The max segment tree, built on the first call.
+    fn tree(&self) -> &[u64] {
+        self.tree.get_or_init(|| {
+            let values = self.series.values();
+            let cap = values.len().max(1).next_power_of_two();
+            let mut tree = vec![0u64; 2 * cap];
+            tree[cap..cap + values.len()].copy_from_slice(values);
+            for i in (1..cap).rev() {
+                tree[i] = tree[2 * i].max(tree[2 * i + 1]);
+            }
+            tree
+        })
     }
 
     /// The combo this history belongs to.
@@ -129,7 +143,7 @@ impl PriceHistory {
 
     /// Largest observed price.
     pub fn max_price(&self) -> Option<Price> {
-        (!self.is_empty()).then(|| Price::from_ticks(self.tree[1]))
+        (!self.is_empty()).then(|| Price::from_ticks(self.tree()[1]))
     }
 
     /// Smallest observed price.
@@ -148,32 +162,13 @@ impl PriceHistory {
             return None;
         }
         let threshold = bid.ticks();
-        if self.tree[1] < threshold {
+        let tree = self.tree();
+        if tree[1] < threshold {
             return None;
         }
         // Descend from the root looking for the leftmost leaf >= threshold
         // within [from, n).
-        self.descend(1, 0, self.cap, from, threshold)
-            .filter(|&i| i < n)
-    }
-
-    fn descend(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        from: usize,
-        threshold: u64,
-    ) -> Option<usize> {
-        if hi <= from || self.tree[node] < threshold {
-            return None;
-        }
-        if hi - lo == 1 {
-            return Some(lo);
-        }
-        let mid = (lo + hi) / 2;
-        self.descend(2 * node, lo, mid, from, threshold)
-            .or_else(|| self.descend(2 * node + 1, mid, hi, from, threshold))
+        descend(tree, 1, 0, tree.len() / 2, from, threshold).filter(|&i| i < n)
     }
 
     /// Survival outcome for an instance requested at `t` with maximum bid
@@ -195,6 +190,27 @@ impl PriceHistory {
             },
         }
     }
+}
+
+/// Leftmost leaf index in `[from, hi)` under `node` (covering `[lo, hi)`)
+/// whose value is `>= threshold`.
+fn descend(
+    tree: &[u64],
+    node: usize,
+    lo: usize,
+    hi: usize,
+    from: usize,
+    threshold: u64,
+) -> Option<usize> {
+    if hi <= from || tree[node] < threshold {
+        return None;
+    }
+    if hi - lo == 1 {
+        return Some(lo);
+    }
+    let mid = (lo + hi) / 2;
+    descend(tree, 2 * node, lo, mid, from, threshold)
+        .or_else(|| descend(tree, 2 * node + 1, mid, hi, from, threshold))
 }
 
 #[cfg(test)]
@@ -245,19 +261,45 @@ mod tests {
         use simrng::{Rng, SeedableFrom, Xoshiro256pp};
         let mut rng = Xoshiro256pp::seed_from_u64(5);
         let pts: Vec<(u64, u64)> = (0..1000).map(|i| (i * 300, rng.next_below(5000))).collect();
-        let h = history(&pts);
-        for _ in 0..500 {
-            let from = rng.next_below(1100) as usize;
-            let bid = Price::from_ticks(rng.next_below(5200));
-            let fast = h.first_at_or_after_geq(from, bid);
-            let slow = pts
-                .iter()
+        let queries: Vec<(usize, Price)> = (0..500)
+            .map(|_| {
+                let from = rng.next_below(1100) as usize;
+                (from, Price::from_ticks(rng.next_below(5200)))
+            })
+            .collect();
+        let slow = |from: usize, bid: Price| {
+            pts.iter()
                 .enumerate()
                 .skip(from)
                 .find(|(_, &(_, v))| v >= bid.ticks())
-                .map(|(i, _)| i);
-            assert_eq!(fast, slow, "from={from} bid={bid}");
-        }
+                .map(|(i, _)| i)
+        };
+        let check = |h: &PriceHistory| {
+            for &(from, bid) in &queries {
+                let fast = h.first_at_or_after_geq(from, bid);
+                assert_eq!(fast, slow(from, bid), "from={from} bid={bid}");
+            }
+        };
+
+        // The index is built on first use: a clone taken before any query
+        // builds its own, and the original still answers after it.
+        let h = history(&pts);
+        let early_clone = h.clone();
+        check(&early_clone);
+        check(&h);
+        check(&h.clone());
+
+        // A fresh history queried from several threads at once.
+        let fresh = history(&pts);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| check(&fresh));
+            }
+        });
+
+        // `max_price` on a history never queried before reads the index.
+        let max = pts.iter().map(|&(_, v)| v).max();
+        assert_eq!(history(&pts).max_price(), max.map(Price::from_ticks));
     }
 
     #[test]

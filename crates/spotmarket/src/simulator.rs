@@ -16,6 +16,7 @@ use crate::price::Price;
 use crate::tracegen::{self, TraceConfig};
 use crate::types::Combo;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Why a request was not started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +53,9 @@ impl LaunchError {
 pub struct SpotSimulator {
     catalog: &'static Catalog,
     trace_cfg: TraceConfig,
-    histories: HashMap<u64, PriceHistory>,
+    /// Shared, so a service advising on the same markets can register
+    /// them without a copy.
+    histories: HashMap<u64, Arc<PriceHistory>>,
     instances: Vec<Instance>,
     /// Price-termination time per instance, if its bid is ever reached.
     fates: Vec<Option<u64>>,
@@ -91,14 +94,15 @@ impl SpotSimulator {
 
     /// Inserts a pre-built history (overriding lazy generation).
     pub fn insert_history(&mut self, history: PriceHistory) {
-        self.histories.insert(history.combo().key(), history);
+        self.histories
+            .insert(history.combo().key(), Arc::new(history));
     }
 
     /// The history for `combo`, generating it on first use.
-    pub fn history(&mut self, combo: Combo) -> &PriceHistory {
+    pub fn history(&mut self, combo: Combo) -> &Arc<PriceHistory> {
         self.histories
             .entry(combo.key())
-            .or_insert_with(|| tracegen::generate(combo, self.catalog, &self.trace_cfg))
+            .or_insert_with(|| Arc::new(tracegen::generate(combo, self.catalog, &self.trace_cfg)))
     }
 
     /// Market price of `combo` at `t`.

@@ -20,6 +20,18 @@
 //! optional daily seasonality, and the `PinnedAbove` floor of one tick
 //! above On-demand — the statistical features DrAFTS, its baselines, and
 //! the paper's qualitative observations all key on.
+//!
+//! The loop computes each step's work once, with the same draws and the
+//! same expressions in the same order as a plain per-step evaluation
+//! (a test keeps that loop as the oracle):
+//!
+//! * `d_t` repeats every day, which is exactly 288 updates, so it comes
+//!   from a table of the window's first 288 values;
+//! * the era multiplier (a `powf`) is evaluated only for a draw that could
+//!   pass its excursion test: the era never exceeds `ERA_START_MULT`, so a
+//!   draw at or above `rate × ERA_START_MULT` fails whatever its value;
+//! * the published price is converted to ticks only on a step that
+//!   announces a new price.
 
 use crate::archetype::{self, Archetype};
 use crate::catalog::Catalog;
@@ -105,40 +117,58 @@ pub fn generate_with_archetype(
     let spike_continue = 1.0 - 1.0 / p.spike_steps_mean.max(1.0);
 
     let steps = cfg.steps();
-    let mut series = TimeSeries::with_capacity(steps as usize);
-    let mut t = cfg.start;
-    // Publication hysteresis state: the last announced log price.
-    let mut published_ln: Option<f64> = None;
-    for step in 0..steps {
-        // Secular calming: excursion rates decay geometrically across the
-        // trace (see `archetype::ERA_START_MULT`) — most excursion mass
-        // lands early, leaving the evaluation era quiet the way 2016's
-        // stabilizing spot markets were.
-        let era = if p.era_immune {
+    // The diurnal term depends on the step only through `t mod DAY`, and a
+    // day is exactly `DAY_STEPS` updates: step k reads entry k mod
+    // `DAY_STEPS` of a table holding the term at the window's first
+    // timestamps, each computed with the per-step expression.
+    let diurnal_table: Vec<f64> = (0..steps.min(DAY_STEPS))
+        .map(|k| {
+            let t = cfg.start + k * UPDATE_PERIOD;
+            p.diurnal_amp
+                * ((std::f64::consts::TAU * (t % crate::DAY) as f64 / crate::DAY as f64) + phase)
+                    .sin()
+        })
+        .collect();
+    // Secular calming: excursion rates decay geometrically across the
+    // trace (see `archetype::ERA_START_MULT`) — most excursion mass lands
+    // early, leaving the evaluation era quiet the way 2016's stabilizing
+    // spot markets were.
+    let era_at = |step: u64| {
+        if p.era_immune {
             1.0
         } else {
             let frac = step as f64 / steps.max(1) as f64;
             archetype::ERA_START_MULT
                 * (archetype::ERA_END_MULT / archetype::ERA_START_MULT).powf(frac)
-        };
-        if rng.next_bool((p.regime_rate * era).min(1.0)) {
+        }
+    };
+
+    let mut series = TimeSeries::with_capacity(steps as usize);
+    let mut t = cfg.start;
+    // Publication hysteresis state: the last announced log price and its
+    // tick price.
+    let mut published: Option<(f64, u64)> = None;
+    for step in 0..steps {
+        // The step's era, evaluated only when an excursion draw needs it.
+        let mut era = None;
+        if excursion(&mut rng, p.regime_rate, &mut era, || era_at(step)) {
             level += regime_jump.sample(&mut rng);
             // Keep regimes from drifting out of the representable band.
             level = level.clamp((floor_d * 0.5).max(1e-6).ln(), (cap_d * 1.5).ln());
         }
         x = level + p.phi * (x - level) + noise.sample(&mut rng);
-        let diurnal = p.diurnal_amp
-            * ((std::f64::consts::TAU * (t % crate::DAY) as f64 / crate::DAY as f64) + phase).sin();
+        let diurnal = diurnal_table[(step % DAY_STEPS) as usize];
 
         if spike_left > 0 {
             spike_left -= 1;
             if spike_left == 0 {
                 spike_mult = 1.0;
             }
-        } else if rng.next_bool((p.spike_rate * era).min(1.0)) {
+        } else if excursion(&mut rng, p.spike_rate, &mut era, || era_at(step)) {
             // Era also scales spike magnitude: early-era excursions were
             // taller, so a history's upper quantiles are dominated by old
             // spikes that the calmer evaluation era rarely revisits.
+            let era = era.expect("a passing excursion draw evaluates the era");
             spike_mult = (spike_ln.sample(&mut rng) * era.powf(0.4)).exp().max(1.0);
             // Geometric holding time with the configured mean.
             spike_left = 1;
@@ -147,23 +177,48 @@ pub fn generate_with_archetype(
             }
         }
 
-        let raw_d = ((x + diurnal).exp() * spike_mult).clamp(floor_d, cap_d);
+        let raw_ln = ((x + diurnal).exp() * spike_mult)
+            .clamp(floor_d, cap_d)
+            .ln();
         // Sticky publication: re-announce the previous price unless the
         // latent state moved beyond the hysteresis band (spikes always
-        // clear it by construction of their magnitudes).
-        let publish = match published_ln {
-            Some(last) => (raw_d.ln() - last).abs() > p.hysteresis,
+        // clear it by construction of their magnitudes). Only an
+        // announcement converts a price to ticks.
+        let publish = match published {
+            Some((last, _)) => (raw_ln - last).abs() > p.hysteresis,
             None => true,
         };
         if publish {
-            published_ln = Some(raw_d.ln());
+            let price_d = raw_ln.exp().clamp(floor_d, cap_d);
+            published = Some((raw_ln, Price::from_dollars(price_d).ticks().max(1)));
         }
-        let price_d = published_ln.expect("published on first step").exp();
-        let price_d = price_d.clamp(floor_d, cap_d);
-        series.push(t, Price::from_dollars(price_d).ticks().max(1));
+        let (_, ticks) = published.expect("published on first step");
+        series.push(t, ticks);
         t += UPDATE_PERIOD;
     }
     PriceHistory::new(combo, series)
+}
+
+/// Updates in one day: the period of the diurnal term on the update grid.
+const DAY_STEPS: u64 = crate::DAY / UPDATE_PERIOD;
+const _: () = assert!(crate::DAY.is_multiple_of(UPDATE_PERIOD));
+
+/// One excursion test, `rng.next_bool((rate * era).min(1.0))`, with the
+/// step's `era` evaluated (into `era`) only when the draw could pass.
+///
+/// `era` never exceeds `ERA_START_MULT` and rounding is monotone, so a
+/// draw at or above `rate × ERA_START_MULT` fails whatever the exact era:
+/// the same draw gives the same answer as the plain test, without the
+/// `powf`.
+fn excursion(
+    rng: &mut impl Rng,
+    rate: f64,
+    era: &mut Option<f64>,
+    era_at: impl FnOnce() -> f64,
+) -> bool {
+    let u = rng.next_f64();
+    u < (rate * archetype::ERA_START_MULT).min(1.0)
+        && u < (rate * *era.get_or_insert_with(era_at)).min(1.0)
 }
 
 #[cfg(test)]
@@ -305,6 +360,144 @@ mod tests {
             "volatile 90-day trace should contain detectable regime shifts, got {}",
             q.changepoint_count()
         );
+    }
+
+    /// The generator as a plain per-step loop, kept verbatim as the oracle
+    /// for the tabled diurnal term, the gated era and the cached ticks.
+    fn reference_generate(
+        combo: Combo,
+        catalog: &Catalog,
+        cfg: &TraceConfig,
+        arch: Archetype,
+    ) -> PriceHistory {
+        assert!(cfg.end > cfg.start, "empty trace window");
+        let p = arch.params();
+        let od = catalog.od_price(combo.ty, combo.az.region());
+        let od_d = od.dollars();
+
+        let factory = StreamFactory::new(cfg.seed);
+        let mut rng = factory.stream("tracegen", combo.key());
+
+        let noise = Normal::new(0.0, p.sigma).expect("sigma validated by params");
+        let regime_jump = Normal::new(0.0, p.regime_spread).expect("spread validated");
+        let spike_ln = Normal::new(p.spike_ln_mean, p.spike_ln_sd).expect("spike validated");
+
+        // Floors/caps in dollars. PinnedAbove markets never quote below
+        // On-demand + 1 tick (the cg1.4xlarge phenomenon of §4.1.2).
+        let floor_d = if arch == Archetype::PinnedAbove {
+            (od + Price::TICK).dollars()
+        } else {
+            (od_d * p.floor_frac).max(Price::TICK.dollars())
+        };
+        let cap_d = od_d * p.cap_frac;
+
+        let mut level = (od_d * p.base_frac).ln();
+        let mut x = level + noise.sample(&mut rng) * 3.0; // start off-mean
+        let phase = rng.next_f64() * std::f64::consts::TAU;
+
+        // Spike state: multiplicative factor > 1 while active.
+        let mut spike_mult = 1.0f64;
+        let mut spike_left = 0u64;
+        let spike_continue = 1.0 - 1.0 / p.spike_steps_mean.max(1.0);
+
+        let steps = cfg.steps();
+        let mut series = TimeSeries::with_capacity(steps as usize);
+        let mut t = cfg.start;
+        // Publication hysteresis state: the last announced log price.
+        let mut published_ln: Option<f64> = None;
+        for step in 0..steps {
+            // Secular calming: excursion rates decay geometrically across the
+            // trace (see `archetype::ERA_START_MULT`) — most excursion mass
+            // lands early, leaving the evaluation era quiet the way 2016's
+            // stabilizing spot markets were.
+            let era = if p.era_immune {
+                1.0
+            } else {
+                let frac = step as f64 / steps.max(1) as f64;
+                archetype::ERA_START_MULT
+                    * (archetype::ERA_END_MULT / archetype::ERA_START_MULT).powf(frac)
+            };
+            if rng.next_bool((p.regime_rate * era).min(1.0)) {
+                level += regime_jump.sample(&mut rng);
+                // Keep regimes from drifting out of the representable band.
+                level = level.clamp((floor_d * 0.5).max(1e-6).ln(), (cap_d * 1.5).ln());
+            }
+            x = level + p.phi * (x - level) + noise.sample(&mut rng);
+            let diurnal = p.diurnal_amp
+                * ((std::f64::consts::TAU * (t % crate::DAY) as f64 / crate::DAY as f64) + phase)
+                    .sin();
+
+            if spike_left > 0 {
+                spike_left -= 1;
+                if spike_left == 0 {
+                    spike_mult = 1.0;
+                }
+            } else if rng.next_bool((p.spike_rate * era).min(1.0)) {
+                // Era also scales spike magnitude: early-era excursions were
+                // taller, so a history's upper quantiles are dominated by old
+                // spikes that the calmer evaluation era rarely revisits.
+                spike_mult = (spike_ln.sample(&mut rng) * era.powf(0.4)).exp().max(1.0);
+                // Geometric holding time with the configured mean.
+                spike_left = 1;
+                while rng.next_bool(spike_continue) {
+                    spike_left += 1;
+                }
+            }
+
+            let raw_d = ((x + diurnal).exp() * spike_mult).clamp(floor_d, cap_d);
+            // Sticky publication: re-announce the previous price unless the
+            // latent state moved beyond the hysteresis band (spikes always
+            // clear it by construction of their magnitudes).
+            let publish = match published_ln {
+                Some(last) => (raw_d.ln() - last).abs() > p.hysteresis,
+                None => true,
+            };
+            if publish {
+                published_ln = Some(raw_d.ln());
+            }
+            let price_d = published_ln.expect("published on first step").exp();
+            let price_d = price_d.clamp(floor_d, cap_d);
+            series.push(t, Price::from_dollars(price_d).ticks().max(1));
+            t += UPDATE_PERIOD;
+        }
+        PriceHistory::new(combo, series)
+    }
+
+    #[test]
+    fn generator_equals_the_per_step_reference() {
+        let combos = [
+            combo_named("c4.large", "us-east-1b"),
+            combo_named("m3.large", "us-west-2a"),
+            combo_named("r3.xlarge", "us-west-1a"),
+        ];
+        // Starts on and off the update grid and on either side of a day
+        // boundary; a window shorter than one day's 288 updates, and ones
+        // of 30 and 90 days.
+        let starts = [0, UPDATE_PERIOD, 12_345, crate::DAY - UPDATE_PERIOD];
+        let lengths = [7 * crate::HOUR + 1, 30 * crate::DAY, 90 * crate::DAY];
+        let mut updates = 0;
+        for arch in Archetype::ALL {
+            for (combo, seed) in combos.iter().zip([20_171_112, 7, 0xD1CE]) {
+                for start in starts {
+                    for len in lengths {
+                        let cfg = TraceConfig {
+                            start,
+                            end: start + len,
+                            seed,
+                        };
+                        let fast = generate_with_archetype(*combo, catalog(), &cfg, arch);
+                        let slow = reference_generate(*combo, catalog(), &cfg, arch);
+                        assert_eq!(
+                            fast.series(),
+                            slow.series(),
+                            "{arch:?} seed {seed} start {start} length {len}"
+                        );
+                        updates += fast.len();
+                    }
+                }
+            }
+        }
+        assert_eq!(updates, 6 * 3 * 4 * (84 + 8640 + 25_920));
     }
 
     #[test]

@@ -48,13 +48,14 @@ fn combos() -> Vec<Combo> {
     .collect()
 }
 
-/// Builds the per-shard services from the config's ring (primary +
-/// replica each get the combo's history), warms them, boots the fleet.
+/// Builds the per-shard services from the config's ring (primary and
+/// replica share one copy of the combo's history, as the experiment's
+/// fleet builder does), warms them, boots the fleet.
 fn boot(cfg: FleetConfig) -> (Fleet, Vec<Combo>) {
     let catalog = Catalog::standard();
     let combos = combos();
     let ring = cfg.ring();
-    let histories: Vec<PriceHistory> = combos
+    let histories: Vec<Arc<PriceHistory>> = combos
         .iter()
         .enumerate()
         .map(|(i, &combo)| {
@@ -63,12 +64,12 @@ fn boot(cfg: FleetConfig) -> (Fleet, Vec<Combo>) {
                 1 => Archetype::Calm,
                 _ => Archetype::Spiky,
             };
-            generate_with_archetype(
+            Arc::new(generate_with_archetype(
                 combo,
                 catalog,
                 &TraceConfig::days(30, SEED ^ (i as u64 + 1)),
                 archetype,
-            )
+            ))
         })
         .collect();
     let services: Vec<Arc<DraftsService>> = (0..cfg.shards)
@@ -84,7 +85,7 @@ fn boot(cfg: FleetConfig) -> (Fleet, Vec<Combo>) {
             });
             for (i, &combo) in combos.iter().enumerate() {
                 if ring.owners(combo.key()).contains(&shard) {
-                    svc.register(histories[i].clone());
+                    svc.register(Arc::clone(&histories[i]));
                 }
             }
             svc.warm(NOW);
