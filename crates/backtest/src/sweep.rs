@@ -19,7 +19,6 @@
 
 use drafts_core::duration::DurationResolver;
 use drafts_core::predictor::BidQuote;
-use parallel::Pool;
 use spotmarket::{Price, PriceHistory};
 use tsforecast::changepoint::ChangePointConfig;
 use tsforecast::orderstat::{OrderStat, TreapMultiset};
@@ -57,13 +56,6 @@ pub struct SweepConfig {
     /// the square-root split's independence assumption leaves between the
     /// chosen level and genuinely new price highs.
     pub safety_margin: f64,
-    /// Worker threads for the per-level duration state (the sweep hot
-    /// path). Levels are independent between price updates, so a large
-    /// `advance_to` batch can replay them concurrently with results
-    /// identical to the serial sweep. Defaults to 1: the backtest engine
-    /// already parallelises across combos, so nesting would oversubscribe;
-    /// raise it for single-combo workloads (e.g. an interactive service).
-    pub level_threads: usize,
 }
 
 impl Default for SweepConfig {
@@ -80,7 +72,6 @@ impl Default for SweepConfig {
             duration_cap: 24 * 3600,
             grid_span: 4.0,
             safety_margin: 0.05,
-            level_threads: 1,
         }
     }
 }
@@ -100,7 +91,6 @@ impl SweepConfig {
         assert!(self.duration_cap > 0, "duration cap must be positive");
         assert!(self.grid_span >= 1.0, "grid span must be >= 1");
         assert!(self.safety_margin >= 0.0, "margin must be non-negative");
-        assert!(self.level_threads >= 1, "level_threads must be >= 1");
         if let Some(cp) = &self.changepoint {
             cp.validate();
         }
@@ -240,11 +230,11 @@ impl<'a> ComboSweep<'a> {
 
         // Replay the batch per level. Levels never read each other, so the
         // level-outer order produces the exact same per-level operation
-        // sequence as the historical update-outer order — and lets the
-        // batch fan out across workers when `level_threads > 1`.
+        // sequence as the historical update-outer order.
         let stride = self.cfg.duration_stride;
         let cap = self.cfg.duration_cap;
-        let replay = |level: &mut LevelState, scratch: &mut Vec<u64>| {
+        let scratch = &mut self.scratch;
+        for level in &mut self.levels {
             for idx in start..end {
                 let (time, ticks) = (times[idx], values[idx]);
                 let price = Price::from_ticks(ticks);
@@ -258,16 +248,6 @@ impl<'a> ComboSweep<'a> {
                 if idx.is_multiple_of(stride) {
                     level.resolver.start(time);
                 }
-            }
-        };
-        if self.cfg.level_threads > 1 {
-            Pool::new(self.cfg.level_threads).par_map_mut(&mut self.levels, |level| {
-                let mut scratch = Vec::new();
-                replay(level, &mut scratch);
-            });
-        } else {
-            for level in &mut self.levels {
-                replay(level, &mut self.scratch);
             }
         }
     }
@@ -511,44 +491,6 @@ mod tests {
         assert!(!finite.is_empty());
         // Duration bounds are (weakly) increasing in level.
         assert!(finite.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn parallel_levels_match_serial_exactly() {
-        // The hot-path fan-out must be invisible in the results: same
-        // quotes, same per-level bounds, at any level_threads.
-        let (h, od) = setup(Archetype::Spiky, 45, 11);
-        let serial = {
-            let mut s = ComboSweep::new(&h, od, SweepConfig::default());
-            s.advance_to(20 * spotmarket::DAY);
-            s.advance_to(44 * spotmarket::DAY);
-            s
-        };
-        for threads in [2usize, 8] {
-            let cfg = SweepConfig {
-                level_threads: threads,
-                ..SweepConfig::default()
-            };
-            let mut par = ComboSweep::new(&h, od, cfg);
-            par.advance_to(20 * spotmarket::DAY);
-            par.advance_to(44 * spotmarket::DAY);
-            assert_eq!(par.consumed(), serial.consumed());
-            for p in [0.9, 0.95, 0.99] {
-                for hours in [1u64, 6, 24] {
-                    let a = serial.quote(p, hours * 3600);
-                    let b = par.quote(p, hours * 3600);
-                    assert_eq!(a.bid, b.bid, "p={p} h={hours} ({threads} threads)");
-                    assert_eq!(a.durability_secs, b.durability_secs);
-                }
-            }
-            for i in 0..serial.levels.len() {
-                assert_eq!(
-                    serial.level_duration_bound(i, 0.975),
-                    par.level_duration_bound(i, 0.975),
-                    "level {i} bound diverged at {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

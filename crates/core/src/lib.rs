@@ -18,12 +18,10 @@
 //!    pair guarantees the duration with probability `q * q = p`.
 //!
 //! Around the core prediction sit the pieces the paper's evaluation uses:
-//! bid–duration [`graph`]s (+5% bid steps up to 4x the minimum), the
-//! pluggable bid [`policy`] set (DrAFTS vs On-demand vs AR(1) vs empirical
-//! CDF vs the Globus provisioner's 80%-of-On-demand rule), AZ selection by
-//! predicted-price fitness ([`azselect`]), the cost-optimization chooser of
-//! §4.4 ([`optimizer`]), and an in-process stand-in for the DrAFTS web
-//! service ([`service`]).
+//! bid–duration [`graph`]s (+5% bid steps up to 4x the minimum), AZ
+//! selection by predicted-price fitness ([`azselect`]), the
+//! cost-optimization chooser of §4.4 ([`optimizer`]), and an in-process
+//! stand-in for the DrAFTS web service ([`service`]).
 //!
 //! # Example
 //!
@@ -55,12 +53,10 @@ pub mod azselect;
 pub mod duration;
 pub mod graph;
 pub mod optimizer;
-pub mod policy;
 pub mod predictor;
 pub mod service;
 pub mod snapshot;
 
 pub use graph::BidDurationGraph;
-pub use policy::BidPolicy;
 pub use predictor::{BidPrediction, DraftsConfig, DraftsPredictor};
 pub use service::DraftsService;

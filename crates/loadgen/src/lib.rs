@@ -25,7 +25,7 @@ use simrng::dist::{Categorical, Exponential};
 use simrng::{Rng, StreamFactory};
 use spotmarket::{Catalog, Combo};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -292,7 +292,8 @@ impl RunReport {
 ///
 /// Reconnects transparently when the server closes the connection (drain,
 /// per-connection request budget, or a shed 503 with `Connection:
-/// close`).
+/// close`). Responses are read by [`server::http::read_response`], which
+/// bounds every size before reading it.
 pub struct Client {
     addr: SocketAddr,
     conn: Option<BufReader<TcpStream>>,
@@ -363,58 +364,12 @@ impl Client {
         };
         reader.get_mut().write_all(req.as_bytes())?;
 
-        let mut status_line = String::new();
-        if reader.read_line(&mut status_line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed before status line",
-            ));
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-            })?;
-
-        let mut content_length = 0usize;
-        let mut close = false;
-        let mut retry_after = None;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed mid-headers",
-                ));
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                let value = value.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.parse().map_err(|_| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
-                    })?;
-                } else if name.eq_ignore_ascii_case("connection")
-                    && value.eq_ignore_ascii_case("close")
-                {
-                    close = true;
-                } else if name.eq_ignore_ascii_case("retry-after") {
-                    retry_after = value.parse::<u64>().ok();
-                }
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body)?;
-        if close {
+        let response = server::http::read_response(reader)?;
+        if response.close {
             self.conn = None;
         }
-        self.retry_after = retry_after;
-        Ok((status, body))
+        self.retry_after = response.retry_after;
+        Ok((response.status, response.body))
     }
 }
 
@@ -768,5 +723,52 @@ mod tests {
         served.join().unwrap();
         assert_eq!(report.retries_503, 0);
         assert_eq!(report.non_ok, 1);
+    }
+
+    /// A hostile or broken server announces a 1 TiB body, sends a header
+    /// line longer than the limit with no newline, or sends one header too
+    /// many. Each is an error before any buffer is sized from the
+    /// announcement; none waits for the read timeout.
+    #[test]
+    fn oversized_responses_are_errors_not_allocations() {
+        use std::io::{BufRead, Read, Write};
+        use std::net::TcpListener;
+
+        let long_line = format!(
+            "HTTP/1.1 200 OK\r\nX-Pad: {}",
+            "a".repeat(server::http::MAX_HEADER_LINE + 1)
+        );
+        let many_headers = format!(
+            "HTTP/1.1 200 OK\r\n{}Content-Length: 0\r\n\r\n",
+            "X-Pad: a\r\n".repeat(server::http::MAX_HEADERS)
+        );
+        for reply in [
+            "HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n{".to_string(),
+            long_line,
+            many_headers,
+        ] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            // Both of the client's attempts (it reconnects once) get the
+            // reply; each connection stays open until the client hangs up.
+            let served = std::thread::spawn(move || {
+                for conn in listener.incoming().take(2) {
+                    let mut conn = std::io::BufReader::new(conn.unwrap());
+                    let mut line = String::new();
+                    while conn.read_line(&mut line).unwrap() > 2 {
+                        line.clear();
+                    }
+                    conn.get_mut().write_all(reply.as_bytes()).unwrap();
+                    let _ = conn.read_to_end(&mut Vec::new());
+                }
+            });
+            let mut client = Client::new(addr, Duration::from_secs(30));
+            let started = Stopwatch::start();
+            let err = client.get("/v1/health").unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(started.elapsed() < Duration::from_secs(10));
+            drop(client);
+            served.join().unwrap();
+        }
     }
 }

@@ -11,13 +11,9 @@
 //! - [`Pool::par_map`] maps a function over a slice and returns results
 //!   in **input order**, regardless of thread count or steal schedule.
 //!   Callers get bit-identical output at 1, 2, or N threads.
-//!   [`Pool::par_map_mut`] is the `&mut` variant (used by the sweep hot
-//!   path, whose per-level states are independent between price steps);
-//!   [`Pool::par_map_chunked`] amortises queue traffic for tiny items.
 //! - Each worker owns a deque of task indices. Workers pop their own
 //!   deque LIFO (back) for cache locality and steal FIFO (front) from
-//!   victims, so steals grab the oldest — and, for chunked work, the
-//!   largest remaining — units.
+//!   victims, so steals grab the oldest remaining units.
 //! - No task spawns further tasks, so "every deque empty" is a
 //!   termination proof; workers exit after a full sweep of victims
 //!   finds nothing.
@@ -25,9 +21,9 @@
 //!   picking up new tasks) and the panic payload is re-raised on the
 //!   calling thread via [`std::panic::resume_unwind`]. No hang, no
 //!   silently dropped panic.
-//! - Thread count resolves, in order: explicit builder/`Pool::new`
-//!   argument, the `DRAFTS_THREADS` environment variable, then
-//!   [`std::thread::available_parallelism`].
+//! - Thread count resolves, in order: an explicit count (`Pool::new`, or
+//!   `Some(n)` to `Pool::with_override`), the `DRAFTS_THREADS`
+//!   environment variable, then [`std::thread::available_parallelism`].
 //! - `threads == 1` (or an empty/singleton input) runs serially on the
 //!   calling thread: no spawns, no locks, identical results.
 //!
@@ -99,32 +95,6 @@ impl Pool {
             return items.iter().map(f).collect();
         }
         self.run_indexed(items.len(), &|idx| f(&items[idx]))
-    }
-
-    /// Like [`par_map`](Pool::par_map) over mutable references: each
-    /// element is handed to `f` exactly once as `&mut T`, results return
-    /// in input order.
-    ///
-    /// Mutation is safe because the task queues partition `0..len` —
-    /// every index is popped by exactly one worker — so no two workers
-    /// ever alias an element.
-    pub fn par_map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut T) -> R + Sync,
-    {
-        if self.threads == 1 || items.len() <= 1 {
-            return items.iter_mut().map(f).collect();
-        }
-        let base = SharedMutPtr(items.as_mut_ptr());
-        let base = &base; // capture the Sync wrapper, not the raw field
-        self.run_indexed(items.len(), &move |idx| {
-            // SAFETY: `idx < items.len()` (queue contents are 0..n), each
-            // index is dispensed exactly once, and `items` is exclusively
-            // borrowed for the whole call — so this &mut is unique.
-            f(unsafe { &mut *base.get(idx) })
-        })
     }
 
     /// Work-stealing execution of `task(0..n)`, results in index order.
@@ -213,60 +183,11 @@ impl Pool {
             .map(|(i, r)| r.unwrap_or_else(|| panic!("index {i} never produced")))
             .collect()
     }
-
-    /// Maps `f` over `items` in chunks of `chunk_size`, returning the
-    /// flattened results in input order.
-    ///
-    /// Use this when per-item work is too small to pay for a queue
-    /// operation per item (e.g. the sweep hot path's per-level cells).
-    pub fn par_map_chunked<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let chunk_size = chunk_size.max(1);
-        if self.threads == 1 || items.len() <= chunk_size {
-            return items.iter().map(f).collect();
-        }
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        let per_chunk: Vec<Vec<R>> = self.par_map(&chunks, |chunk| chunk.iter().map(&f).collect());
-        let mut out = Vec::with_capacity(items.len());
-        for v in per_chunk {
-            out.extend(v);
-        }
-        out
-    }
 }
 
 impl Default for Pool {
     fn default() -> Self {
         Pool::from_env()
-    }
-}
-
-/// Builder mirroring the pool's resolution rules, for call sites that
-/// thread configuration through several layers.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PoolBuilder {
-    threads: Option<usize>,
-}
-
-impl PoolBuilder {
-    /// An empty builder (resolves like [`Pool::from_env`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fixes the worker count; overrides `DRAFTS_THREADS`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Resolves the configuration into a [`Pool`].
-    pub fn build(self) -> Pool {
-        Pool::with_override(self.threads)
     }
 }
 
@@ -292,24 +213,6 @@ where
 {
     Pool::from_env().par_map(items, f)
 }
-
-/// Raw base pointer into the exclusively borrowed slice handed to
-/// [`Pool::par_map_mut`]. `Sync` is sound because the queue protocol
-/// dispenses every index exactly once, so workers touch disjoint
-/// elements.
-struct SharedMutPtr<T>(*mut T);
-
-impl<T> SharedMutPtr<T> {
-    /// Pointer to element `idx`; caller guarantees `idx` is in bounds and
-    /// dispensed to exactly one worker.
-    fn get(&self, idx: usize) -> *mut T {
-        // Taking `&self` (not the field) keeps closures capturing the
-        // `Sync` wrapper rather than the raw pointer.
-        unsafe { self.0.add(idx) }
-    }
-}
-
-unsafe impl<T: Send> Sync for SharedMutPtr<T> {}
 
 /// Counter handles for one `run_indexed` call, resolved from the calling
 /// thread's ambient tracer registry (absent when none is installed, in
@@ -506,50 +409,8 @@ mod tests {
     }
 
     #[test]
-    fn chunked_matches_unchunked() {
-        let items: Vec<i64> = (-500..500).collect();
-        let f = |&x: &i64| x * x - 3 * x + 7;
-        let plain: Vec<i64> = items.iter().map(f).collect();
-        let pool = Pool::new(5);
-        for chunk in [1, 3, 64, 1000, 5000] {
-            assert_eq!(pool.par_map_chunked(&items, chunk, f), plain);
-        }
-    }
-
-    #[test]
-    fn par_map_mut_mutates_every_element_once() {
-        let mut items: Vec<u64> = (0..777).collect();
-        let old = Pool::new(6).par_map_mut(&mut items, |x| {
-            let prev = *x;
-            *x = prev * 10 + 1;
-            prev
-        });
-        assert_eq!(old, (0..777).collect::<Vec<u64>>());
-        assert!(items
-            .iter()
-            .enumerate()
-            .all(|(i, &x)| x == i as u64 * 10 + 1));
-    }
-
-    #[test]
-    fn par_map_mut_matches_serial() {
-        let seed: Vec<u32> = (0..333).map(|i| i * 7 + 3).collect();
-        let f = |x: &mut u32| {
-            *x = x.wrapping_mul(2654435761).rotate_left(5);
-            *x / 2
-        };
-        let mut a = seed.clone();
-        let ra = Pool::new(1).par_map_mut(&mut a, f);
-        let mut b = seed.clone();
-        let rb = Pool::new(8).par_map_mut(&mut b, f);
-        assert_eq!(a, b);
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
     fn builder_and_clamping() {
         assert_eq!(Pool::new(0).threads(), 1);
-        assert_eq!(PoolBuilder::new().threads(3).build().threads(), 3);
         assert_eq!(Pool::with_override(Some(2)).threads(), 2);
         assert!(Pool::with_override(None).threads() >= 1);
     }

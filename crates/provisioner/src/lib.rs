@@ -16,15 +16,21 @@
 //! * **DrAFTS profiles** — like 1-hr but using each job's profiled
 //!   runtime estimate as the required durability, yielding tighter bids.
 //!
-//! [`strategy_sim`] generalizes the replay: a pluggable [`strategy`]
-//! implementation owns every launch/keep/abandon decision per scan tick,
-//! with on-demand instances, checkpoint migration, deadlines, and the
-//! advisory plane degradable by feed faults and shard faults.
+//! [`strategy_sim`] runs the related work's bidding strategies instead: a
+//! pluggable [`strategy`] implementation owns every launch/keep/abandon
+//! decision per scan tick, with on-demand instances, checkpoint migration,
+//! deadlines, and the advisory plane degradable by feed faults and shard
+//! faults.
+//!
+//! Both replays drive one scan loop (`scan`, private): admissions,
+//! revocations, completions, the spot request with its backoff, and idle
+//! releases. Each supplies only its scheduling step.
 
 pub mod job;
 pub mod metrics;
 pub mod policy;
 pub mod pool;
+mod scan;
 pub mod sim;
 pub mod strategy_sim;
 pub mod workload;

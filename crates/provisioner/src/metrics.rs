@@ -23,8 +23,8 @@ pub struct ReplayMetrics {
     pub capacity_failures: u64,
     /// Launch attempts throttled by the API.
     pub throttle_failures: u64,
-    /// Jobs that completed after their deadline (strategy replays; the
-    /// paper's own replay has no deadlines and reports 0).
+    /// Jobs that completed after their deadline. Both replays count them;
+    /// Tables 2 and 3 do not report them.
     pub deadline_misses: u64,
     /// Checkpoint migrations from spot to on-demand (strategy replays).
     pub strategy_switches: u64,

@@ -4,7 +4,8 @@
 use crate::job::{suitable_types, JobProfile};
 use drafts_core::DraftsService;
 use spotmarket::catalog::Catalog;
-use spotmarket::{Combo, Price, Region};
+use spotmarket::{Combo, Region};
+use strategy::SpotPlan;
 
 /// The three evaluated policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,15 +39,6 @@ impl ProvisionerPolicy {
     }
 }
 
-/// A concrete launch decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaunchPlan {
-    /// The market to request from.
-    pub combo: Combo,
-    /// The maximum bid.
-    pub bid: Price,
-}
-
 /// Computes the launch plan for a job under `policy`.
 ///
 /// `region` scopes the candidate AZs (the platform runs in one region);
@@ -62,7 +54,7 @@ pub fn plan(
     profile: &JobProfile,
     now: u64,
     target_p: f64,
-) -> Option<LaunchPlan> {
+) -> Option<SpotPlan> {
     plan_gated(
         policy,
         catalog,
@@ -90,7 +82,7 @@ pub fn plan_gated(
     now: u64,
     target_p: f64,
     gate: &dyn Fn(Combo) -> bool,
-) -> Option<LaunchPlan> {
+) -> Option<SpotPlan> {
     let types = suitable_types(catalog, profile);
     if types.is_empty() {
         return None;
@@ -103,7 +95,7 @@ pub fn plan_gated(
             let az = region.azs().next().expect("regions have AZs");
             let combo = Combo::new(az, ty);
             let od = catalog.od_price(ty, region);
-            catalog.is_available(combo).then_some(LaunchPlan {
+            catalog.is_available(combo).then_some(SpotPlan {
                 combo,
                 bid: od.scale(0.8),
             })
@@ -113,7 +105,7 @@ pub fn plan_gated(
                 ProvisionerPolicy::Drafts1Hr => 3600,
                 _ => profile.est_runtime.max(300),
             };
-            let mut best: Option<LaunchPlan> = None;
+            let mut best: Option<SpotPlan> = None;
             for &ty in &types {
                 for az in catalog.azs_offering(ty, region) {
                     let combo = Combo::new(az, ty);
@@ -137,7 +129,7 @@ pub fn plan_gated(
                     };
                     let better = best.is_none_or(|b| bp.bid < b.bid);
                     if better {
-                        best = Some(LaunchPlan { combo, bid: bp.bid });
+                        best = Some(SpotPlan { combo, bid: bp.bid });
                     }
                 }
             }

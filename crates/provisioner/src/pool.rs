@@ -105,25 +105,10 @@ impl Pool {
         self.entries.iter_mut().find(|e| e.id == id)
     }
 
-    /// Finds an idle instance whose type can run `profile`, preferring the
-    /// one closest to its next hour boundary (use the hours already paid
-    /// for).
-    pub fn find_idle(
-        &mut self,
-        catalog: &Catalog,
-        profile: &JobProfile,
-        now: u64,
-    ) -> Option<&mut PoolEntry> {
-        let suitable: Vec<spotmarket::TypeId> = crate::job::suitable_types(catalog, profile);
-        self.entries
-            .iter_mut()
-            .filter(|e| e.is_idle() && suitable.contains(&e.combo.ty))
-            .min_by_key(|e| e.release_time(now))
-    }
-
-    /// Like [`Pool::find_idle`], restricted to one billing class — the
-    /// strategy replay never reuses a paid spot hour for a job whose
-    /// strategy demanded on-demand, or vice versa.
+    /// Finds an idle instance of billing class `kind` whose type can run
+    /// `profile`, preferring the one closest to its next hour boundary (use
+    /// the hours already paid for). A replay never reuses a paid spot hour
+    /// for a job its scheduler sent to on-demand, or vice versa.
     pub fn find_idle_kind(
         &mut self,
         catalog: &Catalog,
@@ -218,7 +203,9 @@ mod tests {
         pool.add(entry(1, "c4.large", 0)); // releases at 3300
         pool.add(entry(2, "c4.large", 1200)); // releases at 4500
         pool.add(entry(3, "m1.small", 0)); // wrong family/capacity
-        let found = pool.find_idle(cat, &profile(), 2000).unwrap();
+        let found = pool
+            .find_idle_kind(cat, &profile(), 2000, EntryKind::Spot)
+            .unwrap();
         assert_eq!(found.id, InstanceId(1));
     }
 
@@ -249,7 +236,9 @@ mod tests {
         let mut e = entry(1, "c4.large", 0);
         e.running_job = Some(7);
         pool.add(e);
-        assert!(pool.find_idle(cat, &profile(), 100).is_none());
+        assert!(pool
+            .find_idle_kind(cat, &profile(), 100, EntryKind::Spot)
+            .is_none());
     }
 
     #[test]

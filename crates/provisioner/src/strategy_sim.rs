@@ -12,28 +12,26 @@
 //! darkens advisory shards — combos mapped to a killed or hung shard stop
 //! answering, exactly as the sharded front would experience it.
 //!
+//! Both replays run on the same scan loop; this module supplies only the
+//! strategy's scheduling step and the market ticks it decides on.
+//!
 //! On-demand instances live only in the pool: the spot simulator never
 //! sees them. They are billed at the catalog's fixed hourly price with
 //! round-up, are immune to launch faults and revocations, and release at
 //! the same 3300 s point of their billed hour as spot capacity.
 
-use crate::job::{suitable_types, Job};
+use crate::job::{suitable_types, Job, JobProfile};
 use crate::metrics::ReplayMetrics;
-use crate::policy::{self, ProvisionerPolicy};
-use crate::pool::{EntryKind, Pool, PoolEntry};
+use crate::policy::ProvisionerPolicy;
+use crate::pool::{EntryKind, PoolEntry};
+use crate::scan::{Scan, Scheduler};
 use crate::sim::ReplayConfig;
-use crate::workload;
-use drafts_core::service::{DraftsService, ServiceConfig};
-use simrng::StreamFactory;
-use spotmarket::catalog::Catalog;
-use spotmarket::faults::ShardFaults;
-use spotmarket::lifecycle::{InstanceId, InstanceState, TerminationReason};
-use spotmarket::simulator::{LaunchError, SpotSimulator};
-use spotmarket::tracegen::TraceConfig;
-use spotmarket::{Combo, FaultPlan, FaultyFeed, Price, DAY, HOUR, MINUTE, UPDATE_PERIOD};
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-use strategy::{Action, JobState, MarketTick, PriceQuantiles, ResourceKind, SpotPlan, Strategy};
+use spotmarket::faults::{ShardFaultKind, ShardFaults};
+use spotmarket::lifecycle::InstanceId;
+use spotmarket::simulator::SpotSimulator;
+use spotmarket::{Combo, FaultPlan, Price, DAY, UPDATE_PERIOD};
+use std::collections::HashMap;
+use strategy::{Action, JobState, MarketTick, PriceQuantiles, ResourceKind, Strategy};
 
 /// On-demand instance ids start here — far outside the spot simulator's
 /// dense id range, so an on-demand id reaching the simulator is a bug that
@@ -49,8 +47,9 @@ pub struct StrategyReplayConfig {
     /// guaranteed plan ([`ProvisionerPolicy::DraftsProfiles`] by default).
     pub base: ReplayConfig,
     /// Feed corruption behind the DrAFTS service. `None` wires the clean
-    /// feeds; `Some(FaultPlan::none(..))` wires zero-fault [`FaultyFeed`]s,
-    /// which must behave identically (the PR 3 invariant).
+    /// feeds; `Some(FaultPlan::none(..))` wires zero-fault
+    /// [`FaultyFeed`](spotmarket::FaultyFeed)s, which must behave
+    /// identically.
     pub feed_faults: Option<FaultPlan>,
     /// Advisory-shard fault schedule: combos mapped (by `key % shards`) to
     /// a killed or hung shard serve no DrAFTS plan while the fault is
@@ -171,373 +170,163 @@ impl QuantileCache {
 /// A configured strategy replay, ready to run.
 pub struct StrategyReplay {
     cfg: StrategyReplayConfig,
-    catalog: &'static Catalog,
 }
 
 impl StrategyReplay {
     /// Creates a strategy replay.
     pub fn new(cfg: StrategyReplayConfig) -> Self {
         cfg.validate();
-        Self {
-            cfg,
-            catalog: Catalog::standard(),
-        }
+        Self { cfg }
     }
 
     /// Runs the replay to completion under `strategy`.
     pub fn run(&self, strategy: &mut dyn Strategy) -> StrategyOutcome {
-        let cfg = &self.cfg;
-        let base = &cfg.base;
-        let trace_cfg = TraceConfig::days(base.history_days, base.seed);
-        let mut sim = SpotSimulator::new(self.catalog, trace_cfg);
-        sim.set_launch_faults(base.launch_faults);
-
-        // Every strategy sees the same advisory plane: all region combos
-        // registered, behind faulty feeds when a plan is configured.
-        let mut service = DraftsService::new(ServiceConfig {
-            probabilities: vec![base.target_p],
-            drafts: base.drafts,
-            recompute_period: 30 * MINUTE,
-            ..ServiceConfig::default()
-        });
-        for az in base.region.azs() {
-            for combo in self.catalog.combos_in_az(az) {
-                let history = Arc::clone(sim.history(combo));
-                match &cfg.feed_faults {
-                    Some(plan) => service.register_feed(Arc::new(FaultyFeed::new(history, *plan))),
-                    None => service.register(history),
-                }
-            }
-        }
-
-        let factory = StreamFactory::new(base.seed);
-        let jobs = workload::generate(&base.workload, &factory, base.workload_index);
-
-        let mut out = StrategyOutcome::default();
-        let mut pool = Pool::new();
-        let mut qcache = QuantileCache::default();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        let mut attempts = vec![0u32; jobs.len()];
-        let mut restarts = vec![0u32; jobs.len()];
-        let mut fault_attempts = vec![0u32; jobs.len()];
-        let mut not_before = vec![0u64; jobs.len()];
-        let mut od_seq = 0u64;
-        let mut next_job = 0usize;
-        let mut last_completion = base.replay_start;
-
+        let base = &self.cfg.base;
+        let mut scan = Scan::new(base, self.cfg.feed_faults.as_ref());
         // The availability signal the online estimators learn from is the
         // advisory plane's answer for a reference profile — the workload's
         // most common class.
-        let ref_profile = jobs
-            .first()
-            .map(|j| {
-                let mut p = j.profile;
-                p.est_runtime = base.workload.runtime_median;
-                p
-            })
-            .expect("non-empty workload");
-
-        let convergence = base.replay_start + 7 * DAY;
-        let mut t = base.replay_start;
-        loop {
-            let _tick_span = obs::span("strategy_tick");
-            let t_rel = t - base.replay_start;
-
-            // 1. Admissions.
-            while next_job < jobs.len() && jobs[next_job].submit_offset <= t_rel {
-                queue.push_back(jobs[next_job].id);
-                next_job += 1;
-            }
-
-            // 2. Market revocations: requeue victims' jobs (all progress
-            // lost — spot restarts are from scratch).
-            let spot_ids: Vec<_> = pool
-                .iter()
-                .filter(|e| e.kind == EntryKind::Spot)
-                .map(|e| e.id)
-                .collect();
-            for id in spot_ids {
-                if let InstanceState::Terminated { reason, .. } = sim.poll(id, t) {
-                    let entry = pool.remove(id).expect("tracked member");
-                    if reason == TerminationReason::Price {
-                        out.metrics.terminations += 1;
-                        if let Some(job_id) = entry.running_job {
-                            restarts[job_id as usize] += 1;
-                            queue.push_front(job_id);
-                        }
-                    }
-                    let c = sim.cost(id, t);
-                    out.metrics.cost += c;
-                    out.spot_cost += c;
-                    out.metrics.max_bid_cost += sim.worst_case_cost(id, t);
-                }
-            }
-
-            // 3. Completions (a completion at `busy_until` past the job's
-            // deadline is a miss — attainment accounting).
-            let done: Vec<_> = pool
-                .iter()
-                .filter(|e| !e.is_idle() && e.busy_until <= t)
-                .map(|e| e.id)
-                .collect();
-            for id in done {
-                let entry = pool.get_mut(id).expect("tracked member");
-                let finished_at = entry.busy_until;
-                let job_id = Pool::finish(entry).expect("busy entry has a job");
-                out.metrics.jobs_completed += 1;
-                let deadline_abs = base.replay_start + jobs[job_id as usize].deadline;
-                if finished_at > deadline_abs {
-                    out.metrics.deadline_misses += 1;
-                }
-                last_completion = t;
-            }
-
-            // 4. The global observation tick: estimators ingest one
-            // availability sample per scan, from the reference profile.
-            let ref_tick = self.market_tick(&mut sim, &service, &ref_profile, t, &mut qcache);
-            strategy.observe(&ref_tick);
-
-            // 5. Running-job consultations: the strategy may checkpoint a
-            // spot job off to on-demand (keeping its progress, paying one
-            // scan interval of migration overhead).
-            let riding: Vec<(InstanceId, u32, u64)> = pool
-                .iter()
-                .filter(|e| e.kind == EntryKind::Spot && !e.is_idle() && e.busy_until > t)
-                .map(|e| (e.id, e.running_job.expect("busy"), e.busy_until))
-                .collect();
-            for (id, job_id, busy_until) in riding {
-                let _span = obs::span("strategy_decide");
-                let ji = job_id as usize;
-                let job = &jobs[ji];
-                let elapsed = t - (busy_until - job.runtime);
-                let js = JobState {
-                    id: job_id,
-                    deadline: base.replay_start + job.deadline,
-                    est_total: job.profile.est_runtime,
-                    est_remaining: job.profile.est_runtime.saturating_sub(elapsed),
-                    running_on: Some(ResourceKind::Spot),
-                    attempts: attempts[ji],
-                    restarts: restarts[ji],
-                };
-                let tick = self.market_tick(&mut sim, &service, &job.profile, t, &mut qcache);
-                out.decisions += 1;
-                if matches!(
-                    strategy.decide(&tick, &js),
-                    Action::Switch | Action::OnDemand
-                ) {
-                    sim.terminate(id, t);
-                    pool.remove(id);
-                    let c = sim.cost(id, t);
-                    out.metrics.cost += c;
-                    out.spot_cost += c;
-                    out.metrics.max_bid_cost += sim.worst_case_cost(id, t);
-                    let remaining = busy_until - t;
-                    let mut entry = self.od_entry(job, t, &mut od_seq);
-                    entry.running_job = Some(job_id);
-                    entry.busy_until = t + remaining + base.scan_interval;
-                    pool.add(entry);
-                    out.metrics.instances += 1;
-                    out.od_instances += 1;
-                    out.metrics.strategy_switches += 1;
-                }
-            }
-
-            // 6. Queued-job scheduling.
-            let mut still_queued = VecDeque::new();
-            while let Some(job_id) = queue.pop_front() {
-                let _span = obs::span("strategy_decide");
-                let ji = job_id as usize;
-                let job = &jobs[ji];
-                if not_before[ji] > t {
-                    still_queued.push_back(job_id);
-                    continue;
-                }
-                let js = JobState {
-                    id: job_id,
-                    deadline: base.replay_start + job.deadline,
-                    est_total: job.profile.est_runtime,
-                    est_remaining: job.profile.est_runtime,
-                    running_on: None,
-                    attempts: attempts[ji],
-                    restarts: restarts[ji],
-                };
-                let tick = self.market_tick(&mut sim, &service, &job.profile, t, &mut qcache);
-                out.decisions += 1;
-                match strategy.decide(&tick, &js) {
-                    Action::Wait => still_queued.push_back(job_id),
-                    Action::OnDemand | Action::Switch => {
-                        if let Some(entry) =
-                            pool.find_idle_kind(self.catalog, &job.profile, t, EntryKind::OnDemand)
-                        {
-                            Pool::assign(entry, job, t);
-                        } else {
-                            let mut entry = self.od_entry(job, t, &mut od_seq);
-                            Pool::assign(&mut entry, job, t);
-                            pool.add(entry);
-                            out.metrics.instances += 1;
-                            out.od_instances += 1;
-                        }
-                    }
-                    Action::Spot { plan } => {
-                        if let Some(entry) =
-                            pool.find_idle_kind(self.catalog, &job.profile, t, EntryKind::Spot)
-                        {
-                            Pool::assign(entry, job, t);
-                            continue;
-                        }
-                        match sim.request(plan.combo, plan.bid, t) {
-                            Ok(id) => {
-                                let mut entry = PoolEntry {
-                                    id,
-                                    combo: plan.combo,
-                                    launched_at: t,
-                                    running_job: None,
-                                    busy_until: 0,
-                                    kind: EntryKind::Spot,
-                                    hourly: Price::ZERO,
-                                };
-                                Pool::assign(&mut entry, job, t);
-                                pool.add(entry);
-                                out.metrics.instances += 1;
-                            }
-                            Err(e) if e.is_transient() => {
-                                match e {
-                                    LaunchError::InsufficientCapacity => {
-                                        out.metrics.capacity_failures += 1;
-                                    }
-                                    LaunchError::Throttled => {
-                                        out.metrics.throttle_failures += 1;
-                                    }
-                                    _ => {}
-                                }
-                                let shift = fault_attempts[ji].min(16);
-                                let delay =
-                                    (base.scan_interval << shift).min(base.max_launch_backoff);
-                                not_before[ji] = t + delay;
-                                fault_attempts[ji] += 1;
-                                out.metrics.requeues += 1;
-                                still_queued.push_back(job_id);
-                            }
-                            Err(_) => {
-                                attempts[ji] += 1;
-                                out.metrics.requeues += 1;
-                                still_queued.push_back(job_id);
-                            }
-                        }
-                    }
-                }
-            }
-            queue = still_queued;
-
-            // 7. Idle releases (full drain once the workload is done).
-            let drained =
-                next_job == jobs.len() && queue.is_empty() && pool.iter().all(|e| e.is_idle());
-            let releases = if drained {
-                pool.iter().map(|e| e.id).collect()
-            } else {
-                pool.due_for_release(t)
-            };
-            for id in releases {
-                let entry = pool.remove(id).expect("tracked member");
-                match entry.kind {
-                    EntryKind::Spot => {
-                        sim.terminate(id, t);
-                        let c = sim.cost(id, t);
-                        out.metrics.cost += c;
-                        out.spot_cost += c;
-                        out.metrics.max_bid_cost += sim.worst_case_cost(id, t);
-                    }
-                    EntryKind::OnDemand => {
-                        let hours = (t - entry.launched_at).div_ceil(HOUR).max(1);
-                        let c = entry.hourly.times(hours);
-                        out.metrics.cost += c;
-                        out.od_cost += c;
-                        // On-demand carries no bid risk: worst case is the
-                        // bill itself.
-                        out.metrics.max_bid_cost += c;
-                    }
-                }
-            }
-
-            if next_job == jobs.len() && queue.is_empty() && pool.is_empty() {
-                break;
-            }
-            t += base.scan_interval;
-            assert!(
-                t < convergence,
-                "strategy replay failed to converge within 7 days"
-            );
+        let mut ref_profile = scan.jobs.first().expect("non-empty workload").profile;
+        ref_profile.est_runtime = base.workload.runtime_median;
+        let mut step = StrategyStep {
+            shard_faults: &self.cfg.shard_faults,
+            strategy,
+            ref_profile,
+            qcache: QuantileCache::default(),
+            decisions: 0,
+            od_instances: 0,
+        };
+        scan.run(&mut step);
+        StrategyOutcome {
+            metrics: scan.metrics,
+            decisions: step.decisions,
+            panic_activations: step.strategy.panic_activations(),
+            od_instances: step.od_instances,
+            od_cost: scan.od_cost,
+            spot_cost: scan.spot_cost,
         }
+    }
+}
 
-        out.metrics.makespan = last_completion - base.replay_start;
-        out.panic_activations = strategy.panic_activations();
-        out
+/// A strategy's scheduling step: it observes the reference tick, may move
+/// jobs riding spot to on-demand, and decides each queued job.
+struct StrategyStep<'a> {
+    shard_faults: &'a ShardFaults,
+    strategy: &'a mut dyn Strategy,
+    ref_profile: JobProfile,
+    qcache: QuantileCache,
+    decisions: u64,
+    od_instances: u64,
+}
+
+impl Scheduler for StrategyStep<'_> {
+    fn prepare(&mut self, scan: &mut Scan<'_>, t: u64) {
+        // The global observation tick: estimators ingest one availability
+        // sample per scan, from the reference profile.
+        let ref_profile = self.ref_profile;
+        let ref_tick = self.market_tick(scan, &ref_profile, t);
+        self.strategy.observe(&ref_tick);
+
+        // Running-job consultations: the strategy may checkpoint a spot
+        // job off to on-demand, keeping its progress and paying one scan
+        // interval of migration overhead.
+        let riding: Vec<(InstanceId, u32, u64)> = scan
+            .pool
+            .iter()
+            .filter(|e| e.kind == EntryKind::Spot && !e.is_idle() && e.busy_until > t)
+            .map(|e| (e.id, e.running_job.expect("busy"), e.busy_until))
+            .collect();
+        for (id, job_id, busy_until) in riding {
+            let job = scan.jobs[job_id as usize];
+            let elapsed = t - (busy_until - job.runtime);
+            let remaining = job.profile.est_runtime.saturating_sub(elapsed);
+            if matches!(
+                self.decide(scan, &job, Some(ResourceKind::Spot), remaining, t),
+                Action::Switch | Action::OnDemand
+            ) {
+                scan.sim.terminate(id, t);
+                scan.pool.remove(id);
+                scan.bill_spot(id, t);
+                self.run_on_demand(scan, &job, t, busy_until + scan.cfg.scan_interval);
+                scan.metrics.strategy_switches += 1;
+            }
+        }
+    }
+
+    fn place(&mut self, scan: &mut Scan<'_>, job_id: u32, t: u64) -> bool {
+        let job = scan.jobs[job_id as usize];
+        match self.decide(scan, &job, None, job.profile.est_runtime, t) {
+            Action::Wait => false,
+            Action::OnDemand | Action::Switch => {
+                if !scan.reuse_idle(job_id, EntryKind::OnDemand, t) {
+                    self.run_on_demand(scan, &job, t, t + job.runtime);
+                }
+                true
+            }
+            Action::Spot { plan } => {
+                scan.reuse_idle(job_id, EntryKind::Spot, t)
+                    || scan.request_spot(job_id, Some(plan), t)
+            }
+        }
+    }
+}
+
+impl StrategyStep<'_> {
+    /// Consults the strategy on `job` at `t`.
+    fn decide(
+        &mut self,
+        scan: &mut Scan<'_>,
+        job: &Job,
+        running_on: Option<ResourceKind>,
+        est_remaining: u64,
+        t: u64,
+    ) -> Action {
+        let _span = obs::span("strategy_decide");
+        let ji = job.id as usize;
+        let state = JobState {
+            id: job.id,
+            deadline: scan.cfg.replay_start + job.deadline,
+            est_total: job.profile.est_runtime,
+            est_remaining,
+            running_on,
+            attempts: scan.attempts[ji],
+            restarts: scan.restarts[ji],
+        };
+        let tick = self.market_tick(scan, &job.profile, t);
+        self.decisions += 1;
+        self.strategy.decide(&tick, &state)
     }
 
     /// Builds the [`MarketTick`] a strategy sees for one profile at `t`.
-    fn market_tick(
-        &self,
-        sim: &mut SpotSimulator,
-        service: &DraftsService,
-        profile: &crate::job::JobProfile,
-        t: u64,
-        qcache: &mut QuantileCache,
-    ) -> MarketTick {
-        let cfg = &self.cfg;
-        let base = &cfg.base;
-        let shards = cfg.shard_faults.shards();
+    fn market_tick(&mut self, scan: &mut Scan<'_>, profile: &JobProfile, t: u64) -> MarketTick {
+        let cfg = scan.cfg;
+        let shards = self.shard_faults.shards();
         // A killed or hung advisory shard answers nothing; a slow one
         // still answers correctly (the front marks it degraded but keeps
         // routing to it).
         let gate = |combo: Combo| {
             !matches!(
-                cfg.shard_faults
+                self.shard_faults
                     .active((combo.key() % shards as u64) as usize, t),
-                Some(
-                    spotmarket::faults::ShardFaultKind::Kill
-                        | spotmarket::faults::ShardFaultKind::Hang
-                )
+                Some(ShardFaultKind::Kill | ShardFaultKind::Hang)
             )
         };
-        let drafts = policy::plan_gated(
-            base.policy,
-            self.catalog,
-            service,
-            base.region,
-            profile,
-            t,
-            base.target_p,
-            &gate,
-        )
-        .map(|p| SpotPlan {
-            combo: p.combo,
-            bid: p.bid,
-        });
-        let fallback = policy::plan(
-            ProvisionerPolicy::Original,
-            self.catalog,
-            service,
-            base.region,
-            profile,
-            t,
-            base.target_p,
-        )
-        .map(|p| SpotPlan {
-            combo: p.combo,
-            bid: p.bid,
-        });
-        let types = suitable_types(self.catalog, profile);
-        let od_price = types
+        let drafts = scan.plan(cfg.policy, profile, t, &gate);
+        let fallback = scan.plan(ProvisionerPolicy::Original, profile, t, &|_| true);
+        let od_price = suitable_types(scan.catalog, profile)
             .first()
-            .map(|&ty| self.catalog.od_price(ty, base.region))
+            .map(|&ty| scan.catalog.od_price(ty, cfg.region))
             .unwrap_or(Price::MAX);
         let (spot_price, quantiles) = match fallback {
-            Some(f) => (sim.price_at(f.combo, t), qcache.get(sim, f.combo, t)),
+            Some(f) => (
+                scan.sim.price_at(f.combo, t),
+                self.qcache.get(&mut scan.sim, f.combo, t),
+            ),
             None => (None, PriceQuantiles::default()),
         };
         MarketTick {
             now: t,
-            scan_interval: base.scan_interval,
+            scan_interval: cfg.scan_interval,
             spot_available: drafts.is_some(),
             drafts,
             fallback,
@@ -547,23 +336,24 @@ impl StrategyReplay {
         }
     }
 
-    /// Allocates a fresh on-demand pool entry for `job`'s profile.
-    fn od_entry(&self, job: &Job, t: u64, od_seq: &mut u64) -> PoolEntry {
-        let region = self.cfg.base.region;
-        let types = suitable_types(self.catalog, &job.profile);
+    /// Launches an on-demand instance for `job`'s profile and runs the job
+    /// on it until `busy_until`.
+    fn run_on_demand(&mut self, scan: &mut Scan<'_>, job: &Job, t: u64, busy_until: u64) {
+        let region = scan.cfg.region;
+        let types = suitable_types(scan.catalog, &job.profile);
         let ty = *types.first().expect("workload profiles are satisfiable");
         let az = region.azs().next().expect("regions have AZs");
-        let id = InstanceId(OD_ID_BASE + *od_seq);
-        *od_seq += 1;
-        PoolEntry {
-            id,
+        scan.pool.add(PoolEntry {
+            id: InstanceId(OD_ID_BASE + self.od_instances),
             combo: Combo::new(az, ty),
             launched_at: t,
-            running_job: None,
-            busy_until: 0,
+            running_job: Some(job.id),
+            busy_until,
             kind: EntryKind::OnDemand,
-            hourly: self.catalog.od_price(ty, region),
-        }
+            hourly: scan.catalog.od_price(ty, region),
+        });
+        scan.metrics.instances += 1;
+        self.od_instances += 1;
     }
 }
 

@@ -38,7 +38,7 @@
 //!   routing *new* requests to a shard before its server drains, and
 //!   the shard's own `admitted == served` assertion still holds.
 
-use crate::http::{self, Request, Response, MAX_HEADERS, MAX_HEADER_LINE};
+use crate::http::{self, Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::{Metrics, Route};
 use crate::ring::Ring;
@@ -50,7 +50,7 @@ use obs::{Counter, Registry, TraceContext};
 use parallel::lock_clean;
 use spotmarket::faults::{ShardFaultKind, ShardFaults};
 use spotmarket::{Az, Catalog, Combo};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -188,13 +188,6 @@ impl FleetCounters {
     }
 }
 
-/// Largest shard answer body the front reads, thousands of times the
-/// largest a shard renders (a graphs document or a `/v1/metrics`
-/// exposition, a few KB each). A peer announcing more is broken or
-/// hostile: its answer is a proxy error before any buffer is sized from
-/// the announced length.
-const MAX_SHARD_BODY: usize = 16 * 1024 * 1024;
-
 /// A pooled keep-alive connection to one shard (the front's own minimal
 /// HTTP/1.1 client — the server crate cannot depend on loadgen). A GET
 /// is split into [`ProxyConn::send`] and [`ProxyConn::recv`] so a scatter
@@ -265,56 +258,17 @@ impl ProxyConn {
         }
     }
 
-    /// Reads the answer to the last send, every size bounded before it is
-    /// read: status and header lines by [`MAX_HEADER_LINE`] and
-    /// [`MAX_HEADERS`], the body by [`MAX_SHARD_BODY`].
+    /// Reads the answer to the last send with [`http::read_response`].
     fn recv(&mut self) -> io::Result<(u16, Vec<u8>)> {
-        let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let reader = self
             .conn
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "nothing sent"))?;
-        let status_line =
-            http::read_line(reader, MAX_HEADER_LINE)?.ok_or(io::ErrorKind::UnexpectedEof)?;
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| invalid("bad status line"))?;
-
-        let mut content_length = 0usize;
-        let mut close = false;
-        let mut headers = 0usize;
-        loop {
-            let line =
-                http::read_line(reader, MAX_HEADER_LINE)?.ok_or(io::ErrorKind::UnexpectedEof)?;
-            if line.is_empty() {
-                break;
-            }
-            headers += 1;
-            if headers > MAX_HEADERS {
-                return Err(invalid("too many headers"));
-            }
-            let Some((name, value)) = line.split_once(':') else {
-                continue;
-            };
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            if name == "content-length" {
-                content_length = value.parse().map_err(|_| invalid("bad content-length"))?;
-            } else if name == "connection" && value.eq_ignore_ascii_case("close") {
-                close = true;
-            }
-        }
-        if content_length > MAX_SHARD_BODY {
-            return Err(invalid("shard body too large"));
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body)?;
-        if close {
+        let response = http::read_response(reader)?;
+        if response.close {
             self.conn = None;
         }
-        Ok((status, body))
+        Ok((response.status, response.body))
     }
 }
 

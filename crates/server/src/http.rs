@@ -1,4 +1,5 @@
-//! Minimal HTTP/1.1 on `std`: request parsing and response writing.
+//! Minimal HTTP/1.1 on `std`: request parsing and response writing, and
+//! the one bounded response reader every client here uses.
 //!
 //! Scope is exactly what the serving layer needs (no hyper, no tokio):
 //!
@@ -24,6 +25,12 @@ pub const MAX_HEADERS: usize = 64;
 pub const MAX_HEADER_LINE: usize = 8 * 1024;
 /// Maximum accepted request body in bytes.
 pub const MAX_BODY: usize = 64 * 1024;
+/// Largest response body [`read_response`] reads, thousands of times the
+/// largest a server here renders (a graphs document or a `/v1/metrics`
+/// exposition, a few KB each). A peer announcing more is broken or
+/// hostile: its answer is an error before any buffer is sized from the
+/// announced length.
+pub const MAX_RESPONSE_BODY: usize = 16 * 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug, Clone)]
@@ -340,6 +347,67 @@ pub fn write_response(
     frame.extend_from_slice(&resp.body);
     writer.write_all(&frame)?;
     writer.flush()
+}
+
+/// A response as a client reads it back.
+#[derive(Debug)]
+pub struct ClientResponse {
+    /// HTTP status code.
+    pub status: u16,
+    /// The body: exactly `Content-Length` bytes.
+    pub body: Vec<u8>,
+    /// The `Retry-After` seconds, when the server sent a numeric hint.
+    pub retry_after: Option<u64>,
+    /// True when the server closes the connection after this response.
+    pub close: bool,
+}
+
+/// Reads one response, every size bounded before it is read: the status
+/// and header lines by [`MAX_HEADER_LINE`], their number by
+/// [`MAX_HEADERS`] and the body by [`MAX_RESPONSE_BODY`].
+pub fn read_response(reader: &mut impl BufRead) -> io::Result<ClientResponse> {
+    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+    let mut line = || read_line(reader, MAX_HEADER_LINE)?.ok_or(ParseError::Eof);
+    let status = line()?
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| invalid("bad status line"))?;
+    let mut response = ClientResponse {
+        status,
+        body: Vec::new(),
+        retry_after: None,
+        close: false,
+    };
+    let mut content_length = 0usize;
+    let mut headers = 0;
+    loop {
+        let line = line()?;
+        if line.is_empty() {
+            break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(invalid("too many headers"));
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value.parse().map_err(|_| invalid("bad content-length"))?;
+        } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
+            response.close = true;
+        } else if name.eq_ignore_ascii_case("retry-after") {
+            response.retry_after = value.parse().ok();
+        }
+    }
+    if content_length > MAX_RESPONSE_BODY {
+        return Err(invalid("response body too large"));
+    }
+    response.body = vec![0u8; content_length];
+    reader.read_exact(&mut response.body)?;
+    Ok(response)
 }
 
 #[cfg(test)]

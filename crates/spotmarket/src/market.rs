@@ -300,10 +300,7 @@ mod tests {
         assert_eq!(c.outbid.len(), 1);
     }
 
-    // Randomized property tests (formerly proptest-based; rewritten on
-    // simrng so the default build needs no registry crates). Enable with
-    // `--features proptest`.
-    #[cfg(feature = "proptest")]
+    // Randomized property tests on simrng's generators.
     mod props {
         use super::*;
         use simrng::{Rng, SeedableFrom, Xoshiro256pp};

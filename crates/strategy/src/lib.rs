@@ -122,7 +122,9 @@ pub struct JobState {
     pub est_remaining: u64,
     /// Where the job runs now (`None` = queued).
     pub running_on: Option<ResourceKind>,
-    /// Consecutive rejected launch attempts since the last success.
+    /// Spot launch attempts the market has refused so far, transient
+    /// launch faults aside. The count is never reset: a job requeued
+    /// after a revocation keeps it.
     pub attempts: u32,
     /// Market revocations suffered so far (each loses all progress).
     pub restarts: u32,

@@ -547,11 +547,9 @@ mod tests {
         assert!(d <= cap, "depth {d} exceeds cap {cap}");
     }
 
-    // Randomized property tests (formerly proptest-based; rewritten on
-    // simrng so the default build needs no registry crates). Enable with
-    // `--features proptest`. Each case count mirrors proptest's default
-    // (256 cases) and failures print the seed for replay.
-    #[cfg(feature = "proptest")]
+    // Randomized property tests on simrng's generators. Each case count
+    // mirrors proptest's default (256 cases) and failures print the seed
+    // for replay.
     mod props {
         use super::*;
 
