@@ -3,7 +3,7 @@
 //! For each combo: generate its price history, generate its request
 //! population, then run one chronological sweep evaluating every policy at
 //! every request. Combos are independent, so they fan out over the
-//! work-stealing pool in `parallel` with per-combo random streams (no
+//! thread pool in `parallel` with per-combo random streams (no
 //! cross-combo coupling); results are index-ordered, so output is
 //! bit-identical at any thread count.
 

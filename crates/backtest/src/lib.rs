@@ -13,7 +13,7 @@
 //! * [`request`] — the random request population,
 //! * [`sweep`] — a single-pass incremental DrAFTS evaluator (O(n log n)
 //!   per combo instead of re-running batch QBETS at every query point),
-//! * [`engine`] — work-stealing parallel orchestration across the 452 combos,
+//! * [`engine`] — parallel orchestration across the 452 combos,
 //! * [`chaos`] — the same evaluation run through a seeded degraded feed,
 //!   with conservative-degradation accounting,
 //! * [`correctness`] — success-fraction accounting and bucketing,

@@ -3,15 +3,19 @@
 //! Eight bench targets cover the kernels behind every experiment and the
 //! ablations DESIGN.md calls out:
 //!
-//! * `qbets` — batch vs incremental QBETS updates (the §3.3 claim that
-//!   predictor state updates in milliseconds),
 //! * `orderstat` — treap multiset vs the sorted-`Vec` oracle,
 //! * `binomial` — log-space CDF kernels and the bound inversion,
 //! * `market` — clearing-engine throughput,
 //! * `tracegen` — price-trace generation,
 //! * `predictor` — end-to-end DrAFTS prediction (batch) and quote (sweep),
 //! * `duration` — duration-series derivation: segment tree vs linear scan,
-//! * `backtest_cell` — one Table-1 combo cell end to end.
+//! * `backtest_cell` — one Table-1 combo cell end to end,
+//! * `snapshot` — the snapshot swap against a lock baseline, and the
+//!   service's fetch hit alone and under 15 contending readers.
+//!
+//! The QBETS batch-vs-incremental claim (§3.3), the bid–duration graph
+//! and the serving routes are timed by `repro bench`, which commits them
+//! to the `BENCH_*.json` trajectory files; no target here re-times them.
 //!
 //! The harness ([`timing`]) is std-only: auto-calibrated iteration counts,
 //! several timed samples, median/min/max in ns per iteration. It trades

@@ -19,15 +19,15 @@
 //!   comparing like with like.
 //! * `wall_clock` — median ns per operation from the calibrated
 //!   harness, machine-dependent, never byte-compared. CI gates only the
-//!   machine-portable *ratios* (`window_overhead_pct`,
-//!   `svc_fetch_self_pct`, `trace_overhead_pct`) and a wide sanity band
-//!   against the committed medians that passes machine variance but
-//!   fails runaway regressions.
+//!   machine-portable *ratios* `window_overhead_pct` and
+//!   `trace_overhead_pct`, and a wide sanity band against the committed
+//!   medians that passes machine variance but fails runaway regressions.
+//!   `svc_fetch_self_pct` is gated once, on the `profile.csv` that
+//!   `repro serve` writes from the same [`profile::StageTable`].
 //!
 //! The serving numbers come from the same `serve::boot` helper that
-//! `repro serve` and `repro profile` use — same plan, same warm
-//! sequence — so a bench point is directly comparable with the serve
-//! and profile artifacts from the same commit.
+//! `repro serve` uses — same plan, same warm sequence — so a bench point
+//! is directly comparable with the serve artifacts from the same commit.
 
 use crate::common::Scale;
 use crate::{fleet, profile, serve, strategies};
@@ -145,13 +145,8 @@ fn serve_bench(scale: Scale) -> (String, f64, f64, f64) {
     // One replay through the live server: the client-observed quantiles,
     // and the per-stage tracer histograms for the svc_fetch share.
     let report = b.replay();
-    let tracer = b.server.metrics().tracer().clone();
-    let self_sum: u64 = profile::stages()
-        .iter()
-        .map(|&s| tracer.stage_stats(s).self_time.sum_ns())
-        .sum();
-    let svc_fetch_self = tracer.stage_stats("svc_fetch").self_time.sum_ns();
-    let svc_fetch_self_pct = 100.0 * svc_fetch_self as f64 / self_sum.max(1) as f64;
+    let svc_fetch_self_pct =
+        profile::StageTable::read(b.server.metrics().tracer()).self_share_pct("svc_fetch");
 
     // In-process route handling on the same warmed service, through a
     // fresh router/metrics pair so the bench loop's own counters do not
@@ -344,11 +339,11 @@ fn fleet_bench(scale: Scale) -> String {
         ("scale", format!("\"{}\"", scale.pick("quick", "paper"))),
         ("fleet_seed", fleet::FLEET_SEED.to_string()),
         ("shards", cfg.shards.to_string()),
-        ("replication", cfg.replication.to_string()),
-        ("vnodes", cfg.vnodes.to_string()),
+        ("replication", ring.replication().to_string()),
+        ("vnodes", server::fleet::VNODES.to_string()),
         ("combos", plan.combos.len().to_string()),
         ("ring_checksum", format!("\"{ring_checksum:016x}\"")),
-        ("probe_interval", cfg.probe_interval.to_string()),
+        ("probe_interval", server::fleet::PROBE_INTERVAL.to_string()),
     ];
     let wall: Vec<(&str, String)> = vec![
         ("proxy_graphs_ns", ns(proxy_graphs)),
@@ -469,10 +464,9 @@ fn qbets_bench() -> String {
         let q = Qbets::from_history(QbetsConfig::default(), black_box(&values));
         black_box(q.upper_bound(0.975))
     });
-    // Incremental updates on shared warm state (unlike the `qbets` bench
-    // target's batched variant, which pays a full rebuild per iteration —
-    // affordable only under DRAFTS_BENCH_QUICK). The accumulating segment
-    // is the realistic shape: production feeds observe into live state.
+    // Incremental updates on shared warm state, not a rebuild per
+    // iteration. The accumulating segment is the realistic shape:
+    // production feeds observe into live state.
     let mut warm_q = Qbets::from_history(QbetsConfig::default(), &values);
     let incremental = h.bench("incremental_observe", || {
         warm_q.observe(black_box(12_345));

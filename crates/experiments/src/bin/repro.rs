@@ -4,13 +4,14 @@
 //! repro <experiment> [--quick]
 //! experiment: table1 | figure1 | figure2 | figure3 | figure4
 //!           | table2 | table3 | table4 | table5 | tightness
-//!           | reflexivity | faults | serve | profile | bench
+//!           | reflexivity | faults | serve | bench
 //!           | fleet | strategies | trace | all
 //!
 //! `serve` boots the drafts-serve HTTP layer on an ephemeral loopback
-//! port and replays the seeded loadgen workload against it. `profile`
-//! is the same boot with span tracing on, reporting where each request
-//! spends its time per pipeline stage. `bench` runs the timing-harness
+//! port, replays the seeded loadgen workload against it, and writes the
+//! server tracer's per-stage profile (`profile.csv`: where each request
+//! spends its time per pipeline stage) beside `serve.csv` and
+//! `serve_latency.csv`. `bench` runs the timing-harness
 //! benches over that boot plus the QBETS kernels and writes the
 //! `BENCH_serve.json` / `BENCH_qbets.json` / `BENCH_fleet.json`
 //! trajectory files into the current directory (override with
@@ -24,7 +25,7 @@
 //! chaos plan, reconstructs every request's fleet-merged timeline via
 //! the front's `/v1/_debug/trace/{id}` route, and writes the
 //! byte-deterministic attribution artifact `traces.csv`. None of
-//! serve/profile/bench is part of `all`: their wall-clock halves
+//! serve/bench is part of `all`: their wall-clock halves
 //! depend on the machine.
 //! ```
 //!
@@ -64,7 +65,6 @@ fn main() {
         "reflexivity" => run_reflexivity(),
         "faults" => run_faults(scale),
         "serve" => run_serve(scale),
-        "profile" => run_profile(scale),
         "bench" => run_bench(scale),
         "fleet" => run_fleet(scale),
         "strategies" => run_strategies(scale),
@@ -84,7 +84,7 @@ fn main() {
             eprintln!(
                 "unknown experiment '{other}'; expected table1|figure1|figure2|figure3|\
                  figure4|table2|table3|table4|table5|tightness|reflexivity|faults|serve|\
-                 profile|bench|fleet|strategies|trace|all"
+                 bench|fleet|strategies|trace|all"
             );
             std::process::exit(2);
         }
@@ -205,10 +205,15 @@ fn run_faults(scale: Scale) {
 fn run_serve(scale: Scale) {
     let out = serve::run(scale);
     print!("{}", serve::summarize(&out));
-    let det = common::write_artifact("serve.csv", &serve::deterministic_csv(&out));
-    let lat = common::write_artifact("serve_latency.csv", &serve::latency_csv(&out));
-    eprintln!("wrote {}", common::display(&det));
-    eprintln!("wrote {}", common::display(&lat));
+    print!("{}", profile::summarize(&out.profile));
+    for (name, csv) in [
+        ("serve.csv", serve::deterministic_csv(&out)),
+        ("serve_latency.csv", serve::latency_csv(&out)),
+        ("profile.csv", profile::to_csv(&out.profile)),
+    ] {
+        let path = common::write_artifact(name, &csv);
+        eprintln!("wrote {}", common::display(&path));
+    }
 }
 
 fn run_bench(scale: Scale) {
@@ -245,13 +250,6 @@ fn run_strategies(scale: Scale) {
     let out = strategies::run(scale);
     print!("{}", strategies::summarize(&out));
     let path = common::write_artifact("strategies.csv", &strategies::deterministic_csv(&out));
-    eprintln!("wrote {}", common::display(&path));
-}
-
-fn run_profile(scale: Scale) {
-    let out = profile::run(scale);
-    print!("{}", profile::summarize(&out));
-    let path = common::write_artifact("profile.csv", &profile::to_csv(&out));
     eprintln!("wrote {}", common::display(&path));
 }
 

@@ -20,8 +20,7 @@
 //! | `tightness` | bid/price ratio ablation (tech report) | [`table45`] |
 //! | `reflexivity` | SS6 future work: adoption feedback      | [`reflexivity`] |
 //! | `faults`  | feed-fault degradation sweep (robustness) | [`faults`] |
-//! | `serve`   | serving-layer throughput/latency smoke    | [`serve`] |
-//! | `profile` | per-stage serving-pipeline profile        | [`profile`] |
+//! | `serve`   | serving-layer smoke + per-stage profile   | [`serve`], [`profile`] |
 //! | `bench`   | `BENCH_*.json` perf-trajectory points     | [`benchrun`] |
 //! | `fleet`   | sharded-fleet chaos/failover sweep        | [`fleet`] |
 //! | `strategies` | bidding-strategy arena, 3 intensities  | [`strategies`] |

@@ -1,10 +1,13 @@
-//! Pipeline profile experiment: `repro profile [--quick]`.
+//! Pipeline profile: the per-stage table `repro serve` writes as
+//! `profile.csv`.
 //!
-//! Reuses the `serve` plan — an in-process drafts-serve boot plus the
-//! seeded open-loop loadgen replay — and reads the per-stage span
-//! histograms back out of the server's registry afterwards. The artifact (`profile.csv`) carries one row per
-//! pipeline stage with its span count, cumulative (total) time, self
-//! time (net of child spans), and self-time share.
+//! Every server worker installs the span tracer, so the serve replay
+//! already records each request's stage tree; [`StageTable::read`] reads
+//! the per-stage span histograms back out of that tracer afterwards. The
+//! artifact carries one row per pipeline stage with its span count,
+//! cumulative (total) time, self time (net of child spans), and self-time
+//! share. `repro bench` reads its `svc_fetch_self_pct` from the same
+//! table.
 //!
 //! Determinism boundary, as everywhere in this repo: the `stage` and
 //! `count` columns are pure functions of the seed (CI runs the
@@ -17,10 +20,8 @@
 //! (`http_*`) spans to the nanosecond — the per-stage rows are a true
 //! decomposition of end-to-end serving time, not estimates.
 
-use crate::common::Scale;
-use crate::serve;
 use drafts_core::service::SERVICE_STAGES;
-use loadgen::RunReport;
+use obs::Tracer;
 use server::Route;
 
 /// One stage of the serving pipeline, measured.
@@ -36,8 +37,8 @@ pub struct StageRow {
     pub self_ns: u64,
 }
 
-/// The experiment's output.
-pub struct ProfileOutput {
+/// Every stage of the serving pipeline, read from one tracer.
+pub struct StageTable {
     /// Per-stage rows, in canonical stage order.
     pub rows: Vec<StageRow>,
     /// Summed duration of the root `http_*` spans (ns): the server-side
@@ -46,11 +47,36 @@ pub struct ProfileOutput {
     /// Summed self time across every stage (ns); equals `root_total_ns`
     /// exactly (see the module docs).
     pub self_sum_ns: u64,
-    /// Aggregated loadgen report (client-side view).
-    pub report: RunReport,
 }
 
-impl ProfileOutput {
+impl StageTable {
+    /// Reads every stage of [`stages`], in that order, from `tracer`.
+    pub fn read(tracer: &Tracer) -> StageTable {
+        let rows: Vec<StageRow> = stages()
+            .into_iter()
+            .map(|stage| {
+                let stats = tracer.stage_stats(stage);
+                StageRow {
+                    stage,
+                    count: stats.total.count(),
+                    total_ns: stats.total.sum_ns(),
+                    self_ns: stats.self_time.sum_ns(),
+                }
+            })
+            .collect();
+        let root_total_ns = rows
+            .iter()
+            .filter(|r| r.stage.starts_with("http_"))
+            .map(|r| r.total_ns)
+            .sum();
+        let self_sum_ns = rows.iter().map(|r| r.self_ns).sum();
+        StageTable {
+            rows,
+            root_total_ns,
+            self_sum_ns,
+        }
+    }
+
     /// The stage with the largest self time — where the pipeline
     /// actually spends its serving time.
     pub fn hot_stage(&self) -> &StageRow {
@@ -58,6 +84,17 @@ impl ProfileOutput {
             .iter()
             .max_by_key(|r| r.self_ns)
             .expect("at least one stage")
+    }
+
+    /// `stage`'s self time as a percentage of the summed self time (0
+    /// for a stage the table does not carry).
+    pub fn self_share_pct(&self, stage: &str) -> f64 {
+        let self_ns = self
+            .rows
+            .iter()
+            .find(|r| r.stage == stage)
+            .map_or(0, |r| r.self_ns);
+        100.0 * self_ns as f64 / self.self_sum_ns.max(1) as f64
     }
 }
 
@@ -71,118 +108,81 @@ pub(crate) fn stages() -> Vec<&'static str> {
         .collect()
 }
 
-/// Runs the experiment: boot, replay, read stages.
-pub fn run(scale: Scale) -> ProfileOutput {
-    // The shared `serve::boot` warms exactly as `repro serve` does: the
-    // profile measures steady-state serving — the paper's service
-    // recomputes graphs on its 15-minute schedule, not inside a client's
-    // request. Warming runs before the server and its tracer start, so
-    // the cold QBETS builds (and the single-flight waits they impose on
-    // concurrent workers) do not masquerade as per-request serving time.
-    let b = serve::boot(serve::plan(scale), scale);
-    let metrics = b.server.metrics();
-
-    let report = b.replay();
-
-    let tracer = metrics.tracer().clone();
-    let rows: Vec<StageRow> = stages()
-        .into_iter()
-        .map(|stage| {
-            let stats = tracer.stage_stats(stage);
-            StageRow {
-                stage,
-                count: stats.total.count(),
-                total_ns: stats.total.sum_ns(),
-                self_ns: stats.self_time.sum_ns(),
-            }
-        })
-        .collect();
-    let root_total_ns = rows
-        .iter()
-        .filter(|r| r.stage.starts_with("http_"))
-        .map(|r| r.total_ns)
-        .sum();
-    let self_sum_ns = rows.iter().map(|r| r.self_ns).sum();
-    b.server.shutdown();
-
-    ProfileOutput {
-        rows,
-        root_total_ns,
-        self_sum_ns,
-        report,
-    }
-}
-
 /// Renders `profile.csv`. Columns 1–2 (`stage,count`) are deterministic;
 /// the remaining columns are wall clock (CI cuts them before diffing).
-pub fn to_csv(out: &ProfileOutput) -> String {
+pub fn to_csv(table: &StageTable) -> String {
     let mut csv = String::from("stage,count,total_ns,self_ns,self_share_pct\n");
-    let denom = out.self_sum_ns.max(1) as f64;
-    for r in &out.rows {
+    for r in &table.rows {
         csv.push_str(&format!(
             "{},{},{},{},{:.2}\n",
             r.stage,
             r.count,
             r.total_ns,
             r.self_ns,
-            100.0 * r.self_ns as f64 / denom,
+            table.self_share_pct(r.stage),
         ));
     }
     csv.push_str(&format!(
         "_total,{},{},{},100.00\n",
-        out.rows.iter().map(|r| r.count).sum::<u64>(),
-        out.root_total_ns,
-        out.self_sum_ns,
+        table.rows.iter().map(|r| r.count).sum::<u64>(),
+        table.root_total_ns,
+        table.self_sum_ns,
     ));
     csv
 }
 
 /// One-paragraph human summary for stdout.
-pub fn summarize(out: &ProfileOutput) -> String {
-    let hot = out.hot_stage();
+pub fn summarize(table: &StageTable) -> String {
+    let hot = table.hot_stage();
     format!(
-        "profile: {} requests, {} spans over {} stages; \
+        "profile: {} spans over {} stages; \
          e2e (http root) {:.2}ms, self-time sum {:.2}ms; \
          hot stage {} ({:.1}% of self time)\n",
-        out.report.total(),
-        out.rows.iter().map(|r| r.count).sum::<u64>(),
-        out.rows.len(),
-        out.root_total_ns as f64 / 1e6,
-        out.self_sum_ns as f64 / 1e6,
+        table.rows.iter().map(|r| r.count).sum::<u64>(),
+        table.rows.len(),
+        table.root_total_ns as f64 / 1e6,
+        table.self_sum_ns as f64 / 1e6,
         hot.stage,
-        100.0 * hot.self_ns as f64 / out.self_sum_ns.max(1) as f64,
+        table.self_share_pct(hot.stage),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Scale;
+    use crate::serve;
 
     #[test]
     fn self_times_decompose_the_end_to_end_serving_time() {
-        let out = run(Scale::Quick);
+        let out = serve::run(Scale::Quick);
         assert_eq!(out.report.non_ok, 0, "unexpected non-200s");
+        let table = &out.profile;
         // The decomposition identity: summed self time reproduces the
         // summed root-span time. Exact by construction; the 5% bound is
         // the acceptance criterion's slack.
-        assert!(out.root_total_ns > 0);
-        let ratio = out.self_sum_ns as f64 / out.root_total_ns as f64;
+        assert!(table.root_total_ns > 0);
+        let ratio = table.self_sum_ns as f64 / table.root_total_ns as f64;
         assert!(
             (0.95..=1.05).contains(&ratio),
             "self-time sum {} vs e2e {} (ratio {ratio})",
-            out.self_sum_ns,
-            out.root_total_ns,
+            table.self_sum_ns,
+            table.root_total_ns,
         );
         // Deterministic columns are identical across runs.
-        let cols = |o: &ProfileOutput| {
-            to_csv(o)
+        let cols = |t: &StageTable| {
+            to_csv(t)
                 .lines()
                 .map(|l| l.splitn(3, ',').take(2).collect::<Vec<_>>().join(","))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let again = run(Scale::Quick);
-        assert_eq!(cols(&out), cols(&again), "stage,count must be stable");
-        assert!(summarize(&out).contains("hot stage"));
+        let again = serve::run(Scale::Quick);
+        assert_eq!(
+            cols(table),
+            cols(&again.profile),
+            "stage,count must be stable"
+        );
+        assert!(summarize(table).contains("hot stage"));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Boots a drafts-serve instance on an ephemeral loopback port over a
 //! multi-combo [`DraftsService`], replays the seeded open-loop loadgen
-//! plan against it, and writes two artifacts with a deliberate
+//! plan against it, and writes three artifacts with a deliberate
 //! determinism boundary:
 //!
 //! * `serve.csv` — per-route request counts, 200 counts, body bytes and
@@ -14,12 +14,16 @@
 //!   the harness's per-route histograms. The timing columns are wall
 //!   clock and machine-dependent; only the `route,requests` columns are
 //!   deterministic (CI cuts and compares those, as with `profile.csv`).
+//! * `profile.csv` — the per-stage span table the server's tracer
+//!   recorded during the same replay ([`crate::profile`]); only its
+//!   `stage,count` columns are deterministic.
 //!
 //! The split exists because response *content* under virtual time is
 //! reproducible while response *timing* never is; mixing them in one
 //! artifact would force CI to diff nothing.
 
 use crate::common::{Scale, REPRO_SEED};
+use crate::profile::StageTable;
 use drafts_core::predictor::DraftsConfig;
 use drafts_core::service::ServiceConfig;
 use drafts_core::DraftsService;
@@ -33,8 +37,8 @@ use spotmarket::{Az, Catalog, Combo, PriceHistory, DAY};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Seed domain separating the serving experiment (and the profile
-/// experiment built on its plan) from the others.
+/// Seed domain separating the serving experiment (and the bench built on
+/// its plan) from the others.
 pub const SERVE_SEED: u64 = REPRO_SEED ^ 0x5E17E;
 
 /// The serving workload shape at `scale`.
@@ -64,6 +68,8 @@ pub struct ServeOutput {
     /// Snapshot publications during the workload (after warm-up). 0 in
     /// steady state: nothing republishes inside one refresh bucket.
     pub swaps_steady: u64,
+    /// The server tracer's per-stage table for the replay.
+    pub profile: StageTable,
 }
 
 /// The market population: AZ/type pairs in the spirit of the Table 1
@@ -160,8 +166,8 @@ pub fn build_service(combos: &[Combo], scale: Scale) -> DraftsService {
 
 /// A booted serving stack: the seeded multi-combo service built, warmed,
 /// and fronted by a live loopback server. This is the boot sequence
-/// `repro serve`, `repro profile` and `repro bench` all share — one copy
-/// of the warm/bind logic instead of one per experiment.
+/// `repro serve` and `repro bench` share — one copy of the warm/bind
+/// logic instead of one per experiment.
 pub struct Booted {
     /// The plan the boot realised (tuning knobs included).
     pub plan: ServePlan,
@@ -230,12 +236,17 @@ impl Booted {
     }
 }
 
-/// Runs the experiment: boot, warm, replay, drain.
+/// Runs the experiment: boot, warm, replay, read the stage table, drain.
+///
+/// Warming runs before the server and its tracer start, so the cold
+/// QBETS builds (and the single-flight waits they impose on concurrent
+/// workers) do not masquerade as per-request serving time in the table.
 pub fn run(scale: Scale) -> ServeOutput {
     let b = boot(plan(scale), scale);
     let report = b.replay();
     let reader_locks_steady = b.locks_steady();
     let swaps_steady = b.swaps_steady();
+    let profile = StageTable::read(b.server.metrics().tracer());
     let drain = b.server.shutdown();
     ServeOutput {
         plan: b.plan,
@@ -243,6 +254,7 @@ pub fn run(scale: Scale) -> ServeOutput {
         drain,
         reader_locks_steady,
         swaps_steady,
+        profile,
     }
 }
 

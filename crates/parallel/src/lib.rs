@@ -1,22 +1,21 @@
-//! Std-only scoped work-stealing thread pool.
+//! Std-only scoped thread pool over one shared task cursor.
 //!
 //! The backtest engine fans out over 452 independent (AZ, instance type)
 //! combos whose per-combo cost is wildly skewed — a busy us-east AZ with
 //! many change points costs orders of magnitude more than a placid
-//! us-west one. A static partition therefore leaves workers idle;
-//! work stealing keeps them busy without any external dependency.
+//! us-west one. A static partition therefore leaves workers idle; handing
+//! out one task index at a time keeps them busy without any external
+//! dependency.
 //!
 //! Design:
 //!
 //! - [`Pool::par_map`] maps a function over a slice and returns results
-//!   in **input order**, regardless of thread count or steal schedule.
-//!   Callers get bit-identical output at 1, 2, or N threads.
-//! - Each worker owns a deque of task indices. Workers pop their own
-//!   deque LIFO (back) for cache locality and steal FIFO (front) from
-//!   victims, so steals grab the oldest remaining units.
-//! - No task spawns further tasks, so "every deque empty" is a
-//!   termination proof; workers exit after a full sweep of victims
-//!   finds nothing.
+//!   in **input order**, regardless of thread count or schedule. Callers
+//!   get bit-identical output at 1, 2, or N threads.
+//! - Workers claim the next task index from one shared atomic cursor, so
+//!   a slow task holds up only the worker running it while the others
+//!   drain the rest. No task spawns further tasks, so a cursor past the
+//!   last index is a termination proof: a worker that draws one exits.
 //! - A panicking task sets a shared abort flag (so other workers stop
 //!   picking up new tasks) and the panic payload is re-raised on the
 //!   calling thread via [`std::panic::resume_unwind`]. No hang, no
@@ -33,16 +32,15 @@
 //! microseconds to seconds) per-call thread spawn cost is noise; a
 //! persistent pool would buy nothing but shutdown complexity.
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable consulted by [`Pool::from_env`] for the worker
 /// count. Invalid or zero values fall back to the detected parallelism.
 pub const THREADS_ENV: &str = "DRAFTS_THREADS";
 
-/// A fixed-width scoped work-stealing pool.
+/// A fixed-width scoped thread pool.
 ///
 /// Cheap to construct (it stores only the thread count); every
 /// [`par_map`](Pool::par_map) call spawns `threads - 1` scoped workers,
@@ -97,7 +95,7 @@ impl Pool {
         self.run_indexed(items.len(), &|idx| f(&items[idx]))
     }
 
-    /// Work-stealing execution of `task(0..n)`, results in index order.
+    /// Parallel execution of `task(0..n)`, results in index order.
     fn run_indexed<R, F>(&self, n: usize, task: &F) -> Vec<R>
     where
         R: Send,
@@ -107,40 +105,34 @@ impl Pool {
 
         // Propagate the caller's ambient tracer (if any) into the workers
         // so spans opened inside tasks record into the caller's registry,
-        // and count pool activity there.
+        // and count pool activity there. The depth gauge records each
+        // worker's even share of the input.
         let tracer = obs::ambient();
-        let metrics = tracer.as_ref().map(|t| {
+        let tasks = tracer.as_ref().map(|t| {
             let registry = t.registry();
             registry
                 .gauge("drafts_pool_max_queue_depth")
                 .raise(n.div_ceil(workers) as u64);
-            PoolMetrics {
-                tasks: registry.counter("drafts_pool_tasks_total"),
-                steals: registry.counter("drafts_pool_steals_total"),
-            }
+            registry.counter("drafts_pool_tasks_total")
         });
 
-        // Round-robin the indices so every worker starts with a spread of
-        // the input rather than one contiguous block: with skewed costs a
-        // contiguous split concentrates the expensive prefix on worker 0.
-        let mut deques: Vec<VecDeque<usize>> = (0..workers)
-            .map(|w| ((w..n).step_by(workers)).collect())
-            .collect();
-        // Stealing only takes the queue lock for a single pop, so plain
-        // mutex-guarded deques beat a lock-free structure at this scale.
-        let queues: Vec<Mutex<VecDeque<usize>>> = deques.drain(..).map(Mutex::new).collect();
+        // The cursor only hands out distinct indices; results travel back
+        // through the scoped joins, so it publishes no data and `Relaxed`
+        // suffices. The calling thread claims index 0 before spawning.
+        let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
+        let first = cursor.fetch_add(1, Ordering::Relaxed);
 
         let mut collected: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (1..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let abort = &abort;
+                .map(|_| {
+                    let (cursor, abort) = (&cursor, &abort);
                     let tracer = tracer.clone();
-                    let metrics = metrics.as_ref();
+                    let tasks = tasks.as_ref();
                     scope.spawn(move || {
                         let _ambient = tracer.as_ref().map(obs::Tracer::install);
-                        worker_loop(w, queues, abort, task, metrics)
+                        let first = cursor.fetch_add(1, Ordering::Relaxed);
+                        worker_loop(first, n, cursor, abort, task, tasks)
                     })
                 })
                 .collect();
@@ -148,7 +140,7 @@ impl Pool {
             // `join`: it already holds a core, while a spawned thread may
             // wait for the scheduler to find it one when no core is idle.
             let own = panic::catch_unwind(AssertUnwindSafe(|| {
-                worker_loop(0, &queues, &abort, task, metrics.as_ref())
+                worker_loop(first, n, &cursor, &abort, task, tasks.as_ref())
             }));
             let mut outs = Vec::with_capacity(workers);
             let mut panic_payload = None;
@@ -214,36 +206,27 @@ where
     Pool::from_env().par_map(items, f)
 }
 
-/// Counter handles for one `run_indexed` call, resolved from the calling
-/// thread's ambient tracer registry (absent when none is installed, in
-/// which case the pool records nothing).
-struct PoolMetrics {
-    tasks: obs::Counter,
-    steals: obs::Counter,
-}
-
+/// Runs task `idx`, then every index the cursor hands out after it,
+/// until the cursor passes `n` or another worker's task panicked.
+/// `tasks` counts each task run into the caller's ambient registry
+/// (absent when none is installed, in which case the pool records
+/// nothing).
 fn worker_loop<R, F>(
-    me: usize,
-    queues: &[Mutex<VecDeque<usize>>],
+    mut idx: usize,
+    n: usize,
+    cursor: &AtomicUsize,
     abort: &AtomicBool,
     task: &F,
-    metrics: Option<&PoolMetrics>,
+    tasks: Option<&obs::Counter>,
 ) -> Vec<(usize, R)>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let mut out = Vec::new();
-    loop {
-        if abort.load(Ordering::Acquire) {
-            return out;
-        }
-        let idx = match next_task(me, queues, metrics) {
-            Some(idx) => idx,
-            None => return out, // every deque empty: no task can reappear
-        };
-        if let Some(m) = metrics {
-            m.tasks.inc();
+    while idx < n && !abort.load(Ordering::Acquire) {
+        if let Some(tasks) = tasks {
+            tasks.inc();
         }
         match panic::catch_unwind(AssertUnwindSafe(|| task(idx))) {
             Ok(r) => out.push((idx, r)),
@@ -252,31 +235,9 @@ where
                 panic::resume_unwind(payload);
             }
         }
+        idx = cursor.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// Pops the worker's own deque LIFO, else steals FIFO from the first
-/// non-empty victim. `None` means every deque was observed empty; since
-/// tasks never respawn, that is a stable termination condition.
-fn next_task(
-    me: usize,
-    queues: &[Mutex<VecDeque<usize>>],
-    metrics: Option<&PoolMetrics>,
-) -> Option<usize> {
-    if let Some(idx) = lock_clean(&queues[me]).pop_back() {
-        return Some(idx);
-    }
-    let w = queues.len();
-    for off in 1..w {
-        let victim = (me + off) % w;
-        if let Some(idx) = lock_clean(&queues[victim]).pop_front() {
-            if let Some(m) = metrics {
-                m.steals.inc();
-            }
-            return Some(idx);
-        }
-    }
-    None
+    out
 }
 
 /// Locks a [`std::sync::Mutex`], ignoring poisoning.
@@ -338,8 +299,8 @@ mod tests {
     #[test]
     fn skewed_cost_distributes_across_workers() {
         // One task is 10x the rest. Sleeps (not spins) so a worker holding
-        // a task cannot also drain the queues: stealing must spread the
-        // rest across other threads, and the wall clock must beat serial.
+        // a task cannot also drain the cursor: the other workers must take
+        // the rest, and the wall clock must beat serial.
         let mut items = vec![100u64]; // ms
         items.extend(std::iter::repeat_n(10u64, 7)); // 7 x 10 ms
         let started = obs::Stopwatch::start();
@@ -351,9 +312,9 @@ mod tests {
         let distinct: std::collections::HashSet<&String> = tid_of_task.iter().collect();
         assert!(
             distinct.len() > 1,
-            "all 8 skewed tasks ran on one thread: no stealing happened"
+            "all 8 skewed tasks ran on one thread: no sharing happened"
         );
-        // Serial is 170 ms; four workers with stealing finish in ~100 ms
+        // Serial is 170 ms; four workers sharing the cursor finish in ~100 ms
         // (the heavy task dominates). Allow generous scheduler slack.
         assert!(
             elapsed < std::time::Duration::from_millis(160),
@@ -363,9 +324,8 @@ mod tests {
 
     #[test]
     fn the_calling_thread_works_as_worker_zero() {
-        // Worker 0's deque starts with index 0, and the caller pops it
-        // as soon as the other worker is spawned; that worker is busy
-        // with its own index 1 for the whole task, so it cannot steal it.
+        // The caller claims index 0 before it spawns the other worker,
+        // which can then only draw index 1.
         let caller = std::thread::current().id();
         let ran_on = Pool::new(2).par_map(&[0u32, 1], |_| {
             std::thread::sleep(std::time::Duration::from_millis(20));

@@ -46,34 +46,6 @@ impl ReplayMetrics {
         self.strategy_switches += other.strategy_switches;
     }
 
-    /// Exports the replay-chaos counters into `registry` under the names
-    /// the server pre-registers (`drafts_replay_*_total`), so a process
-    /// that ran replays surfaces them at `/v1/metrics`. Counters are
-    /// monotone: repeated exports of accumulated metrics overwrite (the
-    /// attached handle carries the current totals), they never double-add.
-    pub fn export_to(&self, registry: &obs::Registry) {
-        for (name, value) in [
-            ("drafts_replay_requeues_total", self.requeues),
-            (
-                "drafts_replay_capacity_failures_total",
-                self.capacity_failures,
-            ),
-            (
-                "drafts_replay_throttle_failures_total",
-                self.throttle_failures,
-            ),
-            ("drafts_replay_deadline_misses_total", self.deadline_misses),
-            (
-                "drafts_replay_strategy_switches_total",
-                self.strategy_switches,
-            ),
-        ] {
-            let counter = obs::Counter::new();
-            counter.add(value);
-            registry.attach_counter(name, &counter);
-        }
-    }
-
     /// Averages accumulated metrics over `n` experiments (Table 3 reports
     /// averages over 35 runs). Fields are returned as floats.
     pub fn averaged(&self, n: u64) -> AveragedMetrics {
@@ -162,28 +134,5 @@ mod tests {
     #[should_panic(expected = "zero runs")]
     fn average_over_zero_panics() {
         ReplayMetrics::default().averaged(0);
-    }
-
-    #[test]
-    fn export_attaches_current_totals_without_double_adding() {
-        let registry = obs::Registry::new();
-        let mut m = ReplayMetrics {
-            requeues: 3,
-            capacity_failures: 1,
-            throttle_failures: 2,
-            deadline_misses: 5,
-            strategy_switches: 7,
-            ..ReplayMetrics::default()
-        };
-        m.export_to(&registry);
-        assert_eq!(registry.counter("drafts_replay_requeues_total").get(), 3);
-        m.add(&m.clone());
-        m.export_to(&registry);
-        let text = registry.render_text();
-        assert!(text.contains("drafts_replay_requeues_total 6\n"));
-        assert!(text.contains("drafts_replay_capacity_failures_total 2\n"));
-        assert!(text.contains("drafts_replay_throttle_failures_total 4\n"));
-        assert!(text.contains("drafts_replay_deadline_misses_total 10\n"));
-        assert!(text.contains("drafts_replay_strategy_switches_total 14\n"));
     }
 }

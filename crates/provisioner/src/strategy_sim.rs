@@ -101,27 +101,6 @@ pub struct StrategyOutcome {
     pub spot_cost: Price,
 }
 
-impl StrategyOutcome {
-    /// Exports the per-strategy counters into `registry` under
-    /// `drafts_strategy_*_total{strategy="<name>"}`, mirroring
-    /// [`ReplayMetrics::export_to`].
-    pub fn export_to(&self, registry: &obs::Registry, strategy: &str) {
-        for (stem, value) in [
-            ("decisions", self.decisions),
-            ("switches", self.metrics.strategy_switches),
-            ("panics", self.panic_activations),
-            ("deadline_misses", self.metrics.deadline_misses),
-        ] {
-            let counter = obs::Counter::new();
-            counter.add(value);
-            registry.attach_counter(
-                &format!("drafts_strategy_{stem}_total{{strategy=\"{strategy}\"}}"),
-                &counter,
-            );
-        }
-    }
-}
-
 /// Memoizes trailing-window price quantiles per `(combo, update bucket)` —
 /// prices step every [`UPDATE_PERIOD`], so finer recomputation would sort
 /// the same window repeatedly for identical results.
@@ -432,19 +411,5 @@ mod tests {
         let out = StrategyReplay::new(cfg).run(&mut SpotGreedy);
         assert_eq!(out.metrics.jobs_completed, 40);
         assert!(out.metrics.capacity_failures + out.metrics.throttle_failures > 0);
-    }
-
-    #[test]
-    fn outcome_exports_labelled_counters() {
-        let registry = obs::Registry::new();
-        let out = StrategyOutcome {
-            decisions: 5,
-            panic_activations: 2,
-            ..StrategyOutcome::default()
-        };
-        out.export_to(&registry, "demo");
-        let text = registry.render_text();
-        assert!(text.contains("drafts_strategy_decisions_total{strategy=\"demo\"} 5"));
-        assert!(text.contains("drafts_strategy_panics_total{strategy=\"demo\"} 2"));
     }
 }

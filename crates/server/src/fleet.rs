@@ -16,15 +16,17 @@
 //! The front tracks each shard through `Up → Degraded → Down` (plus the
 //! administrative `Draining`). Transitions are driven by *probes* of the
 //! shard's `/v1/health` rollup on a fixed virtual-time grid
-//! ([`FleetConfig::probe_interval`]): a reachable shard with no
-//! unavailable feeds is `Up`; one reporting unavailable feeds (or under
-//! a `Slow` fault) is `Degraded`; [`FleetConfig::down_after`]
-//! consecutive probe failures mark it `Down`, after which probing backs
-//! off exponentially (deterministically — the backoff is a pure
-//! function of the failure count, capped at `2^backoff_cap` grid slots).
-//! Because the grid is virtual time and [`spotmarket::faults::ShardFaults`]
-//! decisions are seeded, the whole probe history — and therefore every
-//! routing decision — is byte-reproducible.
+//! ([`PROBE_INTERVAL`]): a reachable shard with no unavailable feeds is
+//! `Up`; one reporting unavailable feeds (or under a `Slow` fault) is
+//! `Degraded`; `DOWN_AFTER` (2) consecutive probe failures mark it
+//! `Down`, after which probing backs off exponentially
+//! (deterministically — the backoff is a pure function of the failure
+//! count, capped at `2^BACKOFF_CAP` = 8 grid slots). Because the grid is
+//! virtual time and [`spotmarket::faults::ShardFaults`] decisions are
+//! seeded, the whole probe history — and therefore every routing
+//! decision — is byte-reproducible. A request's `?now=` may reach at
+//! most [`NOW_HORIZON`] past the fleet's boot time, which bounds the
+//! probes one request can demand.
 //!
 //! # Invariants (lifted from PR 3's single-process contract)
 //!
@@ -43,7 +45,7 @@ use crate::json::{self, Json};
 use crate::metrics::{Metrics, Route};
 use crate::ring::Ring;
 use crate::router::{bid_query, now_of, parse_graphs_path, traced, Router};
-use crate::server::{DrainReport, Handler, Server, ServerConfig};
+use crate::server::{DrainReport, Handler, Server, ServerConfig, RETRY_AFTER_SECS};
 use crate::wire::{self, trace_timeline_json, BidQuoteWire, HealthCountsWire, TraceEntry};
 use drafts_core::DraftsService;
 use obs::{Counter, Registry, TraceContext};
@@ -56,24 +58,41 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// Owners per key on the hash ring (primary + one replica), clamped to
+/// the fleet size.
+const REPLICATION: usize = 2;
+
+/// Virtual ring points per shard.
+pub const VNODES: usize = 64;
+
+/// Probe-grid spacing in virtual seconds.
+pub const PROBE_INTERVAL: u64 = 30;
+
+/// Consecutive probe failures before a shard is `Down`.
+const DOWN_AFTER: u32 = 2;
+
+/// Probe backoff cap: a failing shard is reprobed after
+/// `2^min(failures, BACKOFF_CAP)` grid slots.
+const BACKOFF_CAP: u32 = 3;
+
+/// Wall-clock deadline on proxied shard requests.
+const PROXY_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How far past the fleet's boot time (`default_now`) a request's `?now=`
+/// may reach, in virtual seconds: one day, 2,880 probe slots. The front
+/// folds the probe grid up to a request's slot, probing each shard once
+/// per slot, so an unbounded `now` would demand unbounded probes and
+/// probe history; the front answers 400 instead, before any probe. The
+/// horizon is measured from `default_now`, not from the newest request,
+/// so whether a request is refused never depends on the order requests
+/// arrive in.
+pub const NOW_HORIZON: u64 = 86_400;
+
 /// Fleet tuning knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of serving shards.
     pub shards: usize,
-    /// Owners per key on the hash ring (primary + replicas).
-    pub replication: usize,
-    /// Virtual ring points per shard.
-    pub vnodes: usize,
-    /// Probe-grid spacing in virtual seconds.
-    pub probe_interval: u64,
-    /// Consecutive probe failures before a shard is `Down`.
-    pub down_after: u32,
-    /// Probe backoff cap: a failing shard is reprobed after
-    /// `2^min(failures, backoff_cap)` grid slots.
-    pub backoff_cap: u32,
-    /// Wall-clock deadline on proxied shard requests.
-    pub proxy_timeout: Duration,
     /// Transport config for each shard server.
     pub shard_server: ServerConfig,
     /// Transport config for the front server.
@@ -87,17 +106,10 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// Defaults for a fleet of `shards` with replication factor 2
-    /// (clamped to the fleet size) and no faults.
+    /// Defaults for a fleet of `shards` with no faults.
     pub fn new(shards: usize) -> FleetConfig {
         FleetConfig {
             shards,
-            replication: 2.min(shards),
-            vnodes: 64,
-            probe_interval: 30,
-            down_after: 2,
-            backoff_cap: 3,
-            proxy_timeout: Duration::from_secs(5),
             shard_server: ServerConfig::default(),
             front_server: ServerConfig::default(),
             debug_routes: false,
@@ -105,9 +117,10 @@ impl FleetConfig {
         }
     }
 
-    /// The ring this config induces.
+    /// The ring this config induces: [`VNODES`] points per shard, and
+    /// replication 2 clamped to the fleet size.
     pub fn ring(&self) -> Ring {
-        Ring::new(self.shards, self.replication, self.vnodes)
+        Ring::new(self.shards, REPLICATION.min(self.shards), VNODES)
     }
 }
 
@@ -117,10 +130,10 @@ pub enum ShardState {
     /// Healthy: probes succeed, no unavailable feeds.
     Up,
     /// Serving but suspect: unavailable feeds, a `Slow` fault, or fewer
-    /// than `down_after` probe failures. Answers from it are forced
+    /// than `DOWN_AFTER` probe failures. Answers from it are forced
     /// `degraded: true`.
     Degraded,
-    /// Unroutable: `down_after` consecutive probe failures.
+    /// Unroutable: `DOWN_AFTER` consecutive probe failures.
     Down,
     /// Administratively draining: no new requests are routed to it while
     /// in-flight ones finish.
@@ -295,7 +308,7 @@ enum ProbeOutcome {
 
 /// Folds one probe outcome into the previous slot — the pure core of
 /// the failover state machine, shared by the live fold and its tests.
-fn fold_slot(prev: Slot, outcome: ProbeOutcome, slot: u64, down_after: u32, cap: u32) -> Slot {
+fn fold_slot(prev: Slot, outcome: ProbeOutcome, slot: u64) -> Slot {
     match outcome {
         ProbeOutcome::Up => Slot {
             state: ShardState::Up,
@@ -310,13 +323,13 @@ fn fold_slot(prev: Slot, outcome: ProbeOutcome, slot: u64, down_after: u32, cap:
         ProbeOutcome::Fail => {
             let failures = prev.failures + 1;
             Slot {
-                state: if failures >= down_after {
+                state: if failures >= DOWN_AFTER {
                     ShardState::Down
                 } else {
                     ShardState::Degraded
                 },
                 failures,
-                next_probe: slot + (1u64 << failures.min(cap)),
+                next_probe: slot + (1u64 << failures.min(BACKOFF_CAP)),
             }
         }
     }
@@ -419,7 +432,7 @@ impl FrontRouter {
     }
 
     fn slot_of(&self, now: u64) -> u64 {
-        now.saturating_sub(self.default_now) / self.cfg.probe_interval
+        now.saturating_sub(self.default_now) / PROBE_INTERVAL
     }
 
     /// The shard's failover state at virtual time `now`, folding the
@@ -438,18 +451,12 @@ impl FrontRouter {
                 // Backed off: carry the state without touching the shard.
                 prev
             } else {
-                let t = self.default_now + slot * self.cfg.probe_interval;
+                let t = self.default_now + slot * PROBE_INTERVAL;
                 let outcome = self.probe(shard, t);
                 if matches!(outcome, ProbeOutcome::Fail) {
                     self.counters.probe_failures[shard].inc();
                 }
-                fold_slot(
-                    prev,
-                    outcome,
-                    slot,
-                    self.cfg.down_after,
-                    self.cfg.backoff_cap,
-                )
+                fold_slot(prev, outcome, slot)
             };
             slots.push(next);
         }
@@ -529,7 +536,7 @@ impl FrontRouter {
                 let handle = &self.shards[shard];
                 let mut conn = lock_clean(&handle.pool)
                     .pop()
-                    .unwrap_or_else(|| ProxyConn::new(handle.addr, self.cfg.proxy_timeout));
+                    .unwrap_or_else(|| ProxyConn::new(handle.addr, PROXY_TIMEOUT));
                 let trace = ctx.map(|c| c.encode());
                 let sent = conn.send(target, trace.as_deref());
                 (conn, trace, sent)
@@ -718,10 +725,8 @@ impl FrontRouter {
         json::write_str(&mut body, msg);
         body.push_str(",\"degraded\":true}");
         let mut resp = Response::json(503, body);
-        resp.extra_headers.push((
-            "Retry-After",
-            self.cfg.front_server.retry_after_secs.to_string(),
-        ));
+        resp.extra_headers
+            .push(("Retry-After", RETRY_AFTER_SECS.to_string()));
         resp
     }
 
@@ -1214,6 +1219,9 @@ impl FrontRouter {
             return Response::error(405, "only GET is supported");
         }
         let now = match now_of(req, self.default_now) {
+            Ok(now) if now > self.default_now.saturating_add(NOW_HORIZON) => {
+                return Response::error(400, "now is past the fleet's horizon");
+            }
             Ok(now) => now,
             Err(resp) => return resp,
         };
@@ -1441,24 +1449,22 @@ mod tests {
 
     #[test]
     fn probe_fold_backs_off_and_recovers_deterministically() {
-        let down_after = 2;
-        let cap = 3;
         // First failure: Degraded, reprobe after 2 slots.
-        let s1 = fold_slot(SLOT_ZERO, ProbeOutcome::Fail, 0, down_after, cap);
+        let s1 = fold_slot(SLOT_ZERO, ProbeOutcome::Fail, 0);
         assert_eq!(s1.state, ShardState::Degraded);
         assert_eq!(s1.failures, 1);
         assert_eq!(s1.next_probe, 2);
         // Second failure: Down, backoff doubles.
-        let s2 = fold_slot(s1, ProbeOutcome::Fail, 2, down_after, cap);
+        let s2 = fold_slot(s1, ProbeOutcome::Fail, 2);
         assert_eq!(s2.state, ShardState::Down);
         assert_eq!(s2.next_probe, 2 + 4);
         // Backoff caps at 2^cap slots.
-        let s3 = fold_slot(s2, ProbeOutcome::Fail, 6, down_after, cap);
+        let s3 = fold_slot(s2, ProbeOutcome::Fail, 6);
         assert_eq!(s3.next_probe, 6 + 8);
-        let s4 = fold_slot(s3, ProbeOutcome::Fail, 14, down_after, cap);
+        let s4 = fold_slot(s3, ProbeOutcome::Fail, 14);
         assert_eq!(s4.next_probe, 14 + 8, "backoff is capped");
         // A successful probe resets everything.
-        let s5 = fold_slot(s4, ProbeOutcome::Up, 22, down_after, cap);
+        let s5 = fold_slot(s4, ProbeOutcome::Up, 22);
         assert_eq!(s5.state, ShardState::Up);
         assert_eq!(s5.failures, 0);
         assert_eq!(s5.next_probe, 23);

@@ -84,24 +84,6 @@ impl Route {
     }
 }
 
-/// Pool metric names pre-registered for the exposition (the work-stealing
-/// pool records into whichever registry is ambient when it runs).
-const POOL_METRICS: [&str; 3] = [
-    "drafts_pool_tasks_total",
-    "drafts_pool_steals_total",
-    "drafts_pool_max_queue_depth",
-];
-
-/// Replay-chaos counters (`provisioner::metrics::ReplayMetrics` exports
-/// into these after a replay).
-const REPLAY_METRICS: [&str; 5] = [
-    "drafts_replay_requeues_total",
-    "drafts_replay_capacity_failures_total",
-    "drafts_replay_throttle_failures_total",
-    "drafts_replay_deadline_misses_total",
-    "drafts_replay_strategy_switches_total",
-];
-
 /// Rolling-window interval: one service recompute period of virtual time,
 /// so window boundaries line up with bucket boundaries.
 const WINDOW_INTERVAL_SECS: u64 = 900;
@@ -240,16 +222,10 @@ impl Metrics {
         // exposition order racy across boots.
         tracer.preregister(&Route::ALL.map(Route::stage));
         tracer.preregister(drafts_core::service::SERVICE_STAGES);
-        for name in POOL_METRICS {
-            if name.ends_with("_depth") {
-                registry.gauge(name);
-            } else {
-                registry.counter(name);
-            }
-        }
-        for name in REPLAY_METRICS {
-            registry.counter(name);
-        }
+        // The thread pool records into whichever registry is ambient
+        // when it runs.
+        registry.counter("drafts_pool_tasks_total");
+        registry.gauge("drafts_pool_max_queue_depth");
         // Second observability layer — registered after every family above
         // so the exposition prefix stays frozen.
         let quotes_total = registry.counter("drafts_quotes_total");
@@ -415,7 +391,7 @@ drafts_degraded_quotes_total 0
             "drafts_stage_self_ns_count{stage=\"http_bid\"} 0",
             "drafts_stage_total_ns_count{stage=\"qbets_price\"} 0",
             "drafts_pool_tasks_total 0",
-            "drafts_replay_requeues_total 0",
+            "drafts_pool_max_queue_depth 0",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
@@ -427,9 +403,9 @@ drafts_degraded_quotes_total 0
         for needle in ["drafts_quotes_total 0", "drafts_request_latency_ns_count 0"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-        let replay = text.find("drafts_replay_requeues_total").unwrap();
+        let pool = text.find("drafts_pool_max_queue_depth").unwrap();
         let quotes = text.find("drafts_quotes_total").unwrap();
-        assert!(replay < quotes, "new families must append, not interleave");
+        assert!(pool < quotes, "new families must append, not interleave");
         // Event counters render only when the ring is enabled.
         assert!(!text.contains("drafts_events_total"));
         let with_events = Metrics::with_logs(8, 0);

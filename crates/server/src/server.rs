@@ -61,6 +61,13 @@ pub trait Handler: Send + Sync + 'static {
     fn on_boot(&self, _metrics: &Metrics) {}
 }
 
+/// Maximum requests served on one keep-alive connection.
+const MAX_REQUESTS_PER_CONN: usize = 1024;
+
+/// `Retry-After` seconds advertised on shed connections and on the fleet
+/// front's refusals.
+pub(crate) const RETRY_AFTER_SECS: u32 = 1;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -71,10 +78,6 @@ pub struct ServerConfig {
     pub accept_queue: usize,
     /// Per-connection read/write deadline.
     pub connection_deadline: Duration,
-    /// Maximum requests served on one keep-alive connection.
-    pub max_requests_per_conn: usize,
-    /// `Retry-After` seconds advertised on shed connections.
-    pub retry_after_secs: u32,
     /// Structured-event ring capacity; `0` disables the event log (the
     /// default) and with it the `/v1/_debug/events` route. When enabled,
     /// the ring collects health transitions, feed faults, snapshot swaps,
@@ -93,8 +96,6 @@ impl Default for ServerConfig {
             workers: 4,
             accept_queue: 64,
             connection_deadline: Duration::from_secs(5),
-            max_requests_per_conn: 1024,
-            retry_after_secs: 1,
             event_log: 0,
             trace_log: 0,
         }
@@ -371,12 +372,12 @@ fn shed(conn: TcpStream, shared: &Shared) {
             shared.handler.default_now(),
             Level::Warn,
             "shed",
-            vec![("retry_after_secs", shared.cfg.retry_after_secs.to_string())],
+            vec![("retry_after_secs", RETRY_AFTER_SECS.to_string())],
         );
     }
     let _ = conn.set_write_timeout(Some(shared.cfg.connection_deadline));
     let mut conn = conn;
-    let resp = Response::overloaded(shared.cfg.retry_after_secs);
+    let resp = Response::overloaded(RETRY_AFTER_SECS);
     let _ = http::write_response(&mut conn, &resp, false);
     let _ = conn.flush();
 }
@@ -413,7 +414,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = conn;
-    for served in 0..shared.cfg.max_requests_per_conn {
+    for served in 0..MAX_REQUESTS_PER_CONN {
         let req = match http::read_request(&mut reader) {
             Ok(req) => req,
             Err(ParseError::Eof) => return,
@@ -453,8 +454,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
         // Close after this response if the client asked, the per-conn
         // request budget is spent, or a drain has begun.
         let draining = shared.draining.load(Ordering::Acquire);
-        let keep_alive =
-            req.keep_alive && served + 1 < shared.cfg.max_requests_per_conn && !draining;
+        let keep_alive = req.keep_alive && served + 1 < MAX_REQUESTS_PER_CONN && !draining;
         if http::write_response(&mut writer, &resp, keep_alive).is_err() || !keep_alive {
             return;
         }

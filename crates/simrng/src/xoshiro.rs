@@ -4,7 +4,7 @@
 //! generator: sub-nanosecond output, passes BigCrush/PractRand, and supports
 //! `jump()` (advance by 2^128) so that parallel workers can be handed provably
 //! non-overlapping substreams of a single seeded sequence — exactly what the
-//! work-stealing backtesting engine needs.
+//! parallel backtesting engine needs.
 
 use crate::{Rng, SeedableFrom, SplitMix64};
 

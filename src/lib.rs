@@ -22,7 +22,7 @@
 //!   spot/on-demand switching with online availability estimation,
 //!   portfolio splits, baselines) for the strategy-driven replay.
 //! * [`rng`] (`simrng`) — deterministic random streams.
-//! * [`parallel`] — the std-only work-stealing pool the engine and the
+//! * [`parallel`] — the std-only thread pool the engine and the
 //!   experiment harnesses fan out on (`DRAFTS_THREADS` sizes it).
 //!
 //! # Quickstart

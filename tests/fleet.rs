@@ -2,8 +2,9 @@
 //! after a genuine shard crash, graceful drain mid-failover, explicit
 //! refusal when a key's whole owner set is gone, two-boot byte
 //! determinism under a seeded logical fault plan, scatter legs over
-//! connections the shards closed while they idled, and a hostile shard
-//! announcing an unbounded answer.
+//! connections the shards closed while they idled, a hostile shard
+//! announcing an unbounded answer, and a hostile client's far-future
+//! `?now=`.
 //!
 //! The experiments harness (`repro fleet`) exercises the *logical*
 //! fault path, where chaos is evaluated in virtual time and everything
@@ -633,4 +634,43 @@ fn a_shard_announcing_a_huge_answer_is_a_proxy_error_not_an_abort() {
         drop(TcpStream::connect(addr));
         shard.join().expect("fake shard thread");
     }
+}
+
+#[test]
+fn a_now_past_the_horizon_is_refused_before_any_probe() {
+    // The front folds its probe grid up to a request's `now`, one probe
+    // per shard per 30-s slot, so `now` is untrusted input that sizes the
+    // front's work. Past the fleet's horizon it must get an explicit 400
+    // that probes nothing: the first value is 20,000 slots (about a week)
+    // ahead, the second would need about 6e17 slots.
+    let (fleet, combos) = boot(FleetConfig::new(2));
+    let shard_health_requests = |shard: usize| -> u64 {
+        let mut direct = loadgen::Client::new(fleet.shard_addr(shard), Duration::from_secs(5));
+        let (status, body) = direct.get("/v1/metrics").expect("shard reachable");
+        assert_eq!(status, 200);
+        String::from_utf8(body)
+            .expect("utf8 exposition")
+            .lines()
+            .find_map(|l| l.strip_prefix("drafts_requests_total{route=\"health\"} "))
+            .and_then(|v| v.parse().ok())
+            .expect("health request counter")
+    };
+    let before: Vec<u64> = (0..2).map(shard_health_requests).collect();
+    let mut client = loadgen::Client::new(fleet.addr(), Duration::from_secs(30));
+    for now in [NOW + 20_000 * 30, u64::MAX] {
+        for path in [
+            graphs_path(combos[0], now),
+            format!("/v1/bid?duration=3600&now={now}"),
+            format!("/v1/health?now={now}"),
+        ] {
+            let (status, _) = client.get(&path).expect("front reachable");
+            assert_eq!(status, 400, "{path}");
+        }
+        let after: Vec<u64> = (0..2).map(shard_health_requests).collect();
+        assert_eq!(after, before, "a refused now={now} probed a shard");
+    }
+    let (status, _) = get(&mut client, &format!("/v1/health?now={NOW}"));
+    assert_eq!(status, 200);
+    drop(client);
+    fleet.shutdown();
 }
