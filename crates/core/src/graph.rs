@@ -10,15 +10,6 @@
 use crate::predictor::{BidPrediction, DraftsPredictor};
 use spotmarket::Price;
 
-/// One point of the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphPoint {
-    /// Maximum bid.
-    pub bid: Price,
-    /// Guaranteed duration in seconds at the graph's probability level.
-    pub durability_secs: u64,
-}
-
 /// A bid–duration graph for one combo at one probability level.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BidDurationGraph {
@@ -26,7 +17,9 @@ pub struct BidDurationGraph {
     pub probability: f64,
     /// Prediction timestamp (seconds).
     pub computed_at: u64,
-    points: Vec<GraphPoint>,
+    /// The graph's points: each bid and the duration it guarantees at
+    /// the graph's probability level.
+    points: Vec<BidPrediction>,
 }
 
 impl BidDurationGraph {
@@ -60,7 +53,7 @@ impl BidDurationGraph {
                 let mut points = Vec::new();
                 for bid in predictor.bid_grid(min) {
                     if let Some(durability_secs) = step.durability(bid) {
-                        points.push(GraphPoint {
+                        points.push(BidPrediction {
                             bid,
                             durability_secs,
                         });
@@ -84,7 +77,7 @@ impl BidDurationGraph {
     }
 
     /// The graph points, ascending in bid.
-    pub fn points(&self) -> &[GraphPoint] {
+    pub fn points(&self) -> &[BidPrediction] {
         &self.points
     }
 
@@ -104,10 +97,7 @@ impl BidDurationGraph {
         let i = self
             .points
             .partition_point(|p| p.durability_secs < required_secs);
-        self.points.get(i).map(|p| BidPrediction {
-            bid: p.bid,
-            durability_secs: p.durability_secs,
-        })
+        self.points.get(i).copied()
     }
 
     /// Guaranteed duration of the largest published bid `<= bid`

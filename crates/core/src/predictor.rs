@@ -414,7 +414,7 @@ impl BidQuote {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{BidDurationGraph, GraphPoint};
+    use crate::graph::BidDurationGraph;
     use spotmarket::archetype::Archetype;
     use spotmarket::tracegen::{generate_with_archetype, TraceConfig};
     use spotmarket::{Az, Catalog, Combo};
@@ -670,12 +670,12 @@ mod tests {
                         assert_ne!(fresh[4], fresh[5], "{what}");
                     }
                     let mut best = 0;
-                    let want: Vec<GraphPoint> = grid
+                    let want: Vec<BidPrediction> = grid
                         .iter()
                         .zip(&fresh)
                         .filter_map(|(&bid, &d)| {
                             best = best.max(d?);
-                            Some(GraphPoint {
+                            Some(BidPrediction {
                                 bid,
                                 durability_secs: best,
                             })

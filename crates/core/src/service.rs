@@ -501,9 +501,9 @@ impl DraftsService {
     }
 
     /// Exposes the service's counters (and its feeds') in `registry`, in
-    /// canonical order. Called once per process at boot (the server does
-    /// it in `Server::bind`) so repeated renders and repeated boots list
-    /// metrics identically.
+    /// canonical order. Called once per process at boot (a server's
+    /// router does it when `Server::start` boots its handler) so repeated
+    /// renders and repeated boots list metrics identically.
     pub fn register_metrics(&self, registry: &Registry) {
         registry.attach_counter("drafts_cache_hits_total", &self.cache_hits);
         registry.attach_counter("drafts_cache_misses_total", &self.cache_misses);

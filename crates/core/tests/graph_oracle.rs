@@ -12,8 +12,8 @@
 //! prediction point and a faulty feed's last-good fallback.
 
 use drafts_core::duration::{duration_series, Censoring};
-use drafts_core::graph::{BidDurationGraph, GraphPoint};
-use drafts_core::predictor::{DraftsConfig, DraftsPredictor};
+use drafts_core::graph::BidDurationGraph;
+use drafts_core::predictor::{BidPrediction, DraftsConfig, DraftsPredictor};
 use drafts_core::service::{DraftsService, ServiceConfig};
 use spotmarket::archetype::Archetype;
 use spotmarket::faults::{FaultPlan, FaultyFeed, FeedSource};
@@ -101,13 +101,13 @@ fn oracle_points(
     cfg: &DraftsConfig,
     upto: usize,
     p: f64,
-) -> Option<Vec<GraphPoint>> {
+) -> Option<Vec<BidPrediction>> {
     let grid = DraftsPredictor::new(h, *cfg).bid_grid(oracle_min_bid(h, cfg, upto, p));
-    let mut points: Vec<GraphPoint> = grid
+    let mut points: Vec<BidPrediction> = grid
         .into_iter()
         .filter_map(|bid| {
             let durability_secs = oracle_durability(h, cfg, upto, bid, p)?;
-            Some(GraphPoint {
+            Some(BidPrediction {
                 bid,
                 durability_secs,
             })
@@ -126,7 +126,7 @@ fn oracle_graphs(
     cfg: &DraftsConfig,
     upto: usize,
     levels: &[f64],
-) -> Vec<(f64, Vec<GraphPoint>)> {
+) -> Vec<(f64, Vec<BidPrediction>)> {
     levels
         .iter()
         .filter_map(|&p| Some((p, oracle_points(h, cfg, upto, p)?)))
@@ -270,7 +270,7 @@ fn check_service_through_outage(arch: Archetype, drafts: DraftsConfig) {
     service.register_feed(feed.clone());
 
     let period = cfg.recompute_period;
-    let mut last_good: Option<Vec<(f64, Vec<GraphPoint>)>> = None;
+    let mut last_good: Option<Vec<(f64, Vec<BidPrediction>)>> = None;
     let (mut fresh, mut fallback) = (0, 0);
     // Hourly buckets over the last two days.
     let end = truth.time(truth.len() - 1) / period;

@@ -9,24 +9,25 @@
 //!   hours" draw) as `/v1/bid` lookups, mixed with `/v1/graphs`,
 //!   `/v1/health` and `/v1/metrics` probes.
 //! * The **run** ([`run`]) replays the plan against a live server with
-//!   keep-alive client threads. Response *contents* are deterministic
-//!   (virtual time; the report captures counts, body bytes and an
-//!   order-independent checksum), while *latency* is wall clock and is
-//!   quarantined into an [`obs::LogHistogram`] so the
-//!   deterministic half of the report can be byte-diffed in CI.
+//!   keep-alive client threads, each speaking through [`Client`] (the
+//!   server crate's one HTTP client, re-exported here). Response
+//!   *contents* are deterministic (virtual time; the report captures
+//!   counts, body bytes and an order-independent checksum), while
+//!   *latency* is wall clock and is quarantined into an
+//!   [`obs::LogHistogram`] so the deterministic half of the report can
+//!   be byte-diffed in CI.
 //!
 //! Open loop means arrival times are fixed ahead of the run: a slow
 //! server does not slow the arrival process down, it just accumulates
 //! in-flight work — the standard way to make load shedding observable.
 
 use obs::Stopwatch;
-use obs::{LogHistogram, TraceContext, TraceIdGen, TRACE_HEADER};
+use obs::{LogHistogram, TraceContext, TraceIdGen};
 use simrng::dist::{Categorical, Exponential};
 use simrng::{Rng, StreamFactory};
 use spotmarket::{Catalog, Combo};
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -272,7 +273,7 @@ pub struct RunReport {
     /// [`RunReport::latency`].
     pub route_latency: BTreeMap<&'static str, LogHistogram>,
     /// Every completed request, sorted by plan index. Requests whose
-    /// transport failed outright (after the one reconnect) are absent.
+    /// transport failed outright (after the client's one retry) are absent.
     pub requests: Vec<RequestSample>,
 }
 
@@ -288,90 +289,9 @@ impl RunReport {
     }
 }
 
-/// A minimal keep-alive HTTP/1.1 client over one TCP connection.
-///
-/// Reconnects transparently when the server closes the connection (drain,
-/// per-connection request budget, or a shed 503 with `Connection:
-/// close`). Responses are read by [`server::http::read_response`], which
-/// bounds every size before reading it.
-pub struct Client {
-    addr: SocketAddr,
-    conn: Option<BufReader<TcpStream>>,
-    timeout: Duration,
-    retry_after: Option<u64>,
-}
-
-impl Client {
-    /// A client for `addr`.
-    pub fn new(addr: SocketAddr, timeout: Duration) -> Self {
-        Client {
-            addr,
-            conn: None,
-            timeout,
-            retry_after: None,
-        }
-    }
-
-    /// The `Retry-After` seconds from the most recent response, if the
-    /// server sent the header (load-shed 503s do).
-    pub fn retry_after(&self) -> Option<u64> {
-        self.retry_after
-    }
-
-    fn connect(&mut self) -> std::io::Result<&mut BufReader<TcpStream>> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            stream.set_nodelay(true)?;
-            self.conn = Some(BufReader::new(stream));
-        }
-        Ok(self.conn.as_mut().expect("just connected"))
-    }
-
-    /// Issues `GET path`, returning `(status, body)`. Retries once on a
-    /// torn connection (the server may close a keep-alive socket between
-    /// our requests).
-    pub fn get(&mut self, path: &str) -> std::io::Result<(u16, Vec<u8>)> {
-        self.get_traced(path, None)
-    }
-
-    /// [`Client::get`] carrying an `x-drafts-trace` context header when
-    /// `trace` is `Some` — the server propagates it through fleet legs
-    /// and echoes it on the response.
-    pub fn get_traced(
-        &mut self,
-        path: &str,
-        trace: Option<&str>,
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        match self.roundtrip(path, trace) {
-            Ok(resp) => Ok(resp),
-            Err(_) => {
-                self.conn = None;
-                self.roundtrip(path, trace)
-            }
-        }
-    }
-
-    fn roundtrip(&mut self, path: &str, trace: Option<&str>) -> std::io::Result<(u16, Vec<u8>)> {
-        self.retry_after = None;
-        let reader = self.connect()?;
-        let req = match trace {
-            Some(ctx) => {
-                format!("GET {path} HTTP/1.1\r\nHost: drafts\r\n{TRACE_HEADER}: {ctx}\r\n\r\n")
-            }
-            None => format!("GET {path} HTTP/1.1\r\nHost: drafts\r\n\r\n"),
-        };
-        reader.get_mut().write_all(req.as_bytes())?;
-
-        let response = server::http::read_response(reader)?;
-        if response.close {
-            self.conn = None;
-        }
-        self.retry_after = response.retry_after;
-        Ok((response.status, response.body))
-    }
-}
+/// The keep-alive client each run connection uses, re-exported for the
+/// load generator's callers.
+pub use server::http::Client;
 
 /// How [`run_with`] reacts to a shed 503: honor the server's
 /// `Retry-After` hint with a seeded, deterministic backoff instead of
@@ -488,10 +408,7 @@ pub fn run_with(
                         latency: issued.elapsed(),
                     });
                 }
-                observations
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(local);
+                obs::lock_clean(observations).extend(local);
                 retries_503.fetch_add(local_retries, std::sync::atomic::Ordering::Relaxed);
             });
         }

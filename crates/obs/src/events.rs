@@ -18,12 +18,9 @@
 //! overwritten oldest-first, never reallocated.
 
 use crate::bounded::BoundedLog;
+use crate::lock_clean;
 use crate::registry::{Counter, Registry};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Mutex};
 
 /// Event severity, ordered from routine to actionable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -97,12 +94,12 @@ impl EventLog {
 
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
-        lock(&self.ring).capacity()
+        lock_clean(&self.ring).capacity()
     }
 
     /// Number of currently retained events.
     pub fn len(&self) -> usize {
-        lock(&self.ring).len()
+        lock_clean(&self.ring).len()
     }
 
     /// Whether no events have been recorded yet.
@@ -124,7 +121,7 @@ impl EventLog {
         fields: Vec<(&'static str, String)>,
     ) {
         self.counts[level as usize].inc();
-        let mut ring = lock(&self.ring);
+        let mut ring = lock_clean(&self.ring);
         let seq = ring.pushed() + 1;
         ring.push(LogEvent {
             seq,
@@ -137,7 +134,7 @@ impl EventLog {
 
     /// The retained events, oldest first.
     pub fn snapshot(&self) -> Vec<LogEvent> {
-        lock(&self.ring).snapshot()
+        lock_clean(&self.ring).snapshot()
     }
 }
 

@@ -60,3 +60,18 @@ pub use slo::{InstantCounts, Objective, SloMonitor, SloState, SloStatus, Source}
 pub use span::{ambient, span, InstallGuard, Span, StageStats, Tracer};
 pub use trace::{SlowestTraceCell, TraceContext, TraceIdGen, TraceLog, TraceRecord, TRACE_HEADER};
 pub use window::WindowSet;
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Locks a [`Mutex`], ignoring poisoning.
+///
+/// The workspace's one poison-recovery helper, re-exported as
+/// `parallel::lock_clean`: correct whenever the protected state is
+/// updated whole (an `Arc` swap, a counter bump, a deque push) so a
+/// panicking holder cannot leave a torn value behind, and panic
+/// propagation is handled by other means (the pool's abort flag, the
+/// service's single-flight completion guard). Use this instead of
+/// hand-rolled `match m.lock()` blocks at every mutex in the repo.
+pub fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -10,16 +10,11 @@
 //! wall columns), never in `?now=`-deterministic output.
 
 use crate::hist::{LogHistogram, SharedHistogram};
+use crate::lock_clean;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Poison-proof lock: a panicked holder leaves counters merely stale,
-/// never inconsistent, so we always take the data.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A monotonically increasing counter handle.
 #[derive(Debug, Clone, Default)]
@@ -141,7 +136,7 @@ impl Registry {
     }
 
     fn get_or_insert(&self, name: &str, fresh: impl FnOnce() -> Metric) -> Metric {
-        let mut metrics = lock(&self.metrics);
+        let mut metrics = lock_clean(&self.metrics);
         if let Some((_, m)) = metrics.iter().find(|(n, _)| n == name) {
             return m.clone();
         }
@@ -181,7 +176,7 @@ impl Registry {
     /// or harness hands them a registry).
     pub fn attach_counter(&self, name: &str, counter: &Counter) {
         let m = Metric::Counter(counter.clone());
-        let mut metrics = lock(&self.metrics);
+        let mut metrics = lock_clean(&self.metrics);
         match metrics.iter_mut().find(|(n, _)| n == name) {
             // Re-attaching replaces the handle in place, keeping the
             // exposition position stable.
@@ -196,7 +191,7 @@ impl Registry {
     /// `name_count value` (the `_count` suffix goes before any `{label}`
     /// part). Durations never appear here — see the module docs.
     pub fn render_text(&self) -> String {
-        let metrics = lock(&self.metrics);
+        let metrics = lock_clean(&self.metrics);
         let mut out = String::with_capacity(metrics.len() * 32);
         for (name, metric) in metrics.iter() {
             match metric {

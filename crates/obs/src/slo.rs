@@ -23,12 +23,9 @@
 //! [`EventLog`]: Breach at error level, Warn at warn, recovery at info.
 
 use crate::events::{EventLog, Level};
+use crate::lock_clean;
 use crate::window::WindowSet;
-use std::sync::{Mutex, MutexGuard};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Mutex;
 
 /// Basis points in a whole: the unit of targets and burn rates.
 pub const BP: u64 = 10_000;
@@ -209,7 +206,7 @@ impl SloMonitor {
         events: Option<&EventLog>,
         slowest_trace: u64,
     ) -> Vec<SloStatus> {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock_clean(&self.inner);
         let MonitorInner { objectives, states } = &mut *inner;
         objectives
             .iter()

@@ -16,15 +16,12 @@
 //! registry must [`Tracer::preregister`] their stage names in one
 //! canonical order at boot.
 
+use crate::lock_clean;
 use crate::registry::{Histogram, Registry};
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The two histograms backing one pipeline stage.
 #[derive(Debug, Clone)]
@@ -76,7 +73,7 @@ impl Tracer {
     /// The histograms for `stage`, creating and registering them on
     /// first use.
     pub fn stage_stats(&self, stage: &'static str) -> StageStats {
-        let mut stages = lock(&self.inner.stages);
+        let mut stages = lock_clean(&self.inner.stages);
         if let Some((_, stats)) = stages.iter().find(|(name, _)| *name == stage) {
             return stats.clone();
         }
@@ -103,7 +100,7 @@ impl Tracer {
     /// lock-free; only stages first seen after install fall back to the
     /// shared table.
     pub fn install(&self) -> InstallGuard {
-        let stats_cache = lock(&self.inner.stages).clone();
+        let stats_cache = lock_clean(&self.inner.stages).clone();
         let previous = AMBIENT.with(|cell| {
             cell.borrow_mut().replace(Ambient {
                 tracer: self.clone(),

@@ -24,15 +24,12 @@
 //! and the log never records it.
 
 use crate::bounded::BoundedLog;
+use crate::lock_clean;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// The request/response header carrying the encoded [`TraceContext`].
 pub const TRACE_HEADER: &str = "x-drafts-trace";
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// SplitMix64 finalizer: a cheap, well-mixed bijection on `u64`.
 fn mix(x: u64) -> u64 {
@@ -219,12 +216,12 @@ impl TraceLog {
             status,
             detail: detail.into(),
         };
-        lock(&self.ring).push(record);
+        lock_clean(&self.ring).push(record);
     }
 
     /// Every retained record, oldest first.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        lock(&self.ring).snapshot()
+        lock_clean(&self.ring).snapshot()
     }
 
     /// Retained records for one trace, in insertion order.
@@ -237,7 +234,7 @@ impl TraceLog {
 
     /// Records ever written (including evicted ones).
     pub fn total(&self) -> u64 {
-        lock(&self.ring).pushed()
+        lock_clean(&self.ring).pushed()
     }
 }
 

@@ -26,13 +26,10 @@
 //! (maxima do not subtract); window quantiles treat it as an upper bound.
 
 use crate::hist::LogHistogram;
+use crate::lock_clean;
 use crate::registry::{Counter, Histogram};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Mutex};
 
 #[derive(Debug)]
 struct HistTrack {
@@ -87,12 +84,12 @@ impl WindowSet {
 
     /// Interval width in (virtual) seconds.
     pub fn interval_secs(&self) -> u64 {
-        lock(&self.inner).interval_secs
+        lock_clean(&self.inner).interval_secs
     }
 
     /// The live interval's index, if `advance` has run.
     pub fn current_interval(&self) -> Option<u64> {
-        lock(&self.inner).current
+        lock_clean(&self.inner).current
     }
 
     /// Tracks `handle` under `name`; the base is the handle's state at
@@ -100,7 +97,7 @@ impl WindowSet {
     /// Re-registering a name replaces the tracked handle and clears its
     /// ring.
     pub fn register_histogram(&self, name: &str, handle: &Histogram) {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock_clean(&self.inner);
         let track = HistTrack {
             name: name.to_string(),
             base: handle.snapshot(),
@@ -116,7 +113,7 @@ impl WindowSet {
     /// Tracks a counter under `name`; same base/replace semantics as
     /// [`Self::register_histogram`].
     pub fn register_counter(&self, name: &str, handle: &Counter) {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock_clean(&self.inner);
         let track = CounterTrack {
             name: name.to_string(),
             base: handle.get(),
@@ -133,7 +130,7 @@ impl WindowSet {
     /// interval (and recording its deltas) whenever the interval index
     /// advances. Backward or same-interval calls are cheap no-ops.
     pub fn advance(&self, now: u64) {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock_clean(&self.inner);
         let index = now / inner.interval_secs;
         match inner.current {
             None => inner.current = Some(index),
@@ -171,7 +168,7 @@ impl WindowSet {
     /// The merged histogram over the last `k` intervals (live partial
     /// included), or `None` if `name` is not tracked.
     pub fn hist_window(&self, name: &str, k: usize) -> Option<LogHistogram> {
-        let inner = lock(&self.inner);
+        let inner = lock_clean(&self.inner);
         let current = inner.current.unwrap_or(0);
         let track = inner.hists.iter().find(|t| t.name == name)?;
         let mut merged = track.handle.snapshot().diff(&track.base);
@@ -186,7 +183,7 @@ impl WindowSet {
     /// The summed counter delta over the last `k` intervals (live partial
     /// included), or `None` if `name` is not tracked.
     pub fn counter_window(&self, name: &str, k: usize) -> Option<u64> {
-        let inner = lock(&self.inner);
+        let inner = lock_clean(&self.inner);
         let current = inner.current.unwrap_or(0);
         let track = inner.counters.iter().find(|t| t.name == name)?;
         let live = track.handle.get().saturating_sub(track.base);

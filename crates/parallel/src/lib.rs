@@ -32,9 +32,9 @@
 //! microseconds to seconds) per-call thread spawn cost is noise; a
 //! persistent pool would buy nothing but shutdown complexity.
 
+pub use obs::lock_clean;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Environment variable consulted by [`Pool::from_env`] for the worker
 /// count. Invalid or zero values fall back to the detected parallelism.
@@ -238,21 +238,6 @@ where
         idx = cursor.fetch_add(1, Ordering::Relaxed);
     }
     out
-}
-
-/// Locks a [`std::sync::Mutex`], ignoring poisoning.
-///
-/// The workspace's shared poison-recovery helper: correct whenever the
-/// protected state is updated whole (an `Arc` swap, a counter bump, a
-/// deque push) so a panicking holder cannot leave a torn value behind,
-/// and panic propagation is handled by other means (the pool's abort
-/// flag, the service's single-flight completion guard). Use this instead
-/// of hand-rolled `match m.lock()` blocks at every mutex in the repo.
-pub fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 #[cfg(test)]

@@ -38,7 +38,9 @@
 //!   `degraded: true`, it never serves a guess.
 //! * **Drain never drops admitted work**: [`Fleet::drain_shard`] stops
 //!   routing *new* requests to a shard before its server drains, and
-//!   the shard's own `admitted == served` assertion still holds.
+//!   the shard's own `admitted == served` assertion still holds. The
+//!   front's parked connections need no drain hook: a shard's drain
+//!   closes them as it closes any idle keep-alive.
 
 use crate::http::{self, Request, Response};
 use crate::json::{self, Json};
@@ -52,8 +54,8 @@ use obs::{Counter, Registry, TraceContext};
 use parallel::lock_clean;
 use spotmarket::faults::{ShardFaultKind, ShardFaults};
 use spotmarket::{Az, Catalog, Combo};
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -150,6 +152,11 @@ impl ShardState {
             ShardState::Draining => "draining",
         }
     }
+
+    /// Whether the front routes requests to a shard in this state.
+    fn routable(self) -> bool {
+        matches!(self, ShardState::Up | ShardState::Degraded)
+    }
 }
 
 /// Per-fleet routing counters, exposed as `drafts_fleet_*` metrics on
@@ -198,90 +205,6 @@ impl FleetCounters {
         }
         registry.attach_counter("drafts_fleet_refused_total", &self.refused);
         registry.attach_counter("drafts_fleet_proxy_errors_total", &self.proxy_errors);
-    }
-}
-
-/// A pooled keep-alive connection to one shard (the front's own minimal
-/// HTTP/1.1 client — the server crate cannot depend on loadgen). A GET
-/// is split into [`ProxyConn::send`] and [`ProxyConn::recv`] so a scatter
-/// can write every leg before it reads any answer.
-struct ProxyConn {
-    addr: SocketAddr,
-    timeout: Duration,
-    conn: Option<BufReader<TcpStream>>,
-    /// Whether the last send went out on a connection kept from an
-    /// earlier request — one the shard may have closed while it idled.
-    reused: bool,
-}
-
-impl ProxyConn {
-    fn new(addr: SocketAddr, timeout: Duration) -> ProxyConn {
-        ProxyConn {
-            addr,
-            timeout,
-            conn: None,
-            reused: false,
-        }
-    }
-
-    fn connect(&self) -> io::Result<BufReader<TcpStream>> {
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(BufReader::new(stream))
-    }
-
-    /// Writes one GET, connecting first when no connection is open.
-    /// `trace` is an encoded [`TraceContext`] to propagate as the
-    /// `x-drafts-trace` request header.
-    fn send(&mut self, target: &str, trace: Option<&str>) -> io::Result<()> {
-        self.reused = self.conn.is_some();
-        if self.conn.is_none() {
-            self.conn = Some(self.connect()?);
-        }
-        let request = match trace {
-            Some(enc) => format!(
-                "GET {target} HTTP/1.1\r\nHost: shard\r\n{}: {enc}\r\n\r\n",
-                obs::TRACE_HEADER
-            ),
-            None => format!("GET {target} HTTP/1.1\r\nHost: shard\r\n\r\n"),
-        };
-        let stream = self.conn.as_mut().expect("connection just established");
-        stream.get_mut().write_all(request.as_bytes())
-    }
-
-    /// Completes a GET whose send returned `sent`: reads the answer, and
-    /// on a torn reused connection sends and reads once more on a fresh
-    /// one. A connection that errs is never parked again, so only the
-    /// retry needs it dropped.
-    fn finish(
-        &mut self,
-        sent: io::Result<()>,
-        target: &str,
-        trace: Option<&str>,
-    ) -> io::Result<(u16, Vec<u8>)> {
-        match sent.and_then(|()| self.recv()) {
-            Err(_) if self.reused => {
-                self.conn = None;
-                self.send(target, trace)?;
-                self.recv()
-            }
-            answer => answer,
-        }
-    }
-
-    /// Reads the answer to the last send with [`http::read_response`].
-    fn recv(&mut self) -> io::Result<(u16, Vec<u8>)> {
-        let reader = self
-            .conn
-            .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "nothing sent"))?;
-        let response = http::read_response(reader)?;
-        if response.close {
-            self.conn = None;
-        }
-        Ok((response.status, response.body))
     }
 }
 
@@ -341,17 +264,17 @@ struct ShardHandle {
     addr: SocketAddr,
     /// Set by [`Fleet::drain_shard`]: stop routing new requests here.
     draining: AtomicBool,
-    /// Set when the shard's server is being shut down: returned pooled
-    /// connections are dropped instead of parked, so idle keep-alives
-    /// never pin the shard's drain on a read deadline.
-    pool_closed: AtomicBool,
-    pool: Mutex<Vec<ProxyConn>>,
+    /// Idle keep-alive clients, parked after a clean answer.
+    pool: Mutex<Vec<http::Client>>,
     /// Memoized probe fold, indexed by grid slot (lazily extended).
     probes: Mutex<Vec<Slot>>,
 }
 
 /// The fleet routing front: implements [`Handler`] by proxying to the
-/// owning shard, with health-driven failover.
+/// owning shard, with health-driven failover. Each shard leg goes out on
+/// a pooled keep-alive [`http::Client`], parked again after a clean
+/// answer; one the shard has closed fails its next attempt and is
+/// retried once on a fresh connection under the client's rule.
 pub struct FrontRouter {
     catalog: &'static Catalog,
     ring: Ring,
@@ -384,7 +307,6 @@ impl FrontRouter {
                 instance: format!("shard-{i}"),
                 addr,
                 draining: AtomicBool::new(false),
-                pool_closed: AtomicBool::new(false),
                 pool: Mutex::new(Vec::new()),
                 probes: Mutex::new(Vec::new()),
             })
@@ -415,20 +337,10 @@ impl FrontRouter {
         self.shards.iter().map(|s| s.instance.as_str()).collect()
     }
 
-    /// Marks a shard as draining: no new requests are routed to it and
-    /// parked connections are dropped (in-flight ones finish and are
-    /// then dropped on return instead of re-parked).
+    /// Marks a shard as draining: no new requests are routed to it;
+    /// in-flight ones finish.
     pub fn begin_drain(&self, shard: usize) {
         self.shards[shard].draining.store(true, Ordering::Release);
-        self.close_pool(shard);
-    }
-
-    /// Drops the parked connections to a shard and refuses re-parking.
-    pub fn close_pool(&self, shard: usize) {
-        self.shards[shard]
-            .pool_closed
-            .store(true, Ordering::Release);
-        lock_clean(&self.shards[shard].pool).clear();
     }
 
     fn slot_of(&self, now: u64) -> u64 {
@@ -506,49 +418,33 @@ impl FrontRouter {
         self.shard_state(shard, now)
     }
 
-    /// Whether the front may route a request with virtual time `now` to
-    /// `shard`.
-    fn routable(&self, shard: usize, now: u64) -> bool {
-        matches!(
-            self.serving_state(shard, now),
-            ShardState::Up | ShardState::Degraded
-        )
-    }
-
     /// Proxies a GET of `target` to each leg's shard, overlapped: every
     /// request is written before any answer is read, so the shards work
     /// at once and the call waits for about its slowest leg, not the sum
     /// of all of them. Answers come back in leg order. Each leg draws a
-    /// parked connection (or opens one) and parks it again after a clean
-    /// answer; a leg whose parked connection turns out torn is retried
-    /// once on a fresh one. A leg's trace context is propagated as its
-    /// request header — the hop that stitches the front's span tree into
-    /// the shard's; probes and rollup reads are infrastructure, not
-    /// request hops, and pass none.
-    fn scatter(
-        &self,
-        target: &str,
-        legs: &[(usize, Option<TraceContext>)],
-    ) -> Vec<io::Result<(u16, Vec<u8>)>> {
-        let sent: Vec<(ProxyConn, Option<String>, io::Result<()>)> = legs
+    /// parked client (or makes one) and parks it again after a clean
+    /// answer; a leg fails or is retried by the [`http::Client`] rule. A
+    /// leg's trace context is propagated as its request header — the hop
+    /// that stitches the front's span tree into the shard's; probes and
+    /// rollup reads are infrastructure, not request hops, and pass none.
+    fn scatter(&self, target: &str, legs: &[(usize, Option<TraceContext>)]) -> Vec<Answer> {
+        let sent: Vec<(http::Client, io::Result<()>)> = legs
             .iter()
             .map(|&(shard, ctx)| {
                 let handle = &self.shards[shard];
-                let mut conn = lock_clean(&handle.pool)
+                let mut client = lock_clean(&handle.pool)
                     .pop()
-                    .unwrap_or_else(|| ProxyConn::new(handle.addr, PROXY_TIMEOUT));
-                let trace = ctx.map(|c| c.encode());
-                let sent = conn.send(target, trace.as_deref());
-                (conn, trace, sent)
+                    .unwrap_or_else(|| http::Client::new(handle.addr, PROXY_TIMEOUT));
+                let sent = client.send(target, ctx.map(|c| c.encode()).as_deref());
+                (client, sent)
             })
             .collect();
         legs.iter()
             .zip(sent)
-            .map(|(&(shard, _), (mut conn, trace, sent))| {
-                let answer = conn.finish(sent, target, trace.as_deref());
-                let handle = &self.shards[shard];
-                if answer.is_ok() && !handle.pool_closed.load(Ordering::Acquire) {
-                    lock_clean(&handle.pool).push(conn);
+            .map(|(&(shard, _), (mut client, sent))| {
+                let answer = client.finish(sent);
+                if answer.is_ok() {
+                    lock_clean(&self.shards[shard].pool).push(client);
                 }
                 answer
             })
@@ -556,46 +452,57 @@ impl FrontRouter {
     }
 
     /// One proxied GET: a one-leg [`FrontRouter::scatter`].
-    fn proxy(
-        &self,
-        shard: usize,
-        target: &str,
-        ctx: Option<TraceContext>,
-    ) -> io::Result<(u16, Vec<u8>)> {
+    fn proxy(&self, shard: usize, target: &str, ctx: Option<TraceContext>) -> Answer {
         self.scatter(target, &[(shard, ctx)])
             .pop()
             .expect("one leg, one answer")
     }
 
     /// Reads `target` from every shard routable at `now`, overlapped:
-    /// routability (and with it each shard's probe fold) is settled for
-    /// every shard first, then one [`FrontRouter::scatter`] reads them
-    /// all. Returns each shard's 200 body in shard order; an unroutable
-    /// shard is `None`, as is a failed or non-200 read, which
-    /// `count_errors` counts as a proxy error.
-    fn gather(&self, target: &str, now: u64, count_errors: bool) -> Vec<Option<Vec<u8>>> {
-        let routable: Vec<bool> = (0..self.cfg.shards)
-            .map(|shard| self.routable(shard, now))
+    /// each shard's serving state (and with it its probe fold) is settled
+    /// in shard order first, so each shard sees its probe before its leg;
+    /// then one [`FrontRouter::scatter`] sends each routable shard its
+    /// leg, carrying `ctx(shard)`. Returns every shard's state and answer
+    /// in shard order, the answer `None` for a shard not routable.
+    fn scatter_routable(
+        &self,
+        target: &str,
+        now: u64,
+        ctx: impl Fn(usize) -> Option<TraceContext>,
+    ) -> Vec<(ShardState, Option<Answer>)> {
+        let states: Vec<ShardState> = (0..self.cfg.shards)
+            .map(|shard| self.serving_state(shard, now))
             .collect();
         let legs: Vec<(usize, Option<TraceContext>)> = (0..self.cfg.shards)
-            .filter(|&shard| routable[shard])
-            .map(|shard| (shard, None))
+            .filter(|&shard| states[shard].routable())
+            .map(|shard| (shard, ctx(shard)))
             .collect();
         let mut answers = self.scatter(target, &legs).into_iter();
-        routable
+        states
             .into_iter()
-            .map(|up| {
-                if !up {
-                    return None;
-                }
-                match answers.next().expect("one answer per routable shard") {
-                    Ok((200, body)) => Some(body),
-                    _ => {
-                        if count_errors {
-                            self.counters.proxy_errors.inc();
-                        }
-                        None
+            .map(|state| {
+                let answer = state
+                    .routable()
+                    .then(|| answers.next().expect("one answer per routable shard"));
+                (state, answer)
+            })
+            .collect()
+    }
+
+    /// Reads `target` from every shard routable at `now`. Returns each
+    /// shard's 200 body in shard order; an unroutable shard is `None`, as
+    /// is a failed or non-200 read, which `count_errors` counts as a
+    /// proxy error.
+    fn gather(&self, target: &str, now: u64, count_errors: bool) -> Vec<Option<Vec<u8>>> {
+        self.scatter_routable(target, now, |_| None)
+            .into_iter()
+            .map(|(_, answer)| match answer? {
+                Ok((200, body)) => Some(body),
+                _ => {
+                    if count_errors {
+                        self.counters.proxy_errors.inc();
                     }
+                    None
                 }
             })
             .collect()
@@ -615,7 +522,7 @@ impl FrontRouter {
         stage: &'static str,
         (shard, leg): (usize, usize),
         failover: Option<bool>,
-        answer: Option<io::Result<(u16, Vec<u8>)>>,
+        answer: Option<Answer>,
     ) -> Option<(u16, Vec<u8>)> {
         let status = match &answer {
             None => 503,
@@ -744,7 +651,8 @@ impl FrontRouter {
         for (leg, shard) in owners.into_iter().enumerate() {
             let off_owner = shard != primary;
             let answer = self
-                .routable(shard, hop.now)
+                .serving_state(shard, hop.now)
+                .routable()
                 .then(|| self.proxy(shard, &target, Some(hop.ctx.child(leg as u64))));
             let Some((status, body)) =
                 self.settle_leg(hop, "proxy_graphs", (shard, leg), Some(off_owner), answer)
@@ -767,29 +675,17 @@ impl FrontRouter {
         // guaranteed bid over the combos it registered (owned + replica
         // copies), so replicas would duplicate owners' quotes. Dedup
         // rule: keep a shard's quote only when it IS the quoted combo's
-        // primary, or the primary is unroutable (true failover).
-        //
-        // Routability — and with it each shard's probe fold — is settled
-        // for every shard before any leg is sent, so each shard still
-        // sees its probe before its leg. Scatter legs are numbered by
-        // shard index, so a timeline names which shard's answer each leg
-        // is.
-        let routable: Vec<bool> = (0..self.cfg.shards)
-            .map(|shard| self.routable(shard, now))
-            .collect();
-        let legs: Vec<(usize, Option<TraceContext>)> = (0..self.cfg.shards)
-            .filter(|&shard| routable[shard])
-            .map(|shard| (shard, Some(ctx.child(shard as u64))))
-            .collect();
-        let mut answers = self.scatter(&target, &legs).into_iter();
+        // primary, or the primary is unroutable (true failover). Scatter
+        // legs are numbered by shard index, so a timeline names which
+        // shard's answer each leg is.
+        let answers = self.scatter_routable(&target, now, |shard| Some(ctx.child(shard as u64)));
+        let routable: Vec<bool> = answers.iter().map(|(_, a)| a.is_some()).collect();
         let mut best: Option<BidCandidate> = None;
         let mut fallback: Option<(u16, Vec<u8>, usize)> = None;
         // The answers are folded in shard order, so trace records,
         // counters, dedup and the winner come out as for legs run one
-        // after another.
-        for shard in 0..self.cfg.shards {
-            let answer =
-                routable[shard].then(|| answers.next().expect("one answer per routable shard"));
+        // after another; an unroutable shard's leg is a `proxy_skip`.
+        for (shard, (state, answer)) in answers.into_iter().enumerate() {
             let Some((status, body)) =
                 self.settle_leg(hop, "proxy_bid", (shard, shard), None, answer)
             else {
@@ -821,8 +717,7 @@ impl FrontRouter {
                 continue; // the primary's own answer covers this combo
             }
             let off_owner = shard != primary;
-            let degraded =
-                wire.degraded || off_owner || self.shard_state(shard, now) == ShardState::Degraded;
+            let degraded = wire.degraded || off_owner || state == ShardState::Degraded;
             let candidate = BidCandidate {
                 shard,
                 off_owner,
@@ -856,7 +751,7 @@ impl FrontRouter {
                     winner.body,
                 )
             }
-            None if legs.is_empty() => self.refuse("no shard routable"),
+            None if !routable.contains(&true) => self.refuse("no shard routable"),
             None => match fallback {
                 // Uniform non-200 (e.g. 404 "no market guarantees"):
                 // relay the first shard's verdict verbatim.
@@ -868,24 +763,15 @@ impl FrontRouter {
 
     fn health(&self, hop: Hop) -> Response {
         let Hop { ctx, now, .. } = hop;
-        // Every shard's state first (probing as needed), then one
-        // overlapped scatter collects each serving shard's own rollup.
-        let states: Vec<ShardState> = (0..self.cfg.shards)
-            .map(|shard| self.serving_state(shard, now))
-            .collect();
-        let reachable =
-            |shard: usize| matches!(states[shard], ShardState::Up | ShardState::Degraded);
-        let legs: Vec<(usize, Option<TraceContext>)> = (0..self.cfg.shards)
-            .filter(|&shard| reachable(shard))
-            .map(|shard| (shard, Some(ctx.child(shard as u64))))
-            .collect();
-        let mut answers = self
-            .scatter(&format!("/v1/health?now={now}"), &legs)
-            .into_iter();
+        // Each routable shard's own rollup; an unroutable shard records no
+        // `proxy_skip`: its row reports its state.
+        let answers = self.scatter_routable(&format!("/v1/health?now={now}"), now, |shard| {
+            Some(ctx.child(shard as u64))
+        });
+        let mut shard_rows = Vec::with_capacity(self.cfg.shards);
         let mut docs: Vec<Option<Json>> = Vec::with_capacity(self.cfg.shards);
-        for shard in 0..self.cfg.shards {
-            let doc = if reachable(shard) {
-                let answer = answers.next().expect("one answer per serving shard");
+        for (shard, (state, answer)) in answers.into_iter().enumerate() {
+            let doc = answer.and_then(|answer| {
                 match self.settle_leg(hop, "proxy_health", (shard, shard), None, Some(answer)) {
                     Some((200, body)) => std::str::from_utf8(&body)
                         .ok()
@@ -896,24 +782,17 @@ impl FrontRouter {
                     }
                     None => None,
                 }
-            } else {
-                None
-            };
-            docs.push(doc);
-        }
-        let shard_rows: Vec<ShardHealthRow> = states
-            .iter()
-            .zip(&docs)
-            .enumerate()
-            .map(|(shard, (&state, doc))| ShardHealthRow {
+            });
+            shard_rows.push(ShardHealthRow {
                 instance: &self.shards[shard].instance,
                 state,
                 counts: doc
                     .as_ref()
                     .and_then(HealthCountsWire::from_json)
                     .unwrap_or_default(),
-            })
-            .collect();
+            });
+            docs.push(doc);
+        }
         // Authoritative per-combo state: the first routable owner's row.
         let combo_rows: Vec<ComboHealthRow> = self
             .combos
@@ -939,6 +818,10 @@ impl FrontRouter {
 
 /// The identity the front records its own trace observations under.
 const FRONT: &str = "fleet-front";
+
+/// A proxied GET's outcome: the shard's status and body, or the
+/// transport error.
+type Answer = io::Result<(u16, Vec<u8>)>;
 
 /// One front request as its proxied legs see it: the front's metrics,
 /// the request's trace context and its virtual time.
@@ -1275,7 +1158,11 @@ pub struct FleetDrainReport {
     pub shards: Vec<Option<DrainReport>>,
 }
 
-/// A running fleet: N shard servers plus the routing front.
+/// A running fleet: N shard servers plus the routing front. Stopping any
+/// of them ([`Fleet::drain_shard`], [`Fleet::kill_shard`],
+/// [`Fleet::shutdown`]) is an ordinary [`Server::shutdown`], which closes
+/// idle keep-alives (the front's parked legs, a client still connected)
+/// at once instead of waiting out their deadlines.
 pub struct Fleet {
     front: Option<Server>,
     shard_servers: Vec<Option<Server>>,
@@ -1357,8 +1244,9 @@ impl Fleet {
     }
 
     /// Stops a shard *without* telling the front (the crash path): the
-    /// front keeps routing to it until proxy errors and failed probes
-    /// push it through Degraded to Down.
+    /// shard's drain closes the front's parked connections as it closes
+    /// any idle keep-alive, and the front keeps routing to it until proxy
+    /// errors and failed probes push it through Degraded to Down.
     ///
     /// # Panics
     /// Panics if the shard was already stopped.
@@ -1366,10 +1254,6 @@ impl Fleet {
         let server = self.shard_servers[shard]
             .take()
             .expect("shard already stopped");
-        // Parked front connections would pin the drain on a read
-        // deadline; drop them (the front will fail fresh connects and
-        // fail over, which is the point of the crash path).
-        self.router.close_pool(shard);
         server.shutdown()
     }
 
@@ -1380,13 +1264,7 @@ impl Fleet {
         let shards = self
             .shard_servers
             .iter_mut()
-            .enumerate()
-            .map(|(i, server)| {
-                server.take().map(|s| {
-                    self.router.close_pool(i);
-                    s.shutdown()
-                })
-            })
+            .map(|server| server.take().map(Server::shutdown))
             .collect();
         FleetDrainReport { front, shards }
     }
@@ -1741,7 +1619,7 @@ mod tests {
             "duration=3600&now=abc",
         ] {
             let raw = format!("GET /v1/bid?{query} HTTP/1.1\r\n\r\n");
-            let req = http::read_request(&mut BufReader::new(raw.as_bytes())).unwrap();
+            let req = http::read_request(&mut raw.as_bytes()).unwrap();
             let want = router.handle(&req, &Metrics::new());
             let got = front.handle(&req, &Metrics::new());
             assert_eq!(want.status, 400, "{query}");

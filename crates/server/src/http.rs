@@ -1,5 +1,6 @@
 //! Minimal HTTP/1.1 on `std`: request parsing and response writing, and
-//! the one bounded response reader every client here uses.
+//! the one client, with its bounded response reader, that the fleet
+//! front and the load generator both speak through.
 //!
 //! Scope is exactly what the serving layer needs (no hyper, no tokio):
 //!
@@ -15,7 +16,9 @@
 //! bytes on the wire are a pure function of the response content — the
 //! property the determinism tests and CI byte-diffs rely on.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// Maximum request-line length in bytes.
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -408,6 +411,108 @@ pub fn read_response(reader: &mut impl BufRead) -> io::Result<ClientResponse> {
     response.body = vec![0u8; content_length];
     reader.read_exact(&mut response.body)?;
     Ok(response)
+}
+
+/// A keep-alive HTTP/1.1 client over one TCP connection, the one client
+/// here: the fleet front's shard legs and the load generator use it.
+///
+/// A GET is [`Client::send`] then [`Client::finish`], so a scatter can
+/// write every leg before it reads any answer; [`Client::get`] does both.
+/// One retry rule: a failed attempt is retried once on a fresh
+/// connection unless it hit the deadline. A torn keep-alive or a refused
+/// connect is worth one more try; a retried timeout would only double
+/// the wait. A connection that errs or that the server closes is dropped.
+pub struct Client {
+    addr: SocketAddr,
+    timeout: Duration,
+    conn: Option<BufReader<TcpStream>>,
+    /// The request last sent, for the retry.
+    request: String,
+    retry_after: Option<u64>,
+}
+
+impl Client {
+    /// A client for `addr`; `timeout` is each connection's read and
+    /// write deadline.
+    pub fn new(addr: SocketAddr, timeout: Duration) -> Client {
+        Client {
+            addr,
+            timeout,
+            conn: None,
+            request: String::new(),
+            retry_after: None,
+        }
+    }
+
+    /// The `Retry-After` seconds from the most recent response, if the
+    /// server sent the header (load-shed 503s do).
+    pub fn retry_after(&self) -> Option<u64> {
+        self.retry_after
+    }
+
+    /// Issues `GET path`, returning `(status, body)`.
+    pub fn get(&mut self, path: &str) -> io::Result<(u16, Vec<u8>)> {
+        self.get_traced(path, None)
+    }
+
+    /// [`Client::get`] carrying an `x-drafts-trace` context header when
+    /// `trace` is `Some` — the server propagates it through fleet legs
+    /// and echoes it on the response.
+    pub fn get_traced(&mut self, path: &str, trace: Option<&str>) -> io::Result<(u16, Vec<u8>)> {
+        let sent = self.send(path, trace);
+        self.finish(sent)
+    }
+
+    /// Writes `GET path`, with `trace` as its `x-drafts-trace` header.
+    pub fn send(&mut self, path: &str, trace: Option<&str>) -> io::Result<()> {
+        self.request = match trace {
+            Some(ctx) => format!(
+                "GET {path} HTTP/1.1\r\nHost: drafts\r\n{}: {ctx}\r\n\r\n",
+                obs::TRACE_HEADER
+            ),
+            None => format!("GET {path} HTTP/1.1\r\nHost: drafts\r\n\r\n"),
+        };
+        self.write()
+    }
+
+    /// Reads the answer to the request whose [`Client::send`] returned
+    /// `sent`, retrying once under the retry rule.
+    pub fn finish(&mut self, sent: io::Result<()>) -> io::Result<(u16, Vec<u8>)> {
+        match self.attempt(sent) {
+            // A read past its deadline is `WouldBlock` on Unix.
+            Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                let sent = self.write();
+                self.attempt(sent)
+            }
+            answer => answer,
+        }
+    }
+
+    /// Writes the last request, connecting first when no connection is
+    /// open.
+    fn write(&mut self) -> io::Result<()> {
+        if self.conn.is_none() {
+            let stream = TcpStream::connect(self.addr)?;
+            stream.set_read_timeout(Some(self.timeout))?;
+            stream.set_write_timeout(Some(self.timeout))?;
+            stream.set_nodelay(true)?;
+            self.conn = Some(BufReader::new(stream));
+        }
+        let conn = self.conn.as_mut().expect("connected above");
+        conn.get_mut().write_all(self.request.as_bytes())
+    }
+
+    /// Reads the answer to a write that returned `sent`, keeping the
+    /// connection only when it answered and stays open.
+    fn attempt(&mut self, sent: io::Result<()>) -> io::Result<(u16, Vec<u8>)> {
+        let response =
+            sent.and_then(|()| read_response(self.conn.as_mut().expect("written to a connection")));
+        self.retry_after = response.as_ref().ok().and_then(|r| r.retry_after);
+        if !matches!(&response, Ok(r) if !r.close) {
+            self.conn = None;
+        }
+        response.map(|r| (r.status, r.body))
+    }
 }
 
 #[cfg(test)]

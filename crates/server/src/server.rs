@@ -18,6 +18,9 @@
 //! workers finish every connection already admitted (queued ones
 //! included), keep-alive loops close after their in-flight request, and
 //! `shutdown` joins every thread before returning its [`DrainReport`].
+//! A connection answered at least once is closed for reading, so one
+//! idling in a keep-alive read closes at once instead of waiting out its
+//! deadline; one never answered still gets its first request served.
 //! Admitted work is never dropped — the report asserts it.
 //!
 //! # Panic isolation
@@ -34,7 +37,7 @@ use obs::Level;
 use parallel::lock_clean;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -55,7 +58,7 @@ pub trait Handler: Send + Sync + 'static {
     /// (also stamped on transport-level events such as shed and drain).
     fn default_now(&self) -> u64;
 
-    /// Called once at bind, before any request: register handler-owned
+    /// Called once at start, before any request: register handler-owned
     /// counters and attach event sinks so the exposition order is
     /// canonical.
     fn on_boot(&self, _metrics: &Metrics) {}
@@ -190,6 +193,24 @@ struct Shared {
     admitted: AtomicU64,
     /// Connections fully served.
     served: AtomicU64,
+    /// Per worker, the connection it serves once that connection has been
+    /// answered: the handles [`Server::shutdown`] closes for reading.
+    answered: Mutex<Vec<Option<Arc<TcpStream>>>>,
+}
+
+impl Shared {
+    /// Registers `worker`'s connection, just answered for the first time,
+    /// for the drain's sweep. `draining` is read under the sweep's lock,
+    /// so no connection slips past both: false means a drain has begun
+    /// and the connection closes now.
+    fn mark_answered(&self, worker: usize, conn: &Arc<TcpStream>) -> bool {
+        let mut answered = lock_clean(&self.answered);
+        if self.draining.load(Ordering::Acquire) {
+            return false;
+        }
+        answered[worker] = Some(Arc::clone(conn));
+        true
+    }
 }
 
 /// A running server.
@@ -204,30 +225,16 @@ impl Server {
     /// Binds `127.0.0.1:0` (an OS-assigned ephemeral port) and starts
     /// serving `handler`.
     pub fn start<H: Handler>(handler: H, cfg: ServerConfig) -> io::Result<Server> {
-        Server::bind("127.0.0.1:0", handler, cfg)
-    }
-
-    /// Binds `addr` and starts the acceptor and worker threads.
-    pub fn bind<H: Handler>(addr: &str, handler: H, cfg: ServerConfig) -> io::Result<Server> {
-        Server::bind_shared(addr, Arc::new(handler), cfg)
+        Server::start_shared(Arc::new(handler), cfg)
     }
 
     /// [`Server::start`] for a handler the caller keeps a reference to
     /// (the fleet front holds its [`crate::fleet::FrontRouter`] this way
     /// to read routing counters and flip drain flags while serving).
     pub fn start_shared(handler: Arc<dyn Handler>, cfg: ServerConfig) -> io::Result<Server> {
-        Server::bind_shared("127.0.0.1:0", handler, cfg)
-    }
-
-    /// [`Server::bind`] for a shared handler.
-    pub fn bind_shared(
-        addr: &str,
-        handler: Arc<dyn Handler>,
-        cfg: ServerConfig,
-    ) -> io::Result<Server> {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(cfg.accept_queue >= 1, "need a non-empty accept queue");
-        let listener = TcpListener::bind(addr)?;
+        let listener = TcpListener::bind("127.0.0.1:0")?;
         let local = listener.local_addr()?;
         let metrics = Metrics::with_logs(cfg.event_log, cfg.trace_log);
         // The handler registers its own counters (service cache/health/
@@ -240,10 +247,11 @@ impl Server {
             queue: ConnQueue::new(cfg.accept_queue),
             handler,
             metrics: Arc::new(metrics),
-            cfg,
             draining: AtomicBool::new(false),
             admitted: AtomicU64::new(0),
             served: AtomicU64::new(0),
+            answered: Mutex::new(vec![None; cfg.workers]),
+            cfg,
         });
 
         let workers = (0..shared.cfg.workers)
@@ -251,7 +259,7 @@ impl Server {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("drafts-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(i, &shared))
                     .expect("spawn worker")
             })
             .collect();
@@ -282,8 +290,9 @@ impl Server {
         self.shared.metrics.clone()
     }
 
-    /// Drains and stops the server: stop accepting, serve everything
-    /// already admitted, join all threads.
+    /// Drains and stops the server: stop accepting, close every answered
+    /// connection for reading, serve everything already admitted, join
+    /// all threads.
     ///
     /// # Panics
     /// Panics if an admitted connection was dropped unserved — the drain
@@ -305,6 +314,14 @@ impl Server {
         self.acceptor.join().expect("acceptor panicked");
         // No more pushes: close the queue; workers drain what remains.
         self.shared.queue.close();
+        // A read on an answered connection, idle in keep-alive, returns
+        // end-of-stream at once; request bytes already received stay
+        // readable and responses still go out, so nothing received goes
+        // unanswered. A connection never answered is not in the sweep: it
+        // still gets its first request served.
+        for conn in lock_clean(&self.shared.answered).iter().flatten() {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
         for w in self.workers {
             w.join().expect("worker panicked");
         }
@@ -382,7 +399,7 @@ fn shed(conn: TcpStream, shared: &Shared) {
     let _ = conn.flush();
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(worker: usize, shared: &Shared) {
     // Every span opened while this worker handles requests records into
     // the server's tracer (per-stage histograms).
     let _tracing = shared.metrics.tracer().install();
@@ -395,25 +412,25 @@ fn worker_loop(shared: &Shared) {
         // Panic isolation at the connection level too: a torn transport
         // or handler bug on one connection never kills the worker.
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            serve_connection(conn, shared);
+            serve_connection(conn, worker, shared);
         }));
         if result.is_err() {
             shared.metrics.handler_panics.inc();
         }
+        lock_clean(&shared.answered)[worker] = None;
         shared.served.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Serves one (possibly keep-alive) connection to completion.
-fn serve_connection(conn: TcpStream, shared: &Shared) {
+/// Serves one (possibly keep-alive) connection to completion on
+/// `worker`.
+fn serve_connection(conn: TcpStream, worker: usize, shared: &Shared) {
     let _ = conn.set_read_timeout(Some(shared.cfg.connection_deadline));
     let _ = conn.set_write_timeout(Some(shared.cfg.connection_deadline));
     let _ = conn.set_nodelay(true);
-    let Ok(read_half) = conn.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = conn;
+    let conn = Arc::new(conn);
+    let mut reader = BufReader::new(&*conn);
+    let mut writer = &*conn;
     for served in 0..MAX_REQUESTS_PER_CONN {
         let req = match http::read_request(&mut reader) {
             Ok(req) => req,
@@ -456,6 +473,9 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
         let draining = shared.draining.load(Ordering::Acquire);
         let keep_alive = req.keep_alive && served + 1 < MAX_REQUESTS_PER_CONN && !draining;
         if http::write_response(&mut writer, &resp, keep_alive).is_err() || !keep_alive {
+            return;
+        }
+        if served == 0 && !shared.mark_answered(worker, &conn) {
             return;
         }
     }

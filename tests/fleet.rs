@@ -3,8 +3,8 @@
 //! refusal when a key's whole owner set is gone, two-boot byte
 //! determinism under a seeded logical fault plan, scatter legs over
 //! connections the shards closed while they idled, a hostile shard
-//! announcing an unbounded answer, and a hostile client's far-future
-//! `?now=`.
+//! announcing an unbounded answer, a hostile client's far-future
+//! `?now=`, and a shutdown that closes idle keep-alives at once.
 //!
 //! The experiments harness (`repro fleet`) exercises the *logical*
 //! fault path, where chaos is evaluated in virtual time and everything
@@ -489,6 +489,42 @@ fn rollups_count_a_dead_shard_as_one_proxy_error_and_timelines_do_not() {
     assert_eq!(fleet.front().counters().proxy_errors.get(), errors + 2);
 
     fleet.shutdown();
+}
+
+#[test]
+fn shutdown_with_the_front_client_still_connected_returns_at_once() {
+    // The client stays connected after its answers, and the front's
+    // legs leave keep-alive connections parked at every shard. Each
+    // server's drain must close those idle reads itself, not wait out
+    // the 5 s connection deadline.
+    let cfg = FleetConfig::new(3);
+    assert_eq!(cfg.front_server.connection_deadline, Duration::from_secs(5));
+    assert_eq!(cfg.shard_server.connection_deadline, Duration::from_secs(5));
+    let (fleet, combos) = boot(cfg);
+    let mut client = loadgen::Client::new(fleet.addr(), Duration::from_secs(5));
+    for path in [
+        graphs_path(combos[0], NOW),
+        format!("/v1/bid?duration=3600&now={NOW}"),
+        format!("/v1/health?now={NOW}"),
+    ] {
+        let (status, _) = get(&mut client, &path);
+        assert_eq!(status, 200, "{path}");
+    }
+
+    let watch = obs::Stopwatch::start();
+    let report = fleet.shutdown();
+    let took = watch.elapsed();
+    for drained in std::iter::once(&report.front).chain(report.shards.iter().flatten()) {
+        assert_eq!(
+            drained.admitted, drained.served,
+            "drain dropped admitted work"
+        );
+    }
+    assert!(
+        took < Duration::from_secs(1),
+        "fleet shutdown waited {took:?} on idle keep-alives"
+    );
+    drop(client);
 }
 
 #[test]

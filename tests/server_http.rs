@@ -1,7 +1,8 @@
 //! End-to-end tests of the drafts-serve layer over real loopback sockets:
 //! keep-alive concurrency, byte-determinism across independently booted
-//! servers, load shedding under a saturated accept queue, graceful drain,
-//! and handler-panic isolation.
+//! servers, load shedding under a saturated accept queue, graceful drain
+//! (an in-flight first request served, an idle keep-alive closed at
+//! once), and handler-panic isolation.
 
 use drafts_core::predictor::DraftsConfig;
 use drafts_core::service::{DraftsService, ServiceConfig};
@@ -235,6 +236,36 @@ fn graceful_drain_finishes_in_flight_requests() {
         "drain dropped admitted work"
     );
     assert!(report.admitted >= 1);
+}
+
+#[test]
+fn drain_closes_an_answered_idle_keep_alive_at_once() {
+    // A client answered once and still connected leaves its worker in a
+    // keep-alive read. The drain must close that read itself, not wait
+    // out the 5 s connection deadline for the client to hang up.
+    let srv = start(
+        84,
+        ServerConfig {
+            connection_deadline: Duration::from_secs(5),
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::new(srv.addr(), Duration::from_secs(5));
+    let (status, _) = client.get("/v1/health").expect("health");
+    assert_eq!(status, 200);
+
+    let watch = obs::Stopwatch::start();
+    let report = srv.shutdown();
+    let took = watch.elapsed();
+    assert_eq!(
+        report.admitted, report.served,
+        "drain dropped admitted work"
+    );
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown waited {took:?} on an idle keep-alive"
+    );
+    drop(client);
 }
 
 #[test]
