@@ -195,17 +195,6 @@ impl DurationResolver {
             }
         }
     }
-
-    /// Number of pending start points whose start is strictly after `t`
-    /// (pending starts are chronologically ordered).
-    pub fn pending_started_after(&self, t: u64) -> usize {
-        self.pending.len() - self.pending.partition_point(|&s| s <= t)
-    }
-
-    /// Iterates pending start times, oldest first.
-    pub fn pending_starts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.pending.iter().copied()
-    }
 }
 
 #[cfg(test)]

@@ -18,14 +18,16 @@
 //! The combo map is sharded (FNV of the combo key → [`ServiceConfig::
 //! shards`] shards) and each shard publishes an immutable snapshot of its
 //! recently computed buckets through [`Swap`] — an epoch-guarded atomic
-//! pointer swap (see [`crate::snapshot`]). A steady-state fetch is one
-//! snapshot load plus a hash lookup: **no lock is acquired and nothing is
-//! computed**. Only a fetch that misses the snapshot (first query of a
-//! bucket, typically once per 15 minutes per shard) takes the slow path:
-//! it single-flights onto one leader, which recomputes every combo in the
-//! shard (fanning out on [`parallel::Pool`] when the shard holds several)
-//! and publishes the merged snapshot with one swap. Publication in one
-//! shard never stalls reads — or publications — in another.
+//! pointer swap (see [`crate::snapshot`]), each bucket as the one `Arc`
+//! map its build returned. A steady-state fetch is one snapshot load, a
+//! scan of the retained buckets from the newest, and a hash lookup: **no
+//! lock is acquired and nothing is computed**. Only a fetch that misses
+//! the snapshot (first query of a bucket, typically once per 15 minutes
+//! per shard) takes the slow path: it single-flights onto one leader,
+//! which recomputes every combo in the shard (fanning out on
+//! [`parallel::Pool`] when the shard holds several) and publishes the
+//! bucket with one swap. Publication in one shard never stalls reads —
+//! or publications — in another.
 //!
 //! Snapshots retain the [`ServiceConfig::retain_buckets`] newest buckets
 //! per shard, so resident memory is O(combos × retained buckets), never
@@ -57,9 +59,9 @@
 //! "no guarantee"; they are never silently wrong.
 //!
 //! Concurrent fetches of the same `(shard, bucket)` are single-flighted:
-//! one caller computes, the rest block on a condvar and share the result,
-//! so `compute_count` equals the number of distinct `(combo, bucket)`
-//! pairs computed.
+//! one caller computes, the rest wait on the flight's `OnceLock` and share
+//! the `Arc` it is set to, so `compute_count` equals the number of
+//! distinct `(combo, bucket)` pairs computed.
 
 use crate::graph::BidDurationGraph;
 use crate::predictor::{DraftsConfig, DraftsPredictor};
@@ -69,7 +71,7 @@ use parallel::{lock_clean, Pool};
 use spotmarket::faults::{combo_label, CleanFeed, FeedSource};
 use spotmarket::{Combo, Price, PriceHistory};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Span stage names the service (and the predictor beneath it) records,
 /// in canonical exposition order — processes that render a registry
@@ -267,56 +269,26 @@ struct LastGood {
 /// result is as cacheable as a positive one).
 type BucketEntries = HashMap<u64, Option<GraphsResponse>>;
 
-/// The immutable published state of one shard: responses for its
-/// retained buckets. Readers receive the whole snapshot via one
-/// [`Swap::load`]; writers replace it wholesale.
-#[derive(Debug, Default)]
-struct ShardSnapshot {
-    /// `(combo key, bucket)` → that bucket's response for the combo.
-    entries: HashMap<(u64, u64), Option<GraphsResponse>>,
-    /// Retained buckets, ascending. Bounded by
-    /// [`ServiceConfig::retain_buckets`]; the smallest is evicted first.
-    buckets: Vec<u64>,
+/// The immutable published state of one shard: its retained buckets in
+/// ascending order, each paired with the `Arc` its build returned. At most
+/// [`ServiceConfig::retain_buckets`] long; the oldest is evicted first.
+/// Readers receive the whole snapshot via one [`Swap::load`]; writers
+/// replace it wholesale.
+type ShardSnapshot = Vec<(u64, Arc<BucketEntries>)>;
+
+/// `bucket`'s build in `snap`, if retained. Scanned from the newest end,
+/// where steady-state reads land.
+fn retained(snap: &ShardSnapshot, bucket: u64) -> Option<&Arc<BucketEntries>> {
+    snap.iter()
+        .rev()
+        .find(|(b, _)| *b == bucket)
+        .map(|(_, built)| built)
 }
 
 /// A single-flight slot: the first fetcher of a `(shard, bucket)`
 /// computes the whole shard's bucket while later ones wait here for the
-/// shared result.
-struct Flight {
-    state: Mutex<Option<Option<Arc<BucketEntries>>>>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Publishes the result (first writer wins) and wakes all waiters.
-    fn complete(&self, result: Option<Arc<BucketEntries>>) {
-        let mut state = lock_clean(&self.state);
-        if state.is_none() {
-            *state = Some(result);
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self) -> Option<Arc<BucketEntries>> {
-        let mut state = lock_clean(&self.state);
-        loop {
-            if let Some(result) = state.as_ref() {
-                return result.clone();
-            }
-            state = match self.cv.wait(state) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-    }
-}
+/// shared result — `None` when the build panicked. The first `set` wins.
+type Flight = OnceLock<Option<Arc<BucketEntries>>>;
 
 /// The single-flight slot of one `(shard, bucket)` build, held by its
 /// leader. Dropping it releases the waiters — with `None` unless
@@ -331,13 +303,13 @@ struct Lead<'a> {
 impl Lead<'_> {
     /// Hands the built bucket to every waiter.
     fn complete(&self, built: &Arc<BucketEntries>) {
-        self.flight.complete(Some(built.clone()));
+        let _ = self.flight.set(Some(built.clone()));
     }
 }
 
 impl Drop for Lead<'_> {
     fn drop(&mut self) {
-        self.flight.complete(None);
+        let _ = self.flight.set(None);
         lock_clean(&self.svc.inflight).remove(&self.fkey);
     }
 }
@@ -451,9 +423,7 @@ impl DraftsService {
             "at least one retained bucket required"
         );
         cfg.drafts.validate();
-        let shards = (0..cfg.shards)
-            .map(|_| Swap::new(Arc::new(ShardSnapshot::default())))
-            .collect();
+        let shards = (0..cfg.shards).map(|_| Swap::new(Arc::default())).collect();
         let shard_combos = vec![Vec::new(); cfg.shards];
         Self {
             cfg,
@@ -550,7 +520,7 @@ impl DraftsService {
         self.combos = combos;
         self.shard_combos = shard_combos;
         for shard in &self.shards {
-            shard.store(Arc::new(ShardSnapshot::default()));
+            shard.store(Arc::default());
         }
         lock_clean(&self.last_good).clear();
         lock_clean(&self.health_state).clear();
@@ -657,7 +627,10 @@ impl DraftsService {
     /// snapshot. Bounded by `combos × retain_buckets` regardless of how
     /// many buckets have been served — the eviction guarantee.
     pub fn resident_graphs(&self) -> usize {
-        self.shards.iter().map(|s| s.load().entries.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.load().iter().map(|(_, built)| built.len()).sum::<usize>())
+            .sum()
     }
 
     /// Pre-builds every shard's snapshot for `now`'s bucket, so a serving
@@ -681,10 +654,7 @@ impl DraftsService {
             // A shard's first combo in key order is the fetch that misses
             // and builds; the rest hit what that build published.
             if self.shard_combos[shard][0].key() != key
-                || self.shards[shard]
-                    .load()
-                    .entries
-                    .contains_key(&(key, bucket))
+                || retained(&self.shards[shard].load(), bucket).is_some()
             {
                 continue;
             }
@@ -739,11 +709,12 @@ impl DraftsService {
         let bucket = self.bucket(now);
         let shard = shard_index(key, self.cfg.shards);
         // Steady-state path: one snapshot load (wait-free, see
-        // `crate::snapshot`) and one hash probe. No lock, no compute.
+        // `crate::snapshot`), the bucket's build, and one hash probe into
+        // it. No lock, no compute.
         let snap = self.shards[shard].load();
-        if let Some(entry) = snap.entries.get(&(key, bucket)) {
+        if let Some(built) = retained(&snap, bucket) {
             self.cache_hits.inc();
-            return entry.clone();
+            return built.get(&key).cloned().flatten();
         }
         drop(snap);
         self.fetch_slow(key, shard, bucket)
@@ -751,7 +722,7 @@ impl DraftsService {
 
     /// Slow path: the snapshot misses `bucket`. Single-flight onto one
     /// leader per `(shard, bucket)`; the leader builds every combo in the
-    /// shard and publishes the merged snapshot.
+    /// shard and publishes the bucket.
     fn fetch_slow(&self, key: u64, shard: usize, bucket: u64) -> Option<GraphsResponse> {
         self.read_locks.inc();
         let lead = match self.lead(shard, bucket) {
@@ -760,17 +731,15 @@ impl DraftsService {
                 self.stampede_waits.inc();
                 return flight
                     .wait()
+                    .as_ref()
                     .and_then(|built| built.get(&key).cloned().flatten());
             }
         };
-        let built = match self.published(shard, bucket) {
-            Some(built) => built,
-            None => {
-                self.cache_misses.inc();
-                let builds = self.build_shards(&[shard], bucket).pop();
-                self.publish(shard, bucket, builds.expect("one build per shard"))
-            }
-        };
+        let built = self.published(shard, bucket).unwrap_or_else(|| {
+            self.cache_misses.inc();
+            let builds = self.build_shards(&[shard], bucket).pop();
+            self.publish(shard, bucket, builds.expect("one build per shard"))
+        });
         lead.complete(&built);
         built.get(&key).cloned().flatten()
     }
@@ -792,23 +761,13 @@ impl DraftsService {
         })
     }
 
-    /// The leader's double-check: `shard`'s published responses for
-    /// `bucket`, when a previous leader published the bucket between our
-    /// snapshot miss and our taking the lead.
+    /// The leader's double-check: `shard`'s published build of `bucket`,
+    /// when a previous leader published the bucket between our snapshot
+    /// miss and our taking the lead.
     fn published(&self, shard: usize, bucket: u64) -> Option<Arc<BucketEntries>> {
-        let snap = self.shards[shard].load();
-        if !snap.buckets.contains(&bucket) {
-            return None;
-        }
+        let built = retained(&self.shards[shard].load(), bucket)?.clone();
         self.cache_hits.inc();
-        let built: BucketEntries = self.shard_combos[shard]
-            .iter()
-            .map(|c| {
-                let entry = snap.entries.get(&(c.key(), bucket));
-                (c.key(), entry.cloned().flatten())
-            })
-            .collect();
-        Some(Arc::new(built))
+        Some(built)
     }
 
     /// Recomputes every combo of each shard in `shards` for `bucket`, in
@@ -846,13 +805,13 @@ impl DraftsService {
 
     /// Publishes `shard`'s builds for `bucket`: emits the events decided
     /// inside the (possibly parallel) build in stable combo order, so the
-    /// event stream is deterministic, then merges the responses into the
-    /// published snapshot with one atomic swap, evicting the oldest
-    /// buckets beyond the retention window. Concurrent publications of
-    /// different buckets compose (the swap cell serializes writers); a
-    /// bucket older than the whole retained window is skipped — its
-    /// callers are already served through the single-flight result.
-    /// Returns the responses keyed by combo.
+    /// event stream is deterministic, then inserts the responses, keyed by
+    /// combo, into the published snapshot as one `Arc` with one atomic
+    /// swap, evicting the oldest buckets beyond the retention window.
+    /// Concurrent publications of different buckets compose (the swap
+    /// cell serializes writers); a bucket older than the whole retained
+    /// window is skipped — its callers are already served through the
+    /// single-flight result. Returns that `Arc`.
     fn publish(&self, shard: usize, bucket: u64, builds: Vec<ComboBuild>) -> Arc<BucketEntries> {
         let mut built = BucketEntries::with_capacity(builds.len());
         for (combo, (response, pending)) in self.shard_combos[shard].iter().zip(builds) {
@@ -864,26 +823,16 @@ impl DraftsService {
         let built = Arc::new(built);
         let _span = obs::span("svc_snapshot_swap");
         let published = self.shards[shard].rcu(|cur| {
-            let mut buckets = cur.buckets.clone();
-            if let Err(at) = buckets.binary_search(&bucket) {
-                buckets.insert(at, bucket);
-            }
-            while buckets.len() > self.cfg.retain_buckets {
-                buckets.remove(0);
-            }
-            if !buckets.contains(&bucket) {
+            let mut buckets: ShardSnapshot =
+                cur.iter().filter(|(b, _)| *b != bucket).cloned().collect();
+            let at = buckets.partition_point(|&(b, _)| b < bucket);
+            buckets.insert(at, (bucket, built.clone()));
+            let evicted = buckets.len().saturating_sub(self.cfg.retain_buckets);
+            if at < evicted {
                 return None;
             }
-            let mut entries: HashMap<(u64, u64), Option<GraphsResponse>> = cur
-                .entries
-                .iter()
-                .filter(|((_, b), _)| buckets.contains(b))
-                .map(|(k, v)| (*k, v.clone()))
-                .collect();
-            for (k, v) in built.iter() {
-                entries.insert((*k, bucket), v.clone());
-            }
-            Some(Arc::new(ShardSnapshot { entries, buckets }))
+            buckets.drain(..evicted);
+            Some(Arc::new(buckets))
         });
         if published {
             self.snapshot_swaps.inc();
@@ -1514,6 +1463,106 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_build_releases_its_waiters_and_vacates_its_slot() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        /// Panics in its first poll once another caller waits on the
+        /// build; every later poll is clean.
+        struct PanicsOnce {
+            inner: CleanFeed,
+            stampede_waits: Counter,
+            entered: mpsc::Sender<()>,
+            polled: AtomicBool,
+        }
+        impl FeedSource for PanicsOnce {
+            fn combo(&self) -> Combo {
+                self.inner.combo()
+            }
+            fn poll(&self, now: u64, attempt: u32) -> Result<Arc<PriceHistory>, FeedError> {
+                if !self.polled.swap(true, Ordering::SeqCst) {
+                    let _ = self.entered.send(());
+                    while self.stampede_waits.get() == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("feed panicked mid-build");
+                }
+                self.inner.poll(now, attempt)
+            }
+        }
+
+        let (base, combo) = service();
+        let mut svc = DraftsService::new(base.cfg.clone());
+        let (entered, inside) = mpsc::channel();
+        svc.register_feed(Arc::new(PanicsOnce {
+            inner: CleanFeed::new(Arc::new(history_for(combo, 55))),
+            stampede_waits: svc.stampede_waits.clone(),
+            entered,
+            polled: AtomicBool::new(false),
+        }));
+        let svc = Arc::new(svc);
+        let now = 20 * spotmarket::DAY;
+        let timeout = Duration::from_secs(60);
+
+        let leader = std::thread::spawn({
+            let svc = Arc::clone(&svc);
+            move || svc.fetch(combo, now)
+        });
+        inside
+            .recv_timeout(timeout)
+            .expect("the leader polls the feed");
+        // Joined only once it has answered, so a stranded waiter fails
+        // the test instead of hanging it.
+        let (answer, answered) = mpsc::channel();
+        let waiter = std::thread::spawn({
+            let svc = Arc::clone(&svc);
+            move || answer.send(svc.fetch(combo, now).is_some())
+        });
+        assert_eq!(
+            answered.recv_timeout(timeout),
+            Ok(false),
+            "the waiter is released with no answer"
+        );
+        waiter.join().expect("the waiter returns").expect("sent");
+        let panic = leader
+            .join()
+            .expect_err("the panic reaches the leader's caller");
+        assert_eq!(
+            panic.downcast_ref::<&str>(),
+            Some(&"feed panicked mid-build")
+        );
+        assert_eq!(svc.compute_count(), 0);
+
+        assert!(svc.fetch(combo, now).is_some(), "the vacated slot rebuilds");
+        assert_eq!(svc.compute_count(), 1);
+    }
+
+    #[test]
+    fn a_bucket_older_than_the_retained_window_is_served_but_not_published() {
+        let (svc, combo) = service();
+        let t0 = 20 * spotmarket::DAY;
+        let period = svc.cfg.recompute_period;
+        let retain = svc.cfg.retain_buckets as u64;
+        for i in 1..=retain {
+            let _ = svc.fetch(combo, t0 + i * period).unwrap();
+        }
+        let (swaps, resident) = (svc.snapshot_swap_count(), svc.resident_graphs());
+        assert_eq!(svc.compute_count(), retain);
+
+        assert!(
+            svc.fetch(combo, t0).is_some(),
+            "an evicted bucket still answers"
+        );
+        assert_eq!(svc.compute_count(), retain + 1);
+        assert_eq!(svc.snapshot_swap_count(), swaps, "nothing published");
+        assert_eq!(svc.resident_graphs(), resident);
+
+        assert!(svc.fetch(combo, t0).is_some());
+        assert_eq!(svc.compute_count(), retain + 2, "so it computes again");
     }
 
     /// A feed that fails the first `fail_attempts` polls of every fetch,

@@ -303,11 +303,7 @@ fn fleet_bench(scale: Scale) -> String {
     let ring = cfg.ring();
     let keys: Vec<u64> = plan.combos.iter().map(|c| c.key()).collect();
     let ring_checksum = ring.ownership_checksum(&keys);
-    let services = fleet::build_shard_services(&plan, &ring, scale);
-    for service in &services {
-        service.warm(plan.now);
-    }
-    let live = server::Fleet::start(services, plan.now, cfg.clone()).expect("boot fleet");
+    let live = fleet::boot(&plan, cfg.clone(), scale);
     let mut client = loadgen::Client::new(live.addr(), std::time::Duration::from_secs(5));
 
     let combo = plan.combos[0];

@@ -219,6 +219,41 @@ pub fn build_shard_services(
         .collect()
 }
 
+/// Boots the fleet `cfg` describes: [`build_shard_services`] on its ring,
+/// each warmed at `plan.now` first so the replay is pure steady state per
+/// shard.
+pub fn boot(plan: &FleetPlan, cfg: FleetConfig, scale: Scale) -> Fleet {
+    let services = build_shard_services(plan, &cfg.ring(), scale);
+    for service in &services {
+        service.warm(plan.now);
+    }
+    Fleet::start(services, plan.now, cfg).expect("boot fleet")
+}
+
+/// Replays `plan`'s workload, drawn from `seed`, against `fleet`. One
+/// retry with a tight backoff cap keeps wall time bounded when a scenario
+/// deterministically refuses (kills2): the retry re-asks the identical
+/// virtual-time question and gets the identical refusal.
+pub fn replay(plan: &FleetPlan, fleet: &Fleet, seed: u64) -> RunReport {
+    let requests = loadgen::build_plan(
+        &plan.workload,
+        &StreamFactory::new(seed),
+        Catalog::standard(),
+    );
+    let retry = RetryPolicy {
+        max_retries: 1,
+        seed,
+        max_backoff: Duration::from_millis(50),
+    };
+    loadgen::run_with(
+        fleet.addr(),
+        &requests,
+        plan.workload.clients,
+        Duration::from_secs(5),
+        &retry,
+    )
+}
+
 /// The fleet config for one scenario: faults sampled inside the run's
 /// virtual window, everything else the shared defaults.
 fn scenario_config(plan: &FleetPlan, scenario: Scenario) -> FleetConfig {
@@ -241,33 +276,8 @@ pub fn run_scenario(plan: &FleetPlan, scenario: Scenario, scale: Scale) -> Scena
     let cfg = scenario_config(plan, scenario);
     let fault_label = cfg.faults.label();
     let ring = cfg.ring();
-    let services = build_shard_services(plan, &ring, scale);
-    for service in &services {
-        // Warm before boot so the replay is pure steady state per shard.
-        service.warm(plan.now);
-    }
-    let fleet = Fleet::start(services, plan.now, cfg).expect("boot fleet");
-
-    let requests = loadgen::build_plan(
-        &plan.workload,
-        &StreamFactory::new(FLEET_SEED),
-        Catalog::standard(),
-    );
-    // One retry with a tight backoff cap keeps wall time bounded when a
-    // scenario deterministically refuses (kills2): the retry re-asks the
-    // identical virtual-time question and gets the identical refusal.
-    let retry = RetryPolicy {
-        max_retries: 1,
-        seed: FLEET_SEED,
-        max_backoff: Duration::from_millis(50),
-    };
-    let report = loadgen::run_with(
-        fleet.addr(),
-        &requests,
-        plan.workload.clients,
-        Duration::from_secs(5),
-        &retry,
-    );
+    let fleet = boot(plan, cfg, scale);
+    let report = replay(plan, &fleet, FLEET_SEED);
 
     // Snapshot the front's accounting before the audit adds traffic.
     let counters = fleet.front().counters();

@@ -25,11 +25,9 @@
 
 use crate::common::{Scale, REPRO_SEED};
 use crate::fleet::{self, FleetPlan};
-use loadgen::{Kind, RetryPolicy, RunReport};
-use server::{Fleet, FleetConfig, Json};
-use simrng::StreamFactory;
+use loadgen::{Kind, RunReport};
+use server::{FleetConfig, Json};
 use spotmarket::faults::{ShardFault, ShardFaultKind, ShardFaults};
-use spotmarket::Catalog;
 use std::time::Duration;
 
 /// Seed domain separating the tracing experiment from the others.
@@ -212,30 +210,8 @@ pub fn run(scale: Scale) -> TraceOutput {
     let plan = fleet::plan(scale);
     let cfg = config(&plan);
     let fault_label = cfg.faults.label();
-    let ring = cfg.ring();
-    let services = fleet::build_shard_services(&plan, &ring, scale);
-    for service in &services {
-        service.warm(plan.now);
-    }
-    let fleet = Fleet::start(services, plan.now, cfg).expect("boot fleet");
-
-    let requests = loadgen::build_plan(
-        &plan.workload,
-        &StreamFactory::new(TRACE_SEED),
-        Catalog::standard(),
-    );
-    let retry = RetryPolicy {
-        max_retries: 1,
-        seed: TRACE_SEED,
-        max_backoff: Duration::from_millis(50),
-    };
-    let report = loadgen::run_with(
-        fleet.addr(),
-        &requests,
-        plan.workload.clients,
-        Duration::from_secs(5),
-        &retry,
-    );
+    let fleet = fleet::boot(&plan, cfg, scale);
+    let report = fleet::replay(&plan, &fleet, TRACE_SEED);
 
     // Timeline pass: one merged-timeline query per traced request, at
     // the pre-onset `now` so every shard contributes to the merge. The

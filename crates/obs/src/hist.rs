@@ -8,12 +8,12 @@
 //! **midpoint** (clamped to the observed maximum) — the upper bound
 //! overstated small samples by up to 2x at bucket boundaries.
 //!
-//! [`SharedHistogram`] is the lock-free concurrent variant behind
-//! registry [`crate::Histogram`] handles: atomic buckets with relaxed
-//! ordering (monotonic counters; snapshots need no cross-bucket
-//! consistency).
+//! [`Histogram`] is the lock-free concurrent handle the registry hands
+//! out: atomic buckets with relaxed ordering (monotonic counters;
+//! snapshots need no cross-bucket consistency).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Index of the power-of-two bucket covering `ns`.
@@ -164,63 +164,77 @@ impl LogHistogram {
     }
 }
 
-/// The concurrent histogram cell behind registry handles.
+/// A histogram handle recording nanosecond durations; clones record into
+/// the same cells.
 ///
 /// All operations are relaxed atomics: buckets, count, sum, and max are
 /// each individually monotonic, and a snapshot taken mid-record is merely
 /// a histogram from a moment ago.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram {
+    cells: Arc<Cells>,
+}
+
+/// [`LogHistogram`]'s fields as atomics.
 #[derive(Debug)]
-pub struct SharedHistogram {
+struct Cells {
     buckets: [AtomicU64; 64],
     count: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
 }
 
-impl Default for SharedHistogram {
+impl Default for Cells {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedHistogram {
-    /// An empty shared histogram.
-    pub fn new() -> Self {
-        SharedHistogram {
+        Cells {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
         }
     }
+}
+
+impl Histogram {
+    /// A detached histogram.
+    pub fn new() -> Histogram {
+        Histogram::default()
+    }
+
+    /// Records one duration.
+    pub fn record(&self, d: Duration) {
+        self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
+    }
 
     /// Records one duration given in nanoseconds.
     pub fn record_ns(&self, ns: u64) {
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let c = &self.cells;
+        c.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        c.count.fetch_add(1, Ordering::Relaxed);
+        c.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        c.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.cells.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all recorded durations in nanoseconds.
+    /// Sum of recorded durations in nanoseconds.
     pub fn sum_ns(&self) -> u64 {
-        self.sum_ns.load(Ordering::Relaxed)
+        self.cells.sum_ns.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy as a plain [`LogHistogram`].
     pub fn snapshot(&self) -> LogHistogram {
+        let c = &self.cells;
         let mut h = LogHistogram::new();
-        for (dst, src) in h.buckets.iter_mut().zip(&self.buckets) {
+        for (dst, src) in h.buckets.iter_mut().zip(&c.buckets) {
             *dst = src.load(Ordering::Relaxed);
         }
-        h.count = self.count.load(Ordering::Relaxed);
-        h.sum_ns = self.sum_ns.load(Ordering::Relaxed);
-        h.max_ns = self.max_ns.load(Ordering::Relaxed);
+        h.count = c.count.load(Ordering::Relaxed);
+        h.sum_ns = c.sum_ns.load(Ordering::Relaxed);
+        h.max_ns = c.max_ns.load(Ordering::Relaxed);
         h
     }
 }
@@ -343,7 +357,7 @@ mod tests {
 
     #[test]
     fn shared_histogram_snapshot_matches_serial_recording() {
-        let shared = SharedHistogram::new();
+        let shared = Histogram::new();
         let mut serial = LogHistogram::new();
         for ns in [0u64, 1, 767, 1000, 1 << 20, 1 << 63] {
             shared.record_ns(ns);

@@ -54,8 +54,8 @@ pub mod window;
 
 pub use clock::Stopwatch;
 pub use events::{EventLog, Level, LogEvent};
-pub use hist::{LogHistogram, SharedHistogram};
-pub use registry::{Counter, Gauge, Histogram, Registry};
+pub use hist::{Histogram, LogHistogram};
+pub use registry::{Counter, Gauge, Registry};
 pub use slo::{InstantCounts, Objective, SloMonitor, SloState, SloStatus, Source};
 pub use span::{ambient, span, InstallGuard, Span, StageStats, Tracer};
 pub use trace::{SlowestTraceCell, TraceContext, TraceIdGen, TraceLog, TraceRecord, TRACE_HEADER};

@@ -9,12 +9,11 @@
 //! clock and belong in explicitly wall-clock artifacts (`profile.csv`
 //! wall columns), never in `?now=`-deterministic output.
 
-use crate::hist::{LogHistogram, SharedHistogram};
+use crate::hist::Histogram;
 use crate::lock_clean;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// A monotonically increasing counter handle.
 #[derive(Debug, Clone, Default)]
@@ -70,44 +69,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A histogram handle recording nanosecond durations.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    shared: Arc<SharedHistogram>,
-}
-
-impl Histogram {
-    /// A detached histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Records one duration.
-    pub fn record(&self, d: Duration) {
-        self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Records one duration given in nanoseconds.
-    pub fn record_ns(&self, ns: u64) {
-        self.shared.record_ns(ns);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.shared.count()
-    }
-
-    /// Sum of recorded durations in nanoseconds.
-    pub fn sum_ns(&self) -> u64 {
-        self.shared.sum_ns()
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> LogHistogram {
-        self.shared.snapshot()
     }
 }
 

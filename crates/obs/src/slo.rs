@@ -421,7 +421,7 @@ mod tests {
 
     #[test]
     fn latency_objective_counts_threshold_misses() {
-        use crate::registry::Histogram;
+        use crate::hist::Histogram;
         let ws = WindowSet::new(INTERVAL, 16);
         let h = Histogram::new();
         ws.register_histogram("lat", &h);
@@ -502,7 +502,7 @@ mod tests {
 
     #[test]
     fn breach_exemplar_tags_latency_objectives_only() {
-        use crate::registry::Histogram;
+        use crate::hist::Histogram;
         let ws = WindowSet::new(INTERVAL, 16);
         let h = Histogram::new();
         ws.register_histogram("lat", &h);

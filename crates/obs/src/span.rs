@@ -16,8 +16,9 @@
 //! registry must [`Tracer::preregister`] their stage names in one
 //! canonical order at boot.
 
+use crate::hist::Histogram;
 use crate::lock_clean;
-use crate::registry::{Histogram, Registry};
+use crate::registry::Registry;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};

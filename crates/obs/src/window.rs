@@ -25,9 +25,10 @@
 //! The delta histograms' `max_ns` is the cumulative maximum at close time
 //! (maxima do not subtract); window quantiles treat it as an upper bound.
 
+use crate::hist::Histogram;
 use crate::hist::LogHistogram;
 use crate::lock_clean;
-use crate::registry::{Counter, Histogram};
+use crate::registry::Counter;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 

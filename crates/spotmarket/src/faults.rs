@@ -437,13 +437,6 @@ impl FaultyFeed {
     pub fn prefix_visible_at(&self, now: u64) -> usize {
         self.prefix_delivery.partition_point(|&d| d <= now)
     }
-
-    /// Age at `now` of the newest update in the visible contiguous prefix
-    /// (`None` before anything is visible).
-    pub fn staleness_at(&self, now: u64) -> Option<u64> {
-        let k = self.prefix_visible_at(now);
-        (k > 0).then(|| now.saturating_sub(self.delivered.time(k - 1)))
-    }
 }
 
 impl FeedSource for FaultyFeed {
