@@ -110,6 +110,9 @@ mod tests {
             savings: SavingsAccumulator::new(),
             tightness_sum: 0.0,
             tightness_count: 0,
+            guaranteed: 0,
+            guaranteed_successes: 0,
+            max_served_staleness: 0,
         }
     }
 

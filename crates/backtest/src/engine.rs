@@ -2,19 +2,27 @@
 //!
 //! For each combo: generate its price history, generate its request
 //! population, then run one chronological sweep evaluating every policy at
-//! every request. Combos are independent, so they fan out over the
-//! thread pool in `parallel` with per-combo random streams (no
-//! cross-combo coupling); results are index-ordered, so output is
-//! bit-identical at any thread count.
+//! every request. The evaluators read the history through a seeded
+//! [`FaultyFeed`]: at each request they see only the prefix the feed has
+//! delivered by then, while survival is always judged on the true history
+//! — the asymmetry a live service faces. Under the default zero-fault
+//! plan the delivered prefix is exactly the history up to the request.
+//! Combos are independent, so they fan out over the thread pool in
+//! `parallel` with per-combo random streams (no cross-combo coupling);
+//! results are index-ordered, so output is bit-identical at any thread
+//! count.
 
-use crate::request::{self, Request, RequestConfig};
+use crate::request::{self, RequestConfig};
 use crate::sweep::{ComboSweep, SweepConfig};
 use drafts_core::optimizer::{self, SavingsAccumulator};
+use drafts_core::service::ServiceConfig;
 use parallel::Pool;
 use simrng::StreamFactory;
 use spotmarket::archetype::{self, Archetype};
+use spotmarket::faults::{FaultPlan, FaultyFeed};
 use spotmarket::tracegen::{self, TraceConfig};
 use spotmarket::{Catalog, Combo, Price, DAY, HOUR};
+use std::sync::Arc;
 use tsforecast::ar::Ar1Estimator;
 use tsforecast::ecdf::EcdfEstimator;
 use tsforecast::BoundEstimator;
@@ -76,6 +84,10 @@ pub struct BacktestConfig {
     /// `DRAFTS_THREADS` environment variable, then to the detected
     /// parallelism. `Some(1)` forces a serial run on the calling thread.
     pub threads: Option<usize>,
+    /// The fault plan applied to every combo's feed (per-combo streams
+    /// are derived inside the feed, so one plan does not correlate
+    /// combos). The default is the clean feed.
+    pub faults: FaultPlan,
 }
 
 impl Default for BacktestConfig {
@@ -90,6 +102,7 @@ impl Default for BacktestConfig {
             sweep: SweepConfig::default(),
             combo_limit: None,
             threads: None,
+            faults: FaultPlan::none(0),
         }
     }
 }
@@ -98,7 +111,7 @@ impl BacktestConfig {
     /// Validates the configuration.
     ///
     /// # Panics
-    /// Panics on inconsistent windows.
+    /// Panics on inconsistent windows or an invalid fault plan.
     pub fn validate(&self) {
         assert!(self.days > self.warmup_days, "no room for requests");
         assert!(
@@ -110,6 +123,7 @@ impl BacktestConfig {
             "probability must be in (0,1)"
         );
         self.sweep.validate();
+        self.faults.validate();
     }
 
     pub(crate) fn request_config(&self) -> RequestConfig {
@@ -146,7 +160,7 @@ impl PolicyOutcome {
 }
 
 /// Everything measured for one combo.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComboResult {
     /// The market.
     pub combo: Combo,
@@ -160,6 +174,15 @@ pub struct ComboResult {
     pub tightness_sum: f64,
     /// Number of ratios in `tightness_sum`.
     pub tightness_count: usize,
+    /// Requests whose DrAFTS quote was served as guaranteed: it covers
+    /// the duration and the newest delivered update is within the
+    /// service's staleness budget. The rest are no-guarantee fallbacks,
+    /// which the §4.4 chooser routes to On-demand.
+    pub guaranteed: usize,
+    /// Guaranteed requests whose bid survived on the true history.
+    pub guaranteed_successes: usize,
+    /// Largest delivered-data age among guaranteed requests.
+    pub max_served_staleness: u64,
 }
 
 impl ComboResult {
@@ -190,6 +213,86 @@ pub struct BacktestResult {
     pub combos: Vec<ComboResult>,
 }
 
+impl BacktestResult {
+    /// Total requests evaluated.
+    pub fn attempts(&self) -> usize {
+        self.combos
+            .iter()
+            .map(|c| c.outcome(Policy::Drafts).attempts)
+            .sum()
+    }
+
+    /// Total requests served as guaranteed.
+    fn guaranteed(&self) -> usize {
+        self.combos.iter().map(|c| c.guaranteed).sum()
+    }
+
+    /// `count` over the requests evaluated (`0.0` when there were none).
+    fn per_attempt(&self, count: usize) -> f64 {
+        match self.attempts() {
+            0 => 0.0,
+            attempts => count as f64 / attempts as f64,
+        }
+    }
+
+    /// Fraction of requests served as guaranteed.
+    pub fn guaranteed_share(&self) -> f64 {
+        self.per_attempt(self.guaranteed())
+    }
+
+    /// Attainment among guaranteed requests: the fraction that actually
+    /// survived (`1.0` when nothing was served as guaranteed — an empty
+    /// promise set is vacuously kept).
+    pub fn attainment(&self) -> f64 {
+        let guaranteed = self.guaranteed();
+        if guaranteed == 0 {
+            return 1.0;
+        }
+        let kept: usize = self.combos.iter().map(|c| c.guaranteed_successes).sum();
+        kept as f64 / guaranteed as f64
+    }
+
+    /// Fraction of requests demoted to no-guarantee fallbacks.
+    pub fn fallback_rate(&self) -> f64 {
+        self.per_attempt(self.attempts() - self.guaranteed())
+    }
+
+    /// Merged §4.4 accounting across combos.
+    pub fn savings(&self) -> SavingsAccumulator {
+        let mut acc = SavingsAccumulator::new();
+        for c in &self.combos {
+            acc.merge(&c.savings);
+        }
+        acc
+    }
+
+    /// Strategy cost over the all-On-demand cost (`<= 1` by
+    /// construction: spot is only chosen when it undercuts On-demand).
+    pub fn cost_ratio(&self) -> f64 {
+        let s = self.savings();
+        if s.od_cost.ticks() == 0 {
+            1.0
+        } else {
+            s.strategy_cost.ticks() as f64 / s.od_cost.ticks() as f64
+        }
+    }
+
+    /// Whether degradation stayed conservative: every guaranteed request
+    /// was backed by data within the staleness budget.
+    pub fn conservative(&self) -> bool {
+        let budget = staleness_budget();
+        self.combos
+            .iter()
+            .all(|c| c.guaranteed == 0 || c.max_served_staleness <= budget)
+    }
+}
+
+/// The delivered-data age past which a quote is no longer served as
+/// guaranteed: the service's own budget.
+fn staleness_budget() -> u64 {
+    ServiceConfig::default().staleness_budget
+}
+
 /// Runs the backtest.
 pub fn run(cfg: &BacktestConfig) -> BacktestResult {
     cfg.validate();
@@ -209,10 +312,16 @@ pub fn run(cfg: &BacktestConfig) -> BacktestResult {
 /// Backtests a single combo (exposed for tests and benches).
 pub fn run_combo(cfg: &BacktestConfig, catalog: &Catalog, combo: Combo) -> ComboResult {
     let _span = obs::span("bt_combo");
-    let history = {
+    let truth = {
         let _span = obs::span("bt_tracegen");
-        tracegen::generate(combo, catalog, &TraceConfig::days(cfg.days, cfg.seed))
+        Arc::new(tracegen::generate(
+            combo,
+            catalog,
+            &TraceConfig::days(cfg.days, cfg.seed),
+        ))
     };
+    let feed = FaultyFeed::new(Arc::clone(&truth), cfg.faults);
+    let delivered = feed.delivered();
     let od = catalog.od_price(combo.ty, combo.az.region());
     let factory = StreamFactory::new(cfg.seed);
     let requests = {
@@ -220,101 +329,100 @@ pub fn run_combo(cfg: &BacktestConfig, catalog: &Catalog, combo: Combo) -> Combo
         request::generate(&cfg.request_config(), &factory, combo)
     };
 
-    let mut sweep = ComboSweep::new(&history, od, cfg.sweep);
+    let mut sweep = ComboSweep::new(delivered, od, cfg.sweep);
     let mut ar1 = Ar1Estimator::paper_default();
     let mut ecdf = EcdfEstimator::new();
     let mut fed = 0usize;
+    let budget = staleness_budget();
 
     let p = cfg.probability;
-    let mut outcomes: Vec<PolicyOutcome> = Policy::ALL
-        .iter()
-        .map(|&policy| PolicyOutcome {
-            policy,
-            successes: 0,
-            attempts: 0,
-        })
-        .collect();
-    let mut savings = SavingsAccumulator::new();
-    let mut tightness_sum = 0.0;
-    let mut tightness_count = 0usize;
+    let mut out = ComboResult {
+        combo,
+        archetype: archetype::assign(combo, catalog, cfg.seed),
+        outcomes: Policy::ALL
+            .iter()
+            .map(|&policy| PolicyOutcome {
+                policy,
+                successes: 0,
+                attempts: 0,
+            })
+            .collect(),
+        savings: SavingsAccumulator::new(),
+        tightness_sum: 0.0,
+        tightness_count: 0,
+        guaranteed: 0,
+        guaranteed_successes: 0,
+        max_served_staleness: 0,
+    };
 
     let _sweep_span = obs::span("bt_sweep");
     for req in &requests {
-        sweep.advance_to(req.start);
-        // Feed the simple estimators the same information set.
+        // Every evaluator's information set: the prefix of the delivered
+        // series visible by the request time.
+        sweep.advance_count(feed.prefix_visible_at(req.start));
         let upto = sweep.consumed();
-        for &v in &history.series().values()[fed..upto] {
+        for &v in &delivered.series().values()[fed..upto] {
             ar1.observe(v);
             ecdf.observe(v);
         }
         fed = upto;
 
-        let quote = sweep.quote(p, req.duration);
-        let market = history
+        let quoted = sweep.has_data().then(|| {
+            let staleness = req.start.saturating_sub(delivered.time(upto - 1));
+            (sweep.quote(p, req.duration), staleness)
+        });
+        let quote = quoted.map(|(q, _)| q);
+        let market = truth
             .price_at(req.start)
             .expect("request window starts after history");
-        if market > Price::ZERO {
-            tightness_sum += quote.bid.ticks() as f64 / market.ticks() as f64;
-            tightness_count += 1;
+        if let Some(quote) = quote.filter(|_| market > Price::ZERO) {
+            out.tightness_sum += quote.bid.ticks() as f64 / market.ticks() as f64;
+            out.tightness_count += 1;
         }
+        // Served as guaranteed only when the quote covers the duration and
+        // the newest delivered update is within the service's staleness
+        // budget, as the hardened service serves it.
+        let served =
+            quoted.filter(|(q, staleness)| q.guarantees(req.duration) && *staleness <= budget);
 
-        // Baselines get the same one-tick increment DrAFTS applies: a bid
-        // exactly at the estimated quantile ties the market price on
-        // plateau-heavy series and would be rejected outright.
+        // One bid per policy, in `Policy::ALL` order. Baselines get the
+        // same one-tick increment DrAFTS applies: a bid exactly at the
+        // estimated quantile ties the market price on plateau-heavy series
+        // and would be rejected outright. A policy with no bid cannot
+        // serve the request.
         let bids = [
-            (Policy::Drafts, Some(quote.bid)),
-            (Policy::OnDemand, Some(od)),
-            (
-                Policy::Ar1,
-                ar1.upper_bound(p)
-                    .map(|b| Price::from_ticks(b) + Price::TICK),
-            ),
-            (
-                Policy::EmpiricalCdf,
-                ecdf.upper_bound(p)
-                    .map(|b| Price::from_ticks(b) + Price::TICK),
-            ),
+            quote.map(|q| q.bid),
+            Some(od),
+            ar1.upper_bound(p)
+                .map(|b| Price::from_ticks(b) + Price::TICK),
+            ecdf.upper_bound(p)
+                .map(|b| Price::from_ticks(b) + Price::TICK),
         ];
-        for ((policy, bid), outcome) in bids.into_iter().zip(&mut outcomes) {
-            debug_assert_eq!(policy, outcome.policy);
-            outcome.attempts += 1;
-            let survived = match bid {
-                Some(b) => history
+        // Ground truth is always the unperturbed history.
+        let survived = bids.map(|bid| {
+            bid.is_some_and(|b| {
+                truth
                     .survival(req.start, b)
-                    .survives_for(req.start, req.duration),
-                // No bid producible: the request cannot be served.
-                None => false,
-            };
-            if survived {
-                outcome.successes += 1;
-            }
+                    .survives_for(req.start, req.duration)
+            })
+        });
+        for (outcome, ok) in out.outcomes.iter_mut().zip(survived) {
+            outcome.attempts += 1;
+            outcome.successes += usize::from(ok);
+        }
+        if let Some((_, staleness)) = served {
+            out.guaranteed += 1;
+            out.guaranteed_successes += usize::from(survived[0]);
+            out.max_served_staleness = out.max_served_staleness.max(staleness);
         }
 
-        record_savings(&mut savings, &quote, od, req);
+        // §4.4: spot only on a guaranteed bid below On-demand, billed
+        // worst case for `ceil(duration)` hours.
+        let choice = optimizer::choose(served.map(|(q, _)| q.bid), od);
+        out.savings
+            .record(choice, od, req.duration.div_ceil(HOUR).max(1));
     }
-
-    ComboResult {
-        combo,
-        archetype: archetype::assign(combo, catalog, cfg.seed),
-        outcomes,
-        savings,
-        tightness_sum,
-        tightness_count,
-    }
-}
-
-/// §4.4 accounting: route to spot only with a guaranteed DrAFTS bid below
-/// On-demand; bill worst case for `ceil(duration)` hours.
-fn record_savings(
-    savings: &mut SavingsAccumulator,
-    quote: &drafts_core::predictor::BidQuote,
-    od: Price,
-    req: &Request,
-) {
-    let guaranteed_bid = quote.guarantees(req.duration).then_some(quote.bid);
-    let choice = optimizer::choose(guaranteed_bid, od);
-    let hours = req.duration.div_ceil(HOUR).max(1);
-    savings.record(choice, od, hours);
+    out
 }
 
 #[cfg(test)]
@@ -372,38 +480,79 @@ mod tests {
         assert_eq!(registry.counter("drafts_pool_tasks_total").get(), 6);
     }
 
+    /// `small_cfg` with every feed perturbed at half intensity.
+    fn faulty_cfg() -> BacktestConfig {
+        BacktestConfig {
+            faults: FaultPlan::with_intensity(99, 0.5),
+            ..small_cfg()
+        }
+    }
+
+    fn assert_deterministic(cfg: BacktestConfig) {
+        assert_eq!(run(&cfg).combos, run(&cfg).combos);
+    }
+
     #[test]
     fn is_deterministic() {
-        let a = run(&small_cfg());
-        let b = run(&small_cfg());
-        for (x, y) in a.combos.iter().zip(&b.combos) {
-            assert_eq!(x.combo, y.combo);
-            assert_eq!(x.outcomes, y.outcomes);
-            assert_eq!(x.savings, y.savings);
+        assert_deterministic(small_cfg());
+    }
+
+    #[test]
+    fn is_deterministic_under_faults() {
+        assert_deterministic(faulty_cfg());
+    }
+
+    fn assert_identical_at_any_thread_count(cfg: BacktestConfig) {
+        let at = |threads: usize| {
+            run(&BacktestConfig {
+                threads: Some(threads),
+                ..cfg
+            })
+            .combos
+        };
+        let serial = at(1);
+        for threads in [2, 8] {
+            assert_eq!(serial, at(threads), "{threads} threads");
         }
     }
 
     #[test]
     fn identical_results_at_any_thread_count() {
-        let at = |threads: usize| {
+        assert_identical_at_any_thread_count(small_cfg());
+    }
+
+    #[test]
+    fn identical_results_at_any_thread_count_under_faults() {
+        assert_identical_at_any_thread_count(faulty_cfg());
+    }
+
+    #[test]
+    fn faults_degrade_conservatively() {
+        // Four combos of 30 requests: on `small_cfg`'s larger population
+        // an intensity-1 plan need not demote more requests than the
+        // clean feed does.
+        let at = |faults| {
             run(&BacktestConfig {
-                threads: Some(threads),
+                requests_per_combo: 30,
+                combo_limit: Some(4),
+                faults,
                 ..small_cfg()
             })
         };
-        let serial = at(1);
-        for threads in [2, 8] {
-            let parallel = at(threads);
-            assert_eq!(serial.combos.len(), parallel.combos.len());
-            for (x, y) in serial.combos.iter().zip(&parallel.combos) {
-                assert_eq!(x.combo, y.combo, "combo order must not depend on threads");
-                assert_eq!(x.outcomes, y.outcomes);
-                assert_eq!(x.savings, y.savings);
-                assert_eq!(x.tightness_sum.to_bits(), y.tightness_sum.to_bits());
-                assert_eq!(x.tightness_count, y.tightness_count);
-                assert_eq!(x.archetype, y.archetype);
-            }
-        }
+        let clean = at(FaultPlan::none(7));
+        let hostile = at(FaultPlan::with_intensity(7, 1.0));
+        assert_eq!(clean.fallback_rate() + clean.guaranteed_share(), 1.0);
+        assert!(hostile.conservative(), "no out-of-budget guarantee served");
+        assert!(
+            hostile.fallback_rate() > clean.fallback_rate(),
+            "an intensity-1 plan must demote some requests: {} <= {}",
+            hostile.fallback_rate(),
+            clean.fallback_rate()
+        );
+        // Lost guarantees cost money (spot savings forgone), never
+        // correctness: the strategy still never exceeds all-On-demand.
+        assert!(hostile.cost_ratio() >= clean.cost_ratio() - 1e-12);
+        assert!(hostile.cost_ratio() <= 1.0);
     }
 
     #[test]

@@ -7,20 +7,20 @@
 //! maximum bid. Finally, we test whether this bid would have prevented a
 //! termination." Success fractions per combo feed Table 1; the same request
 //! population priced through the §4.4 chooser feeds Tables 4 and 5 and the
-//! tightness ablation.
+//! tightness ablation, and read through a seeded faulty feed, the fault
+//! sweep.
 //!
 //! Modules:
 //! * [`request`] — the random request population,
 //! * [`sweep`] — a single-pass incremental DrAFTS evaluator (O(n log n)
 //!   per combo instead of re-running batch QBETS at every query point),
-//! * [`engine`] — parallel orchestration across the 452 combos,
-//! * [`chaos`] — the same evaluation run through a seeded degraded feed,
-//!   with conservative-degradation accounting,
+//! * [`engine`] — parallel orchestration across the 452 combos, each
+//!   evaluated through a seeded (by default fault-free) feed with the
+//!   hardened service's serving discipline,
 //! * [`correctness`] — success-fraction accounting and bucketing,
 //! * [`cost`] — the cost-optimization and tightness accounting,
 //! * [`report`] — paper-style table rendering and CSV export.
 
-pub mod chaos;
 pub mod correctness;
 pub mod cost;
 pub mod engine;

@@ -133,7 +133,6 @@ pub struct ComboSweep<'a> {
     price_qbets: Qbets,
     levels: Vec<LevelState>,
     next_idx: usize,
-    now: u64,
     max_seen: u64,
     scratch: Vec<u64>,
 }
@@ -156,7 +155,6 @@ impl<'a> ComboSweep<'a> {
             cfg,
             levels,
             next_idx: 0,
-            now: 0,
             max_seen: 0,
             scratch: Vec::new(),
         }
@@ -172,61 +170,35 @@ impl<'a> ComboSweep<'a> {
         self.next_idx
     }
 
-    /// Advances the sweep to include every update with `time <= t`.
-    ///
-    /// # Panics
-    /// Panics if `t` precedes a previous `advance_to` (the sweep is
-    /// forward-only).
-    pub fn advance_to(&mut self, t: u64) {
-        assert!(t >= self.now, "sweep is forward-only: {t} < {}", self.now);
-        self.now = t;
-        let times = self.history.series().times();
-        let mut end = self.next_idx;
-        while end < times.len() && times[end] <= t {
-            end += 1;
-        }
-        self.consume_to(end);
-    }
-
     /// Advances the sweep to include exactly the first `count` updates of
-    /// the history, regardless of their timestamps. This is the
-    /// degraded-feed entry point: a perturbed feed exposes a *prefix* of
-    /// its delivered series at any poll time, and the prefix length — not
-    /// a wall-clock cutoff — is the consumer's information set.
+    /// the history, regardless of their timestamps: a feed exposes a
+    /// *prefix* of its delivered series at any poll time, and the prefix
+    /// length — not a wall-clock cutoff — is the consumer's information
+    /// set.
     ///
     /// # Panics
     /// Panics if `count` exceeds the history length or precedes updates
     /// already consumed (the sweep is forward-only).
     pub fn advance_count(&mut self, count: usize) {
         let times = self.history.series().times();
+        let values = self.history.series().values();
         assert!(count <= times.len(), "count {count} beyond history");
         assert!(
             count >= self.next_idx,
             "sweep is forward-only: {count} < {}",
             self.next_idx
         );
-        if count > 0 {
-            self.now = self.now.max(times[count - 1]);
-        }
-        self.consume_to(count);
-    }
-
-    /// Consumes updates `[next_idx, end)` into the price-step and
-    /// per-level duration state.
-    fn consume_to(&mut self, end: usize) {
-        let times = self.history.series().times();
-        let values = self.history.series().values();
 
         // Consume the price-step state (shared across levels) serially.
         let start = self.next_idx;
-        for &ticks in &values[start..end] {
+        for &ticks in &values[start..count] {
             self.price_qbets.observe(ticks);
             self.max_seen = self.max_seen.max(ticks);
         }
-        if end == start {
+        if count == start {
             return;
         }
-        self.next_idx = end;
+        self.next_idx = count;
 
         // Replay the batch per level. Levels never read each other, so the
         // level-outer order produces the exact same per-level operation
@@ -235,7 +207,7 @@ impl<'a> ComboSweep<'a> {
         let cap = self.cfg.duration_cap;
         let scratch = &mut self.scratch;
         for level in &mut self.levels {
-            for idx in start..end {
+            for idx in start..count {
                 let (time, ticks) = (times[idx], values[idx]);
                 let price = Price::from_ticks(ticks);
                 scratch.clear();
@@ -330,6 +302,11 @@ mod tests {
     use spotmarket::tracegen::{generate_with_archetype, TraceConfig};
     use spotmarket::{Az, Catalog, Combo};
 
+    /// Advances `sweep` over every update of `h` with `time <= t`.
+    fn advance_until(sweep: &mut ComboSweep, h: &PriceHistory, t: u64) {
+        sweep.advance_count(h.series().index_at(t).map_or(0, |i| i + 1));
+    }
+
     fn setup(arch: Archetype, days: u64, seed: u64) -> (PriceHistory, Price) {
         let cat = Catalog::standard();
         let combo = Combo::new(
@@ -353,20 +330,11 @@ mod tests {
     }
 
     #[test]
-    fn advance_is_forward_only() {
-        let (h, od) = setup(Archetype::Calm, 2, 1);
-        let mut sweep = ComboSweep::new(&h, od, SweepConfig::default());
-        sweep.advance_to(10_000);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep.advance_to(5_000)));
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn cold_start_quote_is_max_with_headroom() {
         let (h, od) = setup(Archetype::Calm, 2, 2);
         let cfg = SweepConfig::default();
         let mut sweep = ComboSweep::new(&h, od, cfg);
-        sweep.advance_to(3000); // ~10 updates: far below any bound minimum
+        advance_until(&mut sweep, &h, 3000); // ~10 updates: far below any bound minimum
         let quote = sweep.quote(0.95, 3600);
         assert_eq!(quote.durability_secs, None);
         let max_seen = h
@@ -387,7 +355,7 @@ mod tests {
     fn warm_quote_guarantees_requested_duration() {
         let (h, od) = setup(Archetype::Calm, 30, 3);
         let mut sweep = ComboSweep::new(&h, od, SweepConfig::default());
-        sweep.advance_to(25 * spotmarket::DAY);
+        advance_until(&mut sweep, &h, 25 * spotmarket::DAY);
         let quote = sweep.quote(0.95, 3600);
         assert!(
             quote.guarantees(3600),
@@ -401,7 +369,7 @@ mod tests {
     fn longer_durations_never_get_cheaper_bids() {
         let (h, od) = setup(Archetype::Choppy, 40, 4);
         let mut sweep = ComboSweep::new(&h, od, SweepConfig::default());
-        sweep.advance_to(35 * spotmarket::DAY);
+        advance_until(&mut sweep, &h, 35 * spotmarket::DAY);
         let mut last = Price::ZERO;
         for hours in [1u64, 3, 6, 12] {
             let quote = sweep.quote(0.95, hours * 3600);
@@ -428,7 +396,7 @@ mod tests {
         };
         let mut sweep = ComboSweep::new(&h, od, cfg);
         let t = 28 * spotmarket::DAY;
-        sweep.advance_to(t);
+        advance_until(&mut sweep, &h, t);
         let sweep_quote = sweep.quote(0.95, 3600);
 
         let batch = DraftsPredictor::new(
@@ -463,7 +431,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut sweep = ComboSweep::new(&h, od, cfg);
-        sweep.advance_to(29 * spotmarket::DAY);
+        advance_until(&mut sweep, &h, 29 * spotmarket::DAY);
         let top = sweep.levels.len() - 1;
         assert!(sweep.levels[top].resolved.len() > 1000);
         let bound = sweep.level_duration_bound(top, 0.975).unwrap();
@@ -481,7 +449,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut sweep = ComboSweep::new(&h, od, cfg);
-        sweep.advance_to(59 * spotmarket::DAY);
+        advance_until(&mut sweep, &h, 59 * spotmarket::DAY);
         // Some level near the base price is crossed by spikes; bounds below
         // the spike peak must be finite and smaller than uncrossed ones.
         let bounds: Vec<Option<u64>> = (0..sweep.levels.len())
@@ -494,25 +462,22 @@ mod tests {
     }
 
     #[test]
-    fn advance_count_matches_advance_to() {
+    fn advancing_in_steps_matches_one_step() {
         let (h, od) = setup(Archetype::Choppy, 30, 9);
-        let t = 20 * spotmarket::DAY;
-        let mut by_time = ComboSweep::new(&h, od, SweepConfig::default());
-        by_time.advance_to(t);
-        let mut by_count = ComboSweep::new(&h, od, SweepConfig::default());
+        let count = h.series().index_at(20 * spotmarket::DAY).unwrap() + 1;
+        let mut once = ComboSweep::new(&h, od, SweepConfig::default());
+        once.advance_count(count);
+        let mut steps = ComboSweep::new(&h, od, SweepConfig::default());
         // Same prefix in two unequal steps.
-        by_count.advance_count(by_time.consumed() / 2);
-        by_count.advance_count(by_time.consumed());
-        assert_eq!(by_count.consumed(), by_time.consumed());
+        steps.advance_count(count / 2);
+        steps.advance_count(count);
+        assert_eq!(steps.consumed(), once.consumed());
         for p in [0.95, 0.99] {
-            let a = by_time.quote(p, 3600);
-            let b = by_count.quote(p, 3600);
+            let a = once.quote(p, 3600);
+            let b = steps.quote(p, 3600);
             assert_eq!(a.bid, b.bid);
             assert_eq!(a.durability_secs, b.durability_secs);
         }
-        // Mixing is fine as long as it stays forward.
-        by_count.advance_to(25 * spotmarket::DAY);
-        assert!(by_count.consumed() > by_time.consumed());
     }
 
     #[test]

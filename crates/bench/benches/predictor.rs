@@ -21,7 +21,7 @@ fn main() {
         black_box(pred.bid_for_duration(black_box(upto), 0.95, 3600))
     });
     let mut sweep = ComboSweep::new(&history, od, SweepConfig::default());
-    sweep.advance_to(29 * spotmarket::DAY);
+    sweep.advance_count(history.series().index_at(29 * spotmarket::DAY).unwrap() + 1);
     h.bench("sweep_warm_quote", || {
         black_box(sweep.quote(black_box(0.95), 3600))
     });

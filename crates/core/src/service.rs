@@ -535,19 +535,34 @@ impl DraftsService {
     }
 
     /// The cheapest bid across every registered market guaranteeing
-    /// `duration_secs` at probability `p`, as of `now`.
+    /// `duration_secs` at probability `p`, as of `now`: the search of
+    /// [`Self::cheapest_bid_among`] over [`Self::combos`].
+    pub fn cheapest_bid(&self, p: f64, duration_secs: u64, now: u64) -> Option<BidQuote> {
+        self.cheapest_bid_among(&self.combos, p, duration_secs, now)
+    }
+
+    /// The cheapest bid among `combos` guaranteeing `duration_secs` at
+    /// probability `p`, as of `now`. Combos are searched in the given
+    /// order, and the first of equal bids wins.
     ///
     /// Guaranteed (Fresh/Stale) responses always win over degraded ones:
-    /// only when **no** registered combo can serve a guaranteed quote does
+    /// only when **no** searched combo can serve a guaranteed quote does
     /// the search fall back to no-guarantee fallback graphs, and the
     /// returned quote is then marked [`BidQuote::degraded`] so clients
     /// (and the §4.4 optimizer) route to On-demand instead. `None` when no
-    /// combo publishes a qualifying point at all.
-    pub fn cheapest_bid(&self, p: f64, duration_secs: u64, now: u64) -> Option<BidQuote> {
+    /// combo publishes a qualifying point at all (an unregistered combo
+    /// publishes none).
+    pub fn cheapest_bid_among(
+        &self,
+        combos: &[Combo],
+        p: f64,
+        duration_secs: u64,
+        now: u64,
+    ) -> Option<BidQuote> {
         let _span = obs::span("svc_cheapest_bid");
         let mut best: Option<BidQuote> = None;
         let mut best_fallback: Option<BidQuote> = None;
-        for &combo in &self.combos {
+        for &combo in combos {
             let Some(response) = self.fetch(combo, now) else {
                 continue;
             };

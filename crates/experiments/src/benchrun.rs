@@ -375,7 +375,6 @@ fn strategy_bench(scale: Scale) -> String {
     let tick = MarketTick {
         now: 2_000_000,
         scan_interval: 60,
-        spot_available: true,
         drafts: Some(plan),
         fallback: Some(plan),
         od_price: price(1_050),

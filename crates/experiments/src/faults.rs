@@ -2,9 +2,9 @@
 //!
 //! Not a paper artifact — the SC'17 evaluation assumes a perfect feed —
 //! but the robustness experiment the hardened service needs: the Table 1
-//! request population is re-evaluated through seeded
-//! [`FaultPlan`](spotmarket::FaultPlan)s of increasing intensity, and for
-//! each intensity we report how many requests could still be served as
+//! request population is re-evaluated by Table 1's own backtest loop
+//! through seeded [`FaultPlan`]s of increasing intensity, and for each
+//! intensity we report how many requests could still be served as
 //! guaranteed, whether those guarantees held on the true history
 //! (attainment), how many demoted to On-demand fallbacks, and what the
 //! degradation cost. The acceptance property: DrAFTS stays *conservative*
@@ -13,8 +13,7 @@
 
 use crate::common::{Scale, REPRO_SEED};
 use crate::table1;
-use backtest::chaos::{self, ChaosConfig, ChaosResult};
-use backtest::engine::BacktestConfig;
+use backtest::engine::{self, BacktestConfig, BacktestResult};
 use backtest::report::{pct, Table};
 use spotmarket::FaultPlan;
 
@@ -28,8 +27,8 @@ pub const INTENSITIES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
 pub struct FaultRow {
     /// Fault intensity (scales every rate of the reference plan).
     pub intensity: f64,
-    /// The chaos run at this intensity.
-    pub result: ChaosResult,
+    /// The backtest at this intensity.
+    pub result: BacktestResult,
 }
 
 /// Full sweep output.
@@ -68,10 +67,10 @@ pub fn run(scale: Scale) -> FaultsOutput {
         .iter()
         .map(|&intensity| FaultRow {
             intensity,
-            result: chaos::run(&ChaosConfig::new(
-                bt,
-                FaultPlan::with_intensity(FAULT_SEED, intensity),
-            )),
+            result: engine::run(&BacktestConfig {
+                faults: FaultPlan::with_intensity(FAULT_SEED, intensity),
+                ..bt
+            }),
         })
         .collect();
     FaultsOutput { rows }

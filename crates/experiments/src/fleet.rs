@@ -31,8 +31,6 @@
 
 use crate::common::{Scale, REPRO_SEED};
 use crate::serve;
-use drafts_core::predictor::DraftsConfig;
-use drafts_core::service::ServiceConfig;
 use drafts_core::DraftsService;
 use loadgen::{RetryPolicy, RunReport, WorkloadConfig};
 use server::{Fleet, FleetConfig, Json, Ring};
@@ -124,32 +122,12 @@ pub struct FleetOutput {
     pub scenarios: Vec<ScenarioOutcome>,
 }
 
-/// The market population spread across the fleet: the serve
-/// experiment's six AZ/type pairs, all registered at both scales (the
-/// fleet experiment scales by shard count and request count instead).
-fn population(catalog: &Catalog) -> Vec<Combo> {
-    [
-        ("us-east-1c", "c3.4xlarge"),
-        ("us-west-2a", "c4.large"),
-        ("us-east-1b", "c3.xlarge"),
-        ("us-west-1a", "c4.xlarge"),
-        ("us-east-1d", "c4.2xlarge"),
-        ("us-west-2b", "c3.large"),
-    ]
-    .iter()
-    .map(|&(az, ty)| {
-        Combo::new(
-            Az::parse(az).expect("known az"),
-            catalog.type_id(ty).expect("known type"),
-        )
-    })
-    .collect()
-}
-
 /// Builds the plan for `scale`.
 pub fn plan(scale: Scale) -> FleetPlan {
-    let catalog = Catalog::standard();
-    let combos = population(catalog);
+    // The serve experiment's paper-scale population, registered at both
+    // scales: the fleet experiment scales by shard count and request
+    // count instead.
+    let combos = serve::population(Scale::Paper, Catalog::standard());
     let now = 20 * DAY; // bucket-aligned; the whole run stays in-bucket
     let step = 1;
     let workload = WorkloadConfig {
@@ -200,15 +178,7 @@ pub fn build_shard_services(
     let histories = serve::stand_in_histories(&plan.combos, FLEET_SEED);
     (0..plan.shards)
         .map(|shard| {
-            let mut svc = DraftsService::new(ServiceConfig {
-                drafts: DraftsConfig {
-                    changepoint: None,
-                    autocorr: false,
-                    duration_stride: scale.pick(6, 2),
-                    ..DraftsConfig::default()
-                },
-                ..ServiceConfig::default()
-            });
+            let mut svc = DraftsService::new(serve::service_config(scale));
             for (i, &combo) in plan.combos.iter().enumerate() {
                 if ring.owners(combo.key()).contains(&shard) {
                     svc.register(Arc::clone(&histories[i]));

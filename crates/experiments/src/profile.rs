@@ -50,7 +50,8 @@ pub struct StageTable {
 }
 
 impl StageTable {
-    /// Reads every stage of [`stages`], in that order, from `tracer`.
+    /// Reads every stage the profiled server records, from `tracer`: the
+    /// per-route roots first, then [`SERVICE_STAGES`] in order.
     pub fn read(tracer: &Tracer) -> StageTable {
         let rows: Vec<StageRow> = stages()
             .into_iter()

@@ -74,7 +74,8 @@ pub struct ServeOutput {
 
 /// The market population: AZ/type pairs in the spirit of the Table 1
 /// sweep, kept small enough that trace generation is not the experiment.
-fn population(scale: Scale, catalog: &Catalog) -> Vec<Combo> {
+/// The fleet experiment spreads the paper-scale list across its shards.
+pub(crate) fn population(scale: Scale, catalog: &Catalog) -> Vec<Combo> {
     let pairs: &[(&str, &str)] = &[
         ("us-east-1c", "c3.4xlarge"),
         ("us-west-2a", "c4.large"),
@@ -147,9 +148,11 @@ pub fn stand_in_histories(combos: &[Combo], seed: u64) -> Vec<Arc<PriceHistory>>
     })
 }
 
-/// Builds the multi-combo service the server fronts.
-pub fn build_service(combos: &[Combo], scale: Scale) -> DraftsService {
-    let mut svc = DraftsService::new(ServiceConfig {
+/// The serving configuration of every instance and fleet shard the
+/// experiments boot: change points and autocorrelation off, start points
+/// every 6 updates at `--quick` and every 2 at paper scale.
+pub(crate) fn service_config(scale: Scale) -> ServiceConfig {
+    ServiceConfig {
         drafts: DraftsConfig {
             changepoint: None,
             autocorr: false,
@@ -157,7 +160,12 @@ pub fn build_service(combos: &[Combo], scale: Scale) -> DraftsService {
             ..DraftsConfig::default()
         },
         ..ServiceConfig::default()
-    });
+    }
+}
+
+/// Builds the multi-combo service the server fronts.
+pub fn build_service(combos: &[Combo], scale: Scale) -> DraftsService {
+    let mut svc = DraftsService::new(service_config(scale));
     for history in stand_in_histories(combos, SERVE_SEED) {
         svc.register(history);
     }

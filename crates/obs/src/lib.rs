@@ -10,7 +10,7 @@
 //!   a deterministic insertion-ordered text exposition. Histograms print
 //!   only their `_count` there; durations stay out of deterministic
 //!   output.
-//! * **Spans** ([`Tracer`], [`span`]) — RAII drop-guards recording each
+//! * **Spans** ([`Tracer`], [`span()`]) — RAII drop-guards recording each
 //!   pipeline stage's total and self (children-excluded) wall time into
 //!   per-stage histograms. Threads opt in by installing a tracer; without
 //!   one a span is a near-free no-op, so instrumentation is permanent.

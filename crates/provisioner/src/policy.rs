@@ -43,37 +43,16 @@ impl ProvisionerPolicy {
 ///
 /// `region` scopes the candidate AZs (the platform runs in one region);
 /// `now` is the decision time; `target_p` the durability probability the
-/// DrAFTS policies request. Returns `None` when no suitable type exists or
-/// (for DrAFTS policies) no market offers a guaranteed bid — the caller
-/// falls back to [`ProvisionerPolicy::Original`] behaviour.
-pub fn plan(
-    policy: ProvisionerPolicy,
-    catalog: &Catalog,
-    service: &DraftsService,
-    region: Region,
-    profile: &JobProfile,
-    now: u64,
-    target_p: f64,
-) -> Option<SpotPlan> {
-    plan_gated(
-        policy,
-        catalog,
-        service,
-        region,
-        profile,
-        now,
-        target_p,
-        &|_| true,
-    )
-}
-
-/// [`plan`] with an advisory-plane gate: DrAFTS candidates whose combo the
-/// gate rejects are skipped, exactly as if the service had no graphs for
-/// them. The strategy replay routes advisory lookups through its sharded
-/// front here — a dark shard takes its combos off the table while the
-/// `Original` arm (which never consults the advisory plane) is unaffected.
+/// DrAFTS policies request. `gate` is the advisory plane: DrAFTS
+/// candidates whose combo it rejects are skipped, exactly as if the
+/// service had no graphs for them. The strategy replay routes advisory
+/// lookups through its sharded front here — a dark shard takes its combos
+/// off the table while the `Original` arm (which never consults the
+/// advisory plane) is unaffected. Returns `None` when no suitable type
+/// exists or (for DrAFTS policies) no market offers a guaranteed bid —
+/// the caller falls back to [`ProvisionerPolicy::Original`] behaviour.
 #[allow(clippy::too_many_arguments)]
-pub fn plan_gated(
+pub fn plan(
     policy: ProvisionerPolicy,
     catalog: &Catalog,
     service: &DraftsService,
@@ -105,35 +84,26 @@ pub fn plan_gated(
                 ProvisionerPolicy::Drafts1Hr => 3600,
                 _ => profile.est_runtime.max(300),
             };
-            let mut best: Option<SpotPlan> = None;
-            for &ty in &types {
-                for az in catalog.azs_offering(ty, region) {
-                    let combo = Combo::new(az, ty);
-                    if !gate(combo) {
-                        continue;
-                    }
-                    let Some(response) = service.fetch(combo, now) else {
-                        continue;
-                    };
-                    // A degraded feed past its staleness budget serves
-                    // no-guarantee fallbacks: never launch spot on those —
-                    // the optimizer routes such jobs to On-demand instead.
-                    if !response.is_guaranteed() {
-                        continue;
-                    }
-                    let Some(graph) = response.graphs.at_probability(target_p) else {
-                        continue;
-                    };
-                    let Some(bp) = graph.cheapest_bid(required) else {
-                        continue;
-                    };
-                    let better = best.is_none_or(|b| bp.bid < b.bid);
-                    if better {
-                        best = Some(SpotPlan { combo, bid: bp.bid });
-                    }
-                }
-            }
-            best
+            let candidates: Vec<Combo> = types
+                .iter()
+                .flat_map(|&ty| {
+                    catalog
+                        .azs_offering(ty, region)
+                        .into_iter()
+                        .map(move |az| Combo::new(az, ty))
+                })
+                .filter(|&combo| gate(combo))
+                .collect();
+            // A degraded feed past its staleness budget serves no-guarantee
+            // fallbacks: never launch spot on those — the optimizer routes
+            // such jobs to On-demand instead.
+            service
+                .cheapest_bid_among(&candidates, target_p, required, now)
+                .filter(|quote| !quote.degraded)
+                .map(|quote| SpotPlan {
+                    combo: quote.combo,
+                    bid: quote.bid,
+                })
         }
     }
 }
@@ -204,6 +174,7 @@ mod tests {
             &profile(),
             1000,
             0.99,
+            &|_| true,
         )
         .unwrap();
         // Cheapest suitable compute type is c4.large/c3.large at $0.105.
@@ -225,6 +196,7 @@ mod tests {
             &profile(),
             now,
             0.95,
+            &|_| true,
         )
         .expect("20-day histories must quote");
         // Verify minimality across the service's published graphs.
@@ -253,6 +225,7 @@ mod tests {
             &short,
             now,
             0.95,
+            &|_| true,
         )
         .unwrap();
         let p2 = plan(
@@ -263,6 +236,7 @@ mod tests {
             &short,
             now,
             0.95,
+            &|_| true,
         )
         .unwrap();
         assert!(
@@ -278,7 +252,7 @@ mod tests {
         let cat = Catalog::standard();
         let svc = service_with_histories(20);
         let now = 19 * spotmarket::DAY;
-        assert!(plan_gated(
+        assert!(plan(
             ProvisionerPolicy::Drafts1Hr,
             cat,
             &svc,
@@ -290,7 +264,7 @@ mod tests {
         )
         .is_none());
         // The Original arm never consults the advisory plane: unaffected.
-        assert!(plan_gated(
+        assert!(plan(
             ProvisionerPolicy::Original,
             cat,
             &svc,
@@ -315,6 +289,7 @@ mod tests {
             &profile(),
             1000,
             0.99,
+            &|_| true,
         )
         .is_none());
     }
@@ -330,7 +305,17 @@ mod tests {
             est_runtime: 60,
         };
         for policy in ProvisionerPolicy::ALL {
-            assert!(plan(policy, cat, &svc, Region::UsWest2, &impossible, 1000, 0.99).is_none());
+            assert!(plan(
+                policy,
+                cat,
+                &svc,
+                Region::UsWest2,
+                &impossible,
+                1000,
+                0.99,
+                &|_| true,
+            )
+            .is_none());
         }
     }
 }

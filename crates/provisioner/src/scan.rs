@@ -300,7 +300,7 @@ impl<'a> Scan<'a> {
         gate: &dyn Fn(Combo) -> bool,
     ) -> Option<SpotPlan> {
         let cfg = self.cfg;
-        policy::plan_gated(
+        policy::plan(
             policy,
             self.catalog,
             &self.service,

@@ -306,7 +306,6 @@ impl StrategyStep<'_> {
         MarketTick {
             now: t,
             scan_interval: cfg.scan_interval,
-            spot_available: drafts.is_some(),
             drafts,
             fallback,
             od_price,

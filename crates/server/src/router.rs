@@ -24,7 +24,7 @@
 //! one, otherwise derived as a pure hash of the request target
 //! ([`TraceIdGen::derive`]) so even headerless requests trace
 //! deterministically. The fleet front shares this traced-request path
-//! ([`traced`]), so front and shards agree on a headerless request's
+//! (`traced`), so front and shards agree on a headerless request's
 //! identity.
 //!
 //! The service clock is **virtual** (the underlying service is
@@ -124,8 +124,8 @@ impl Router {
     /// own single-flight computation; may panic only on internal bugs
     /// (the worker catches and converts those to 500s).
     ///
-    /// Runs [`Router::dispatch`] through the shared traced-request path
-    /// ([`traced`]).
+    /// Runs `Router::dispatch` through the shared traced-request path
+    /// (`traced`).
     pub fn handle(&self, req: &Request, metrics: &Metrics) -> Response {
         traced(
             req,

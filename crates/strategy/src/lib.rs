@@ -79,12 +79,9 @@ pub struct MarketTick {
     pub now: u64,
     /// Seconds between scans (the decision latency a plan must absorb).
     pub scan_interval: u64,
-    /// Whether the advisory plane currently offers a guaranteed DrAFTS
-    /// plan for this profile — the availability signal the online
-    /// estimators learn from.
-    pub spot_available: bool,
     /// The guaranteed DrAFTS plan (smallest guaranteed bid across the
-    /// region), when the advisory plane offers one.
+    /// region), when the advisory plane offers one. Whether it does is the
+    /// availability signal the online estimators learn from.
     pub drafts: Option<SpotPlan>,
     /// The platform's original rule (cheapest suitable type, first AZ,
     /// bid = 80% of on-demand) — available regardless of the advisory

@@ -141,7 +141,7 @@ impl Strategy for EmaAvailability {
     }
 
     fn observe(&mut self, tick: &MarketTick) {
-        self.est.observe(tick.spot_available);
+        self.est.observe(tick.drafts.is_some());
     }
 
     fn decide(&mut self, tick: &MarketTick, job: &JobState) -> Action {
@@ -189,7 +189,7 @@ impl Strategy for BetaBayes {
     }
 
     fn observe(&mut self, tick: &MarketTick) {
-        self.est.observe(tick.spot_available);
+        self.est.observe(tick.drafts.is_some());
     }
 
     fn decide(&mut self, tick: &MarketTick, job: &JobState) -> Action {
@@ -347,7 +347,6 @@ mod tests {
         MarketTick {
             now,
             scan_interval: 60,
-            spot_available: drafts.is_some(),
             drafts,
             fallback,
             od_price: Price::from_ticks(1_050),

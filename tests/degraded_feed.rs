@@ -335,6 +335,7 @@ fn policy_refuses_spot_on_an_out_of_budget_market() {
         &profile,
         day20 - HOUR,
         0.95,
+        &|_| true,
     );
     assert!(healthy.is_some(), "pre-outage the market quotes normally");
 
@@ -349,6 +350,7 @@ fn policy_refuses_spot_on_an_out_of_budget_market() {
         &profile,
         day20 + 3 * HOUR,
         0.95,
+        &|_| true,
     );
     assert!(
         degraded.is_none(),
