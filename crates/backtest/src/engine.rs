@@ -15,7 +15,7 @@
 use crate::request::{self, RequestConfig};
 use crate::sweep::{ComboSweep, SweepConfig};
 use drafts_core::optimizer::{self, SavingsAccumulator};
-use drafts_core::service::ServiceConfig;
+use drafts_core::service::STALENESS_BUDGET;
 use parallel::Pool;
 use simrng::StreamFactory;
 use spotmarket::archetype::{self, Archetype};
@@ -280,17 +280,10 @@ impl BacktestResult {
     /// Whether degradation stayed conservative: every guaranteed request
     /// was backed by data within the staleness budget.
     pub fn conservative(&self) -> bool {
-        let budget = staleness_budget();
         self.combos
             .iter()
-            .all(|c| c.guaranteed == 0 || c.max_served_staleness <= budget)
+            .all(|c| c.guaranteed == 0 || c.max_served_staleness <= STALENESS_BUDGET)
     }
-}
-
-/// The delivered-data age past which a quote is no longer served as
-/// guaranteed: the service's own budget.
-fn staleness_budget() -> u64 {
-    ServiceConfig::default().staleness_budget
 }
 
 /// Runs the backtest.
@@ -333,7 +326,6 @@ pub fn run_combo(cfg: &BacktestConfig, catalog: &Catalog, combo: Combo) -> Combo
     let mut ar1 = Ar1Estimator::paper_default();
     let mut ecdf = EcdfEstimator::new();
     let mut fed = 0usize;
-    let budget = staleness_budget();
 
     let p = cfg.probability;
     let mut out = ComboResult {
@@ -382,8 +374,8 @@ pub fn run_combo(cfg: &BacktestConfig, catalog: &Catalog, combo: Combo) -> Combo
         // Served as guaranteed only when the quote covers the duration and
         // the newest delivered update is within the service's staleness
         // budget, as the hardened service serves it.
-        let served =
-            quoted.filter(|(q, staleness)| q.guarantees(req.duration) && *staleness <= budget);
+        let served = quoted
+            .filter(|(q, staleness)| q.guarantees(req.duration) && *staleness <= STALENESS_BUDGET);
 
         // One bid per policy, in `Policy::ALL` order. Baselines get the
         // same one-tick increment DrAFTS applies: a bid exactly at the

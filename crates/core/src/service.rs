@@ -15,10 +15,10 @@
 //!
 //! # Read path: published snapshots
 //!
-//! The combo map is sharded (FNV of the combo key → [`ServiceConfig::
-//! shards`] shards) and each shard publishes an immutable snapshot of its
-//! recently computed buckets through [`Swap`] — an epoch-guarded atomic
-//! pointer swap (see [`crate::snapshot`]), each bucket as the one `Arc`
+//! The combo map is sharded (FNV of the combo key → [`SHARDS`] shards)
+//! and each shard publishes an immutable snapshot of its recently
+//! computed buckets through [`Swap`] — an epoch-guarded atomic pointer
+//! swap (see [`crate::snapshot`]), each bucket as the one `Arc`
 //! map its build returned. A steady-state fetch is one snapshot load, a
 //! scan of the retained buckets from the newest, and a hash lookup: **no
 //! lock is acquired and nothing is computed**. Only a fetch that misses
@@ -29,9 +29,9 @@
 //! bucket with one swap. Publication in one shard never stalls reads —
 //! or publications — in another.
 //!
-//! Snapshots retain the [`ServiceConfig::retain_buckets`] newest buckets
-//! per shard, so resident memory is O(combos × retained buckets), never
-//! O(buckets served): old buckets are evicted as new ones publish. The
+//! Snapshots retain the [`RETAIN_BUCKETS`] newest buckets per shard, so
+//! resident memory is O(combos × retained buckets), never O(buckets
+//! served): old buckets are evicted as new ones publish. The
 //! slow path counts its lock acquisitions in `drafts_read_locks_total`,
 //! which therefore reads 0 across any warm steady-state interval.
 //!
@@ -42,13 +42,13 @@
 //! [`FaultyFeed`](spotmarket::FaultyFeed) under fault injection — and
 //! attaches a [`FeedHealth`] to every response:
 //!
-//! * **Fresh** — the backing data is at most [`ServiceConfig::fresh_for`]
-//!   old at the bucket time: the normal serving state.
-//! * **Stale** — the feed failed (after
-//!   [`ServiceConfig::max_retries`] retries with deterministic exponential
-//!   backoff) or delivered old data, but the newest usable data is within
-//!   [`ServiceConfig::staleness_budget`]: the last good graphs are served
-//!   with their age attached, and the durability guarantee still stands.
+//! * **Fresh** — the backing data is at most [`FRESH_FOR`] old at the
+//!   bucket time: the normal serving state.
+//! * **Stale** — the feed failed (after [`MAX_RETRIES`] retries with
+//!   deterministic exponential backoff) or delivered old data, but the
+//!   newest usable data is within [`STALENESS_BUDGET`]: the last good
+//!   graphs are served with their age attached, and the durability
+//!   guarantee still stands.
 //! * **Unavailable** — the data exceeds the staleness budget (or never
 //!   existed): the graphs (if any) are served as *no-guarantee* fallbacks.
 //!   [`GraphsResponse::is_guaranteed`] is false, and the §4.4 optimizer
@@ -87,6 +87,34 @@ pub const SERVICE_STAGES: &[&str] = &[
     "qbets_duration",
 ];
 
+/// Maximum data age (at the bucket time) still considered
+/// [`FeedHealth::Fresh`]: 15 minutes.
+pub const FRESH_FOR: u64 = 15 * spotmarket::MINUTE;
+
+/// Maximum data age the service will still vouch for: one hour. Within
+/// it, degraded responses are [`FeedHealth::Stale`] and keep their
+/// guarantee; beyond it they demote to [`FeedHealth::Unavailable`]
+/// no-guarantee fallbacks.
+pub const STALENESS_BUDGET: u64 = spotmarket::HOUR;
+
+/// Retries after a transient feed error before falling back to the last
+/// good graphs.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Base backoff between feed retries in seconds; doubles per attempt
+/// (deterministic: the retry clock is virtual).
+pub const RETRY_BACKOFF: u64 = 30;
+
+/// Number of combo shards. Each shard publishes and evicts independently,
+/// so publication in one never stalls reads in another; 452 paper combos
+/// spread to ~28 per shard.
+pub const SHARDS: usize = 16;
+
+/// Refresh buckets retained per shard snapshot. Bounds resident memory at
+/// O(combos × `RETAIN_BUCKETS`) while keeping recent buckets servable
+/// lock-free for lagging or out-of-order `now` queries.
+pub const RETAIN_BUCKETS: usize = 8;
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -96,28 +124,6 @@ pub struct ServiceConfig {
     pub probabilities: Vec<f64>,
     /// The prediction configuration.
     pub drafts: DraftsConfig,
-    /// Maximum data age (at the bucket time) still considered
-    /// [`FeedHealth::Fresh`].
-    pub fresh_for: u64,
-    /// Maximum data age the service will still vouch for. Within it,
-    /// degraded responses are [`FeedHealth::Stale`] and keep their
-    /// guarantee; beyond it they demote to [`FeedHealth::Unavailable`]
-    /// no-guarantee fallbacks.
-    pub staleness_budget: u64,
-    /// Retries after a transient feed error before falling back to the
-    /// last good graphs.
-    pub max_retries: u32,
-    /// Base backoff between feed retries in seconds; doubles per attempt
-    /// (deterministic: the retry clock is virtual).
-    pub retry_backoff: u64,
-    /// Number of combo shards. Each shard publishes and evicts
-    /// independently, so publication in one never stalls reads in
-    /// another; 452 paper combos spread to ~28 per shard at the default.
-    pub shards: usize,
-    /// Refresh buckets retained per shard snapshot. Bounds resident
-    /// memory at O(combos × retain_buckets) while keeping recent buckets
-    /// servable lock-free for lagging or out-of-order `now` queries.
-    pub retain_buckets: usize,
 }
 
 impl Default for ServiceConfig {
@@ -126,12 +132,6 @@ impl Default for ServiceConfig {
             recompute_period: 15 * spotmarket::MINUTE,
             probabilities: vec![0.95, 0.99],
             drafts: DraftsConfig::default(),
-            fresh_for: 15 * spotmarket::MINUTE,
-            staleness_budget: spotmarket::HOUR,
-            max_retries: 3,
-            retry_backoff: 30,
-            shards: 16,
-            retain_buckets: 8,
         }
     }
 }
@@ -182,7 +182,7 @@ impl ComboGraphs {
 /// Per-combo feed health attached to every served response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedHealth {
-    /// Data age within [`ServiceConfig::fresh_for`].
+    /// Data age within [`FRESH_FOR`].
     Fresh,
     /// Serving data `age` seconds old — degraded but within the staleness
     /// budget, so guarantees still stand.
@@ -271,7 +271,7 @@ type BucketEntries = HashMap<u64, Option<GraphsResponse>>;
 
 /// The immutable published state of one shard: its retained buckets in
 /// ascending order, each paired with the `Arc` its build returned. At most
-/// [`ServiceConfig::retain_buckets`] long; the oldest is evicted first.
+/// [`RETAIN_BUCKETS`] long; the oldest is evicted first.
 /// Readers receive the whole snapshot via one [`Swap::load`]; writers
 /// replace it wholesale.
 type ShardSnapshot = Vec<(u64, Arc<BucketEntries>)>;
@@ -317,13 +317,13 @@ impl Drop for Lead<'_> {
 /// FNV-1a over a combo key: the shard hash. Stable across platforms and
 /// processes, so shard assignment — and with it every per-shard counter
 /// and exposition — is deterministic.
-fn shard_index(key: u64, shards: usize) -> usize {
+fn shard_index(key: u64) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key.to_le_bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    (h % shards as u64) as usize
+    (h % SHARDS as u64) as usize
 }
 
 /// The in-process DrAFTS service.
@@ -404,27 +404,16 @@ impl DraftsService {
     /// Creates a service.
     ///
     /// # Panics
-    /// Panics on a zero recompute period, an empty probability list, a
-    /// staleness budget below the fresh window, or a zero shard or
-    /// retained-bucket count.
+    /// Panics on a zero recompute period or an empty probability list.
     pub fn new(cfg: ServiceConfig) -> Self {
         assert!(cfg.recompute_period > 0, "recompute period must be > 0");
         assert!(
             !cfg.probabilities.is_empty(),
             "at least one probability level required"
         );
-        assert!(
-            cfg.staleness_budget >= cfg.fresh_for,
-            "staleness budget below the fresh window"
-        );
-        assert!(cfg.shards > 0, "at least one shard required");
-        assert!(
-            cfg.retain_buckets > 0,
-            "at least one retained bucket required"
-        );
         cfg.drafts.validate();
-        let shards = (0..cfg.shards).map(|_| Swap::new(Arc::default())).collect();
-        let shard_combos = vec![Vec::new(); cfg.shards];
+        let shards = (0..SHARDS).map(|_| Swap::new(Arc::default())).collect();
+        let shard_combos = vec![Vec::new(); SHARDS];
         Self {
             cfg,
             feeds: HashMap::new(),
@@ -513,9 +502,9 @@ impl DraftsService {
         self.feeds.insert(feed.combo().key(), feed);
         let mut combos: Vec<Combo> = self.feeds.values().map(|f| f.combo()).collect();
         combos.sort_by_key(|c| c.key());
-        let mut shard_combos = vec![Vec::new(); self.cfg.shards];
+        let mut shard_combos = vec![Vec::new(); SHARDS];
         for &combo in &combos {
-            shard_combos[shard_index(combo.key(), self.cfg.shards)].push(combo);
+            shard_combos[shard_index(combo.key())].push(combo);
         }
         self.combos = combos;
         self.shard_combos = shard_combos;
@@ -639,7 +628,7 @@ impl DraftsService {
     }
 
     /// Total `(combo, bucket)` entries resident across every shard
-    /// snapshot. Bounded by `combos × retain_buckets` regardless of how
+    /// snapshot. Bounded by `combos × RETAIN_BUCKETS` regardless of how
     /// many buckets have been served — the eviction guarantee.
     pub fn resident_graphs(&self) -> usize {
         self.shards
@@ -665,7 +654,7 @@ impl DraftsService {
         let mut fetched = Vec::new();
         for combo in &self.combos {
             let key = combo.key();
-            let shard = shard_index(key, self.cfg.shards);
+            let shard = shard_index(key);
             // A shard's first combo in key order is the fetch that misses
             // and builds; the rest hit what that build published.
             if self.shard_combos[shard][0].key() != key
@@ -722,7 +711,7 @@ impl DraftsService {
             return None;
         }
         let bucket = self.bucket(now);
-        let shard = shard_index(key, self.cfg.shards);
+        let shard = shard_index(key);
         // Steady-state path: one snapshot load (wait-free, see
         // `crate::snapshot`), the bucket's build, and one hash probe into
         // it. No lock, no compute.
@@ -842,7 +831,7 @@ impl DraftsService {
                 cur.iter().filter(|(b, _)| *b != bucket).cloned().collect();
             let at = buckets.partition_point(|&(b, _)| b < bucket);
             buckets.insert(at, (bucket, built.clone()));
-            let evicted = buckets.len().saturating_sub(self.cfg.retain_buckets);
+            let evicted = buckets.len().saturating_sub(RETAIN_BUCKETS);
             if at < evicted {
                 return None;
             }
@@ -900,7 +889,7 @@ impl DraftsService {
                     break Some(h);
                 }
                 Err(_) => {
-                    if attempt >= self.cfg.max_retries {
+                    if attempt >= MAX_RETRIES {
                         // Fault onset: the retry budget is exhausted and
                         // the bucket falls back to last-good data.
                         pending.push(PendingEvent {
@@ -914,7 +903,7 @@ impl DraftsService {
                         });
                         break None;
                     }
-                    poll_at += self.cfg.retry_backoff << attempt;
+                    poll_at += RETRY_BACKOFF << attempt;
                     attempt += 1;
                     self.feed_retries.inc();
                 }
@@ -1007,9 +996,9 @@ impl DraftsService {
 
     fn health_for(&self, bucket_time: u64, covered_until: u64) -> FeedHealth {
         let age = bucket_time.saturating_sub(covered_until);
-        if age <= self.cfg.fresh_for {
+        if age <= FRESH_FOR {
             FeedHealth::Fresh
-        } else if age <= self.cfg.staleness_budget {
+        } else if age <= STALENESS_BUDGET {
             FeedHealth::Stale { age }
         } else {
             FeedHealth::Unavailable
@@ -1314,7 +1303,7 @@ mod tests {
     #[test]
     fn a_thousand_buckets_stay_resident_bounded() {
         // The cache-growth bugfix, pinned explicitly: serving 1000
-        // consecutive buckets leaves O(combos × retain_buckets) graphs
+        // consecutive buckets leaves O(combos × RETAIN_BUCKETS) graphs
         // resident, not O(buckets).
         let cat = Catalog::standard();
         let combo = Combo::new(
@@ -1331,7 +1320,7 @@ mod tests {
             },
             ..ServiceConfig::default()
         };
-        let retain = cfg.retain_buckets;
+        let retain = RETAIN_BUCKETS;
         let period = cfg.recompute_period;
         let mut svc = DraftsService::new(cfg);
         svc.register(h);
@@ -1397,34 +1386,6 @@ mod tests {
     fn rejects_empty_probability_list() {
         DraftsService::new(ServiceConfig {
             probabilities: vec![],
-            ..ServiceConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "staleness budget")]
-    fn rejects_budget_below_fresh_window() {
-        DraftsService::new(ServiceConfig {
-            fresh_for: spotmarket::HOUR,
-            staleness_budget: MINUTE,
-            ..ServiceConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "shard")]
-    fn rejects_zero_shards() {
-        DraftsService::new(ServiceConfig {
-            shards: 0,
-            ..ServiceConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "retained bucket")]
-    fn rejects_zero_retained_buckets() {
-        DraftsService::new(ServiceConfig {
-            retain_buckets: 0,
             ..ServiceConfig::default()
         });
     }
@@ -1561,7 +1522,7 @@ mod tests {
         let (svc, combo) = service();
         let t0 = 20 * spotmarket::DAY;
         let period = svc.cfg.recompute_period;
-        let retain = svc.cfg.retain_buckets as u64;
+        let retain = RETAIN_BUCKETS as u64;
         for i in 1..=retain {
             let _ = svc.fetch(combo, t0 + i * period).unwrap();
         }
@@ -1660,11 +1621,7 @@ mod tests {
                 }
             }
         }
-        let cfg = ServiceConfig {
-            staleness_budget: spotmarket::HOUR,
-            ..ServiceConfig::default()
-        };
-        let mut svc = DraftsService::new(cfg);
+        let mut svc = DraftsService::new(ServiceConfig::default());
         svc.register_feed(Arc::new(OutageFeed {
             inner: CleanFeed::new(truth),
             from: day20,
@@ -1723,10 +1680,7 @@ mod tests {
                 }
             }
         }
-        let mut svc = DraftsService::new(ServiceConfig {
-            staleness_budget: spotmarket::HOUR,
-            ..ServiceConfig::default()
-        });
+        let mut svc = DraftsService::new(ServiceConfig::default());
         svc.register_feed(Arc::new(OutageFeed {
             inner: CleanFeed::new(truth),
             from: day20,
@@ -1791,10 +1745,10 @@ mod tests {
 
     #[test]
     fn warm_leaves_what_a_fetch_loop_in_key_order_leaves() {
-        // Eight markets over three shards, so several shards hold several
-        // combos and warm builds them in one fan-out. Seeded faulty feeds
-        // of three intensities vary the retries, health transitions and
-        // fault events combo by combo.
+        // Eight markets over the `SHARDS` shards, two of which hold two or
+        // three of them, so warm builds several combos of one shard in one
+        // fan-out. Seeded faulty feeds of three intensities vary the
+        // retries, health transitions and fault events combo by combo.
         let cat = Catalog::standard();
         let markets = [
             ("us-east-1b", "c3.large"),
@@ -1807,7 +1761,6 @@ mod tests {
             ("us-west-2c", "m3.medium"),
         ];
         let cfg = ServiceConfig {
-            shards: 3,
             drafts: DraftsConfig {
                 changepoint: None,
                 autocorr: false,
@@ -1891,7 +1844,7 @@ mod tests {
             },
             ..ServiceConfig::default()
         };
-        let budget = cfg.staleness_budget;
+        let budget = STALENESS_BUDGET;
         let period = cfg.recompute_period;
         let mut svc = DraftsService::new(cfg);
         svc.register_feed(Arc::new(FaultyFeed::new(truth, plan)));

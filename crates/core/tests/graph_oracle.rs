@@ -14,7 +14,7 @@
 use drafts_core::duration::{duration_series, Censoring};
 use drafts_core::graph::BidDurationGraph;
 use drafts_core::predictor::{BidPrediction, DraftsConfig, DraftsPredictor};
-use drafts_core::service::{DraftsService, ServiceConfig};
+use drafts_core::service::{DraftsService, ServiceConfig, MAX_RETRIES, RETRY_BACKOFF};
 use spotmarket::archetype::Archetype;
 use spotmarket::faults::{FaultPlan, FaultyFeed, FeedSource};
 use spotmarket::tracegen::{generate_with_archetype, TraceConfig};
@@ -238,13 +238,13 @@ fn change_point_elapsed_graphs_equal_the_batch_oracle() {
 
 /// The history the service holds at `bucket_time`: its poll with the
 /// service's retry schedule, `None` when every attempt fails.
-fn polled(feed: &FaultyFeed, cfg: &ServiceConfig, bucket_time: u64) -> Option<Arc<PriceHistory>> {
+fn polled(feed: &FaultyFeed, bucket_time: u64) -> Option<Arc<PriceHistory>> {
     let mut poll_at = bucket_time;
-    for attempt in 0..=cfg.max_retries {
+    for attempt in 0..=MAX_RETRIES {
         if let Ok(h) = feed.poll(poll_at, attempt) {
             return Some(h);
         }
-        poll_at += cfg.retry_backoff << attempt;
+        poll_at += RETRY_BACKOFF << attempt;
     }
     None
 }
@@ -276,7 +276,7 @@ fn check_service_through_outage(arch: Archetype, drafts: DraftsConfig) {
     let end = truth.time(truth.len() - 1) / period;
     for bucket in (end - 48 * HOUR / period..=end).step_by((HOUR / period) as usize) {
         let bucket_time = bucket * period;
-        let computed = polled(&feed, &cfg, bucket_time).and_then(|h| {
+        let computed = polled(&feed, bucket_time).and_then(|h| {
             let upto = h.series().index_at(bucket_time)?;
             Some(oracle_graphs(&h, &cfg.drafts, upto, &cfg.probabilities))
         });

@@ -35,7 +35,7 @@ use bench::timing::{black_box, Harness, Measurement};
 use drafts_core::snapshot::Swap;
 use drafts_core::{BidDurationGraph, DraftsConfig, DraftsPredictor};
 use loadgen::Kind;
-use obs::{Counter, Histogram, TraceContext, TraceLog, WindowSet};
+use obs::{TraceContext, TraceLog};
 use server::{http, Metrics, Router};
 use std::io::BufReader;
 use std::path::PathBuf;
@@ -216,20 +216,12 @@ fn serve_bench(scale: Scale) -> (String, f64, f64, f64) {
     let trace_overhead_pct = 100.0 * trace_record.median_ns / handle_bid.median_ns.max(1.0);
 
     // The window bookkeeping a steady-state request adds: one same-bucket
-    // advance (the no-op fast path), one histogram record, one counter
-    // increment — exactly what the router/server layer now does per
+    // advance (the no-op fast path) and the latency record with its timed
+    // and slow counts — exactly what the router/server layer does per
     // request on top of the pre-window serving path.
-    let ws = WindowSet::new(900, 16);
-    let lat = Histogram::new();
-    let ctr = Counter::new();
-    ws.register_histogram("latency", &lat);
-    ws.register_counter("requests", &ctr);
-    ws.advance(b.plan.now);
     let window = h.bench("window_per_request", || {
-        ws.advance(black_box(b.plan.now));
-        lat.record_ns(black_box(1_234));
-        ctr.inc();
-        black_box(ctr.get())
+        metrics.windows().advance(black_box(b.plan.now));
+        metrics.record_latency(black_box(1_234));
     });
     let window_overhead_pct = 100.0 * window.median_ns / handle_bid.median_ns.max(1.0);
 

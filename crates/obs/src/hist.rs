@@ -1,7 +1,6 @@
 //! Log-bucketed latency histograms.
 //!
-//! [`LogHistogram`] is the workspace's one histogram type (promoted here
-//! from `bench::timing`, which re-exports it for compatibility): 64
+//! [`LogHistogram`] is the workspace's one histogram type: 64
 //! power-of-two buckets over nanoseconds, so recording is one shift and
 //! one increment and merging is element-wise addition. Quantiles are
 //! nearest-rank over the buckets, reported at the matched bucket's
@@ -107,39 +106,6 @@ impl LogHistogram {
     /// Largest recorded duration in nanoseconds (exact).
     pub fn max_ns(&self) -> u64 {
         self.max_ns
-    }
-
-    /// The bucket-wise difference `self − earlier`: the histogram of
-    /// samples recorded between the two snapshots.
-    ///
-    /// Both snapshots must come from the same monotonic series (`earlier`
-    /// taken first); bucket counts, `count`, and `sum_ns` subtract with
-    /// saturation so a racy snapshot pair degrades to zeros instead of
-    /// wrapping. `max_ns` is not subtractable — the delta keeps the later
-    /// cumulative maximum, a documented upper bound on the interval's true
-    /// maximum (quantiles clamp against it, never exceed it).
-    pub fn diff(&self, earlier: &LogHistogram) -> LogHistogram {
-        let mut d = LogHistogram::new();
-        for (i, (a, b)) in self.buckets.iter().zip(&earlier.buckets).enumerate() {
-            d.buckets[i] = a.saturating_sub(*b);
-        }
-        d.count = self.count.saturating_sub(earlier.count);
-        d.sum_ns = self.sum_ns.saturating_sub(earlier.sum_ns);
-        d.max_ns = self.max_ns;
-        d
-    }
-
-    /// Count of samples recorded in buckets entirely at or below
-    /// `threshold_ns` — a **conservative** good-sample count for latency
-    /// SLOs: a bucket straddling the threshold contributes nothing, so
-    /// the result never overstates attainment.
-    pub fn count_under_ns(&self, threshold_ns: u64) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .take_while(|(i, _)| bucket_range(*i).1 <= threshold_ns)
-            .map(|(_, &n)| n)
-            .sum()
     }
 
     /// The nearest-rank `q`-quantile in nanoseconds, or `None` when empty.
@@ -314,45 +280,15 @@ mod tests {
     }
 
     #[test]
-    fn diff_recovers_the_interval_histogram() {
-        let mut earlier = LogHistogram::new();
-        for us in 1..=300u64 {
-            earlier.record(Duration::from_micros(us));
-        }
-        let mut later = earlier.clone();
-        for us in 301..=1000u64 {
-            later.record(Duration::from_micros(us));
-        }
-        let delta = later.diff(&earlier);
-        let mut expect = LogHistogram::new();
-        for us in 301..=1000u64 {
-            expect.record(Duration::from_micros(us));
-        }
-        assert_eq!(delta.count(), expect.count());
-        assert_eq!(delta.sum_ns(), expect.sum_ns());
-        assert_eq!(delta.quantile_ns(0.5), expect.quantile_ns(0.5));
-        // max_ns is the later cumulative max — an upper bound, exact here.
-        assert_eq!(delta.max_ns(), 1_000_000);
-        // Identical snapshots diff to empty, never wrap.
-        let zero = later.diff(&later);
-        assert_eq!(zero.count(), 0);
-        assert_eq!(zero.quantile_ns(0.5), None);
-    }
-
-    #[test]
     fn count_under_is_conservative_at_bucket_boundaries() {
-        let mut h = LogHistogram::new();
-        for ns in [100u64, 500, 1000, 4000, 100_000] {
-            h.record_ns(ns);
-        }
-        // Threshold 1023 is exactly bucket 9's upper bound: buckets 0–9
-        // qualify, covering 100, 500, and 1000.
-        assert_eq!(h.count_under_ns(1023), 3);
-        // Threshold 1024 sits inside bucket 10 = [1024, 2047], which may
-        // hold samples above it — the straddling bucket is excluded.
-        assert_eq!(h.count_under_ns(1024), 3);
-        assert_eq!(h.count_under_ns(u64::MAX), 5);
-        assert_eq!(h.count_under_ns(0), 0);
+        // Power-of-two boundaries split no bucket. The server counts a
+        // request slow from 2^28 ns, the last whole-bucket cut at or under
+        // 500 ms: every sample of buckets 0–27 lies under it, every sample
+        // of bucket 28 (which straddles 500 ms) on or past it.
+        assert_eq!(bucket_range(27), (1 << 27, (1 << 28) - 1));
+        assert_eq!(bucket_of((1 << 28) - 1), 27);
+        assert_eq!(bucket_of(1 << 28), 28);
+        assert!(bucket_range(28).1 > 500_000_000);
     }
 
     #[test]

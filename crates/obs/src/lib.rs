@@ -18,8 +18,8 @@
 //! A second layer turns the cumulative substrate into *current* signals:
 //!
 //! * **Windows** ([`WindowSet`]) — virtual-time-driven rolling deltas
-//!   over registered histograms/counters (sliding-window quantiles and
-//!   rates without touching the hot recording path).
+//!   over registered counters (sliding-window event counts without
+//!   touching the hot recording path).
 //! * **SLOs** ([`SloMonitor`]) — declarative objectives judged by
 //!   dual-window burn rates into an Ok/Warn/Breach state machine, in
 //!   pure basis-point integer arithmetic.

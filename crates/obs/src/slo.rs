@@ -2,18 +2,20 @@
 //!
 //! An [`Objective`] names a good-event target fraction (in basis points)
 //! and a data [`Source`]; the [`SloMonitor`] evaluates each objective
-//! over a **fast** and a **slow** rolling window from [`WindowSet`] and
-//! folds the two burn rates into an [`SloState`] machine:
+//! over a **fast** ([`FAST_INTERVALS`]) and a **slow** ([`SLOW_INTERVALS`])
+//! rolling window from [`WindowSet`] and folds the two burn rates into an
+//! [`SloState`] machine:
 //!
 //! * **burn rate** = observed bad fraction ÷ error budget (1 − target),
 //!   in units of 1/10000 so `10000` means "consuming budget exactly as
 //!   fast as the SLO allows". All arithmetic is integer basis points —
 //!   no floats, so evaluations are bit-deterministic.
-//! * **Breach** requires the fast *and* slow burn to exceed the breach
-//!   threshold — the classic multi-window rule: the fast window confirms
-//!   the problem is current, the slow window confirms it is sustained,
-//!   and an empty window burns nothing.
-//! * **Warn** fires on the fast window alone: early signal, no paging.
+//! * **Breach** requires the fast *and* slow burn to reach [`BP`] — the
+//!   classic multi-window rule: the fast window confirms the problem is
+//!   current, the slow window confirms it is sustained, and an empty
+//!   window burns nothing.
+//! * **Warn** fires when the fast burn alone reaches [`BP`]: early
+//!   signal, no paging.
 //!
 //! [`Source::Instant`] objectives skip the windows entirely and judge
 //! caller-supplied good/warn/bad counts (e.g. the per-combo `FeedHealth`
@@ -27,18 +29,27 @@ use crate::lock_clean;
 use crate::window::WindowSet;
 use std::sync::Mutex;
 
-/// Basis points in a whole: the unit of targets and burn rates.
+/// Basis points in a whole: the unit of targets and burn rates, and the
+/// burn (1.0× budget consumption) at which an objective warns or
+/// breaches.
 pub const BP: u64 = 10_000;
+
+/// Fast window width in intervals: the live interval and the one before.
+pub const FAST_INTERVALS: usize = 2;
+
+/// Slow window width in intervals (two virtual hours).
+pub const SLOW_INTERVALS: usize = 8;
 
 /// The attainment state of one objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloState {
     /// Within budget on both windows.
     Ok,
-    /// Fast-window burn above the warn threshold.
+    /// Fast-window burn at or past [`BP`] (or an instant objective with
+    /// any degraded member).
     Warn,
-    /// Fast and slow burn both above the breach threshold (or an instant
-    /// budget exceeded).
+    /// Fast and slow burn both at or past [`BP`] (or an instant budget
+    /// exceeded).
     Breach,
 }
 
@@ -56,13 +67,15 @@ impl SloState {
 /// Where an objective's good/bad counts come from.
 #[derive(Debug, Clone)]
 pub enum Source {
-    /// Good = samples at or under `threshold_ns` in the windowed
-    /// histogram registered as `hist` (conservative bucket counting).
-    LatencyUnder {
-        /// Window-set histogram name.
-        hist: &'static str,
-        /// Latency threshold in nanoseconds.
-        threshold_ns: u64,
+    /// Slow and timed request counters registered in the window set;
+    /// good = timed − slow. Counted like [`Source::BadTotal`], but the
+    /// only source whose Breach event carries the slowest-request trace
+    /// exemplar.
+    Latency {
+        /// Window-set counter name for slow requests.
+        slow: &'static str,
+        /// Window-set counter name for all timed requests.
+        timed: &'static str,
     },
     /// Bad and total event counters registered in the window set; good =
     /// total − bad.
@@ -86,14 +99,6 @@ pub struct Objective {
     /// Target good fraction in basis points (9900 = 99%). Must be < 10000
     /// so the error budget is nonzero.
     pub target_bp: u64,
-    /// Fast window width in intervals.
-    pub fast_intervals: usize,
-    /// Slow window width in intervals.
-    pub slow_intervals: usize,
-    /// Fast-window burn (1/10000 units) at which the state becomes Warn.
-    pub warn_burn_bp: u64,
-    /// Burn both windows must reach for Breach.
-    pub breach_burn_bp: u64,
     /// Data source.
     pub source: Source,
 }
@@ -178,27 +183,16 @@ impl SloMonitor {
     /// matched by objective name, for [`Source::Instant`] ones), updates
     /// the state machine, and emits `slo_transition` events for changes.
     /// Pure integer arithmetic: deterministic for deterministic inputs.
-    pub fn evaluate(
-        &self,
-        now: u64,
-        windows: &WindowSet,
-        instants: &[(&'static str, InstantCounts)],
-        events: Option<&EventLog>,
-    ) -> Vec<SloStatus> {
-        self.evaluate_with_exemplar(now, windows, instants, events, 0)
-    }
-
-    /// [`SloMonitor::evaluate`] with a trace exemplar: when a
-    /// [`Source::LatencyUnder`] objective transitions to Breach, the
-    /// emitted event carries `slowest_trace` (the trace id of the
-    /// slowest contributing request) as a `trace` field, so a breach
-    /// links straight to a `/v1/_debug/trace/{id}` timeline.
     ///
-    /// Only latency objectives get the exemplar: the slowest-request
-    /// choice is wall-clock, and the other sources breach (and emit)
+    /// When a [`Source::Latency`] objective transitions to Breach, the
+    /// emitted event carries `slowest_trace` (the trace id of the slowest
+    /// contributing request; 0 for none) as a `trace` field, so a breach
+    /// links straight to a `/v1/_debug/trace/{id}` timeline. Only latency
+    /// objectives get the exemplar: the slowest-request choice is
+    /// wall-clock, and the other sources breach (and emit)
     /// deterministically — attaching wall-clock data there would break
     /// the event ring's two-boot byte equality.
-    pub fn evaluate_with_exemplar(
+    pub fn evaluate(
         &self,
         now: u64,
         windows: &WindowSet,
@@ -243,35 +237,26 @@ impl SloMonitor {
                             fast_total: u64::try_from(total).unwrap_or(u64::MAX),
                         }
                     }
-                    source => {
+                    Source::Latency {
+                        slow: bad,
+                        timed: total,
+                    }
+                    | Source::BadTotal { bad, total } => {
                         let count = |k: usize| -> (u64, u64) {
-                            match source {
-                                Source::LatencyUnder { hist, threshold_ns } => {
-                                    let w = windows.hist_window(hist, k).unwrap_or_default();
-                                    let total = w.count();
-                                    let good = w.count_under_ns(*threshold_ns);
-                                    (total - good.min(total), total)
-                                }
-                                Source::BadTotal { bad, total } => {
-                                    let b = windows.counter_window(bad, k).unwrap_or(0);
-                                    let t = windows.counter_window(total, k).unwrap_or(0);
-                                    (b.min(t), t)
-                                }
-                                Source::Instant => unreachable!(),
-                            }
+                            let t = windows.counter_window(total, k).unwrap_or(0);
+                            (windows.counter_window(bad, k).unwrap_or(0).min(t), t)
                         };
-                        let (fast_bad, fast_total) = count(o.fast_intervals);
-                        let (slow_bad, slow_total) = count(o.slow_intervals);
+                        let (fast_bad, fast_total) = count(FAST_INTERVALS);
+                        let (slow_bad, slow_total) = count(SLOW_INTERVALS);
                         let fast_burn = burn_bp(fast_bad.into(), fast_total.into(), budget_bp);
                         let slow_burn = burn_bp(slow_bad.into(), slow_total.into(), budget_bp);
-                        let state =
-                            if fast_burn >= o.breach_burn_bp && slow_burn >= o.breach_burn_bp {
-                                SloState::Breach
-                            } else if fast_burn >= o.warn_burn_bp {
-                                SloState::Warn
-                            } else {
-                                SloState::Ok
-                            };
+                        let state = if fast_burn >= BP && slow_burn >= BP {
+                            SloState::Breach
+                        } else if fast_burn >= BP {
+                            SloState::Warn
+                        } else {
+                            SloState::Ok
+                        };
                         SloStatus {
                             name: o.name,
                             state,
@@ -299,7 +284,7 @@ impl SloMonitor {
                         ];
                         if status.state == SloState::Breach
                             && slowest_trace != 0
-                            && matches!(o.source, Source::LatencyUnder { .. })
+                            && matches!(o.source, Source::Latency { .. })
                         {
                             fields.push(("trace", format!("{slowest_trace:016x}")));
                         }
@@ -317,23 +302,31 @@ impl SloMonitor {
 mod tests {
     use super::*;
     use crate::registry::Counter;
-
-    const INTERVAL: u64 = 900;
+    use crate::window::INTERVAL_SECS as INTERVAL;
 
     fn objective(source: Source) -> Objective {
         Objective {
             name: "test",
             target_bp: 9_900, // 99% good, 1% budget
-            fast_intervals: 2,
-            slow_intervals: 8,
-            warn_burn_bp: BP,
-            breach_burn_bp: BP,
             source,
         }
     }
 
+    /// A window set over `slow` and `timed` counters with `slow` slow
+    /// requests among `timed` in the live interval.
+    fn latency_windows(slow: u64, timed: u64) -> WindowSet {
+        let ws = WindowSet::new();
+        let (s, t) = (Counter::new(), Counter::new());
+        ws.register_counter("slow", &s);
+        ws.register_counter("timed", &t);
+        ws.advance(0);
+        s.add(slow);
+        t.add(timed);
+        ws
+    }
+
     fn windows_with(bad_per_interval: &[u64], total_per_interval: u64) -> WindowSet {
-        let ws = WindowSet::new(INTERVAL, 16);
+        let ws = WindowSet::new();
         let bad = Counter::new();
         let total = Counter::new();
         ws.register_counter("bad", &bad);
@@ -364,8 +357,8 @@ mod tests {
         assert_eq!(burn_bp(max, max, 100), 1_000_000);
         assert_eq!(burn_bp(1, max, 100), 0);
         let monitor = SloMonitor::new(vec![objective(Source::Instant)]);
-        let ws = WindowSet::new(INTERVAL, 4);
-        let eval = |counts| monitor.evaluate(0, &ws, &[("test", counts)], None)[0].clone();
+        let ws = WindowSet::new();
+        let eval = |counts| monitor.evaluate(0, &ws, &[("test", counts)], None, 0)[0].clone();
         let third_bad = eval(InstantCounts {
             good: u64::MAX,
             warn: u64::MAX,
@@ -402,7 +395,7 @@ mod tests {
         // a 10% bad rate, the slow window (8) dilutes it to ~1.4% — both
         // above a 1% budget, so this breaches...
         let ws = windows_with(&[0, 0, 0, 0, 0, 0, 0, 20], 200);
-        let s = &monitor.evaluate(8 * INTERVAL, &ws, &[], None)[0];
+        let s = &monitor.evaluate(8 * INTERVAL, &ws, &[], None, 0)[0];
         assert_eq!(s.state, SloState::Breach, "{s:?}");
         assert!(s.fast_burn_bp >= BP && s.slow_burn_bp >= BP);
 
@@ -413,7 +406,7 @@ mod tests {
             total: "total",
         })]);
         let ws = windows_with(&[0, 40, 0, 0, 0, 0, 0, 0], 200);
-        let s = &monitor.evaluate(8 * INTERVAL, &ws, &[], None)[0];
+        let s = &monitor.evaluate(8 * INTERVAL, &ws, &[], None, 0)[0];
         assert_eq!(s.state, SloState::Ok, "fast window is clean: {s:?}");
         assert_eq!(s.fast_burn_bp, 0);
         assert!(s.slow_burn_bp >= BP);
@@ -421,22 +414,12 @@ mod tests {
 
     #[test]
     fn latency_objective_counts_threshold_misses() {
-        use crate::hist::Histogram;
-        let ws = WindowSet::new(INTERVAL, 16);
-        let h = Histogram::new();
-        ws.register_histogram("lat", &h);
-        ws.advance(0);
-        for _ in 0..95 {
-            h.record_ns(10_000); // well under threshold
-        }
-        for _ in 0..5 {
-            h.record_ns(50_000_000); // over threshold
-        }
-        let monitor = SloMonitor::new(vec![objective(Source::LatencyUnder {
-            hist: "lat",
-            threshold_ns: 1_000_000,
+        let ws = latency_windows(5, 100);
+        let monitor = SloMonitor::new(vec![objective(Source::Latency {
+            slow: "slow",
+            timed: "timed",
         })]);
-        let s = &monitor.evaluate(0, &ws, &[], None)[0];
+        let s = &monitor.evaluate(0, &ws, &[], None, 0)[0];
         // 5% bad over a 1% budget: burn 5.0 on both windows (same live
         // data) — breach.
         assert_eq!(s.state, SloState::Breach);
@@ -448,8 +431,8 @@ mod tests {
     #[test]
     fn instant_objective_judges_rollup_counts() {
         let monitor = SloMonitor::new(vec![objective(Source::Instant)]);
-        let ws = WindowSet::new(INTERVAL, 4);
-        let eval = |counts| monitor.evaluate(0, &ws, &[("test", counts)], None)[0].clone();
+        let ws = WindowSet::new();
+        let eval = |counts| monitor.evaluate(0, &ws, &[("test", counts)], None, 0)[0].clone();
         let ok = eval(InstantCounts {
             good: 6,
             warn: 0,
@@ -476,7 +459,7 @@ mod tests {
     fn transitions_emit_events_and_recovery_is_info() {
         let log = EventLog::new(16);
         let monitor = SloMonitor::new(vec![objective(Source::Instant)]);
-        let ws = WindowSet::new(INTERVAL, 4);
+        let ws = WindowSet::new();
         let bad = InstantCounts {
             good: 0,
             warn: 0,
@@ -487,9 +470,9 @@ mod tests {
             warn: 0,
             bad: 0,
         };
-        monitor.evaluate(100, &ws, &[("test", bad)], Some(&log));
-        monitor.evaluate(200, &ws, &[("test", bad)], Some(&log));
-        monitor.evaluate(300, &ws, &[("test", good)], Some(&log));
+        monitor.evaluate(100, &ws, &[("test", bad)], Some(&log), 0);
+        monitor.evaluate(200, &ws, &[("test", bad)], Some(&log), 0);
+        monitor.evaluate(300, &ws, &[("test", good)], Some(&log), 0);
         let snap = log.snapshot();
         assert_eq!(snap.len(), 2, "no event without a transition: {snap:?}");
         assert_eq!(snap[0].level, Level::Error);
@@ -502,19 +485,12 @@ mod tests {
 
     #[test]
     fn breach_exemplar_tags_latency_objectives_only() {
-        use crate::hist::Histogram;
-        let ws = WindowSet::new(INTERVAL, 16);
-        let h = Histogram::new();
-        ws.register_histogram("lat", &h);
-        ws.advance(0);
-        for _ in 0..10 {
-            h.record_ns(50_000_000); // all over threshold: breach
-        }
+        let ws = latency_windows(10, 10); // all slow: breach
         let log = EventLog::new(16);
         let monitor = SloMonitor::new(vec![
-            objective(Source::LatencyUnder {
-                hist: "lat",
-                threshold_ns: 1_000_000,
+            objective(Source::Latency {
+                slow: "slow",
+                timed: "timed",
             }),
             Objective {
                 name: "instant",
@@ -526,7 +502,7 @@ mod tests {
             warn: 0,
             bad: 4,
         };
-        monitor.evaluate_with_exemplar(100, &ws, &[("instant", bad)], Some(&log), 0xABCD);
+        monitor.evaluate(100, &ws, &[("instant", bad)], Some(&log), 0xABCD);
         let snap = log.snapshot();
         assert_eq!(snap.len(), 2, "both objectives breached: {snap:?}");
         let latency = snap

@@ -77,7 +77,6 @@ impl<'a> Scan<'a> {
             // Half-hourly refresh keeps single-core replays tractable
             // while staying within the spirit of the 15-minute service.
             recompute_period: 30 * MINUTE,
-            ..ServiceConfig::default()
         });
         // Only a DrAFTS policy's plan asks the service, and registering a
         // combo generates its whole history: an `Original` replay skips it.

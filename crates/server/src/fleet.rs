@@ -1025,7 +1025,7 @@ impl FrontRouter {
     fn fleet_slo(&self, now: u64, metrics: &Metrics) -> Response {
         let statuses = metrics
             .slo()
-            .evaluate(now, metrics.windows(), &[], metrics.events());
+            .evaluate(now, metrics.windows(), &[], metrics.events(), 0);
         let mut instances = vec![Json::obj(vec![
             ("instance", Json::str("front")),
             ("slo", crate::wire::slo_json(now, &statuses)),

@@ -5,7 +5,8 @@
 //! Scope is exactly what the serving layer needs (no hyper, no tokio):
 //!
 //! * request line + headers + optional `Content-Length` body (bodies are
-//!   read and discarded — every route is a GET);
+//!   read and discarded — every route is a GET); a `Transfer-Encoding`
+//!   request is refused as malformed, since its body cannot be drained;
 //! * persistent connections: HTTP/1.1 defaults to keep-alive,
 //!   `Connection: close` (or HTTP/1.0 without `keep-alive`) closes;
 //! * fixed `Content-Length` responses — no chunked encoding;
@@ -216,6 +217,12 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
+    // A body framed any other way than by Content-Length would stay on
+    // the stream and parse as the next request: refuse it (the server
+    // answers 400 and closes).
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(ParseError::Malformed("transfer-encoding not supported"));
+    }
     // Drain (and discard) any Content-Length body so the next request on
     // the connection starts at a clean boundary.
     let content_length = headers
@@ -578,6 +585,18 @@ mod tests {
         assert!(matches!(
             parse("GET noslash HTTP/1.1\r\n\r\n"),
             Err(ParseError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn refuses_transfer_encoded_bodies() {
+        // A chunked body is not drained, so its chunk lines would parse
+        // as the next request: the request is refused outright.
+        let raw = "GET /v1/health HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                   5\r\nhello\r\n0\r\n\r\n";
+        assert!(matches!(
+            parse(raw),
+            Err(ParseError::Malformed("transfer-encoding not supported"))
         ));
     }
 

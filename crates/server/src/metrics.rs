@@ -13,8 +13,8 @@
 //! two boots of the same service render byte-identical expositions under
 //! virtual time.
 //!
-//! The second observability layer also hangs off [`Metrics`]: the
-//! request-latency histogram and quote counters feed a [`WindowSet`] of
+//! The second observability layer also hangs off [`Metrics`]: slow- and
+//! timed-request counts and the quote counters feed a [`WindowSet`] of
 //! rolling virtual-time windows, an [`SloMonitor`] judges the standing
 //! objectives (`/v1/slo`), an optional [`EventLog`] ring collects
 //! structured events (`/v1/_debug/events`), and an optional [`TraceLog`]
@@ -84,45 +84,33 @@ impl Route {
     }
 }
 
-/// Rolling-window interval: one service recompute period of virtual time,
-/// so window boundaries line up with bucket boundaries.
-const WINDOW_INTERVAL_SECS: u64 = 900;
-
-/// Closed intervals retained per windowed metric (4 virtual hours).
-const WINDOW_RETAIN: usize = 16;
+/// The latency at and past which a request counts as slow for
+/// `serve_latency`: 2^28 ns ≈ 268 ms, a power-of-two boundary of the
+/// `drafts_request_latency_ns` buckets.
+pub const SLOW_REQUEST_NS: u64 = 1 << 28;
 
 /// The server's standing SLO objectives, evaluated at `/v1/slo`.
 ///
-/// * `serve_latency` — 99% of requests answered under the (generous)
-///   threshold. The bucketed good-count cuts at the largest power-of-two
-///   boundary under the threshold (~268 ms), far above anything a healthy
-///   loopback request takes, so sequential CI drives stay byte-identical.
+/// * `serve_latency` — 99% of requests answered under
+///   [`SLOW_REQUEST_NS`], far above anything a healthy loopback request
+///   takes, so sequential CI drives stay byte-identical.
 /// * `bid_degraded` — at most 5% of `/v1/bid` quotes served degraded.
 /// * `feed_freshness` — instant-judged from the per-combo health rollup:
 ///   any stale combo warns, an unavailable combo past 10% of the fleet
 ///   breaches.
 fn standing_objectives() -> Vec<Objective> {
-    let burn = obs::slo::BP; // act at 1.0× budget-consumption rate
     vec![
         Objective {
             name: "serve_latency",
             target_bp: 9_900,
-            fast_intervals: 2,
-            slow_intervals: 8,
-            warn_burn_bp: burn,
-            breach_burn_bp: burn,
-            source: Source::LatencyUnder {
-                hist: "request_latency",
-                threshold_ns: 500_000_000,
+            source: Source::Latency {
+                slow: "slow_requests",
+                timed: "timed_requests",
             },
         },
         Objective {
             name: "bid_degraded",
             target_bp: 9_500,
-            fast_intervals: 2,
-            slow_intervals: 8,
-            warn_burn_bp: burn,
-            breach_burn_bp: burn,
             source: Source::BadTotal {
                 bad: "degraded",
                 total: "quotes",
@@ -131,10 +119,6 @@ fn standing_objectives() -> Vec<Objective> {
         Objective {
             name: "feed_freshness",
             target_bp: 9_000,
-            fast_intervals: 2,
-            slow_intervals: 8,
-            warn_burn_bp: burn,
-            breach_burn_bp: burn,
             source: Source::Instant,
         },
     ]
@@ -167,9 +151,14 @@ pub struct Metrics {
     pub quotes_total: Counter,
     /// End-to-end request handling latency (recorded by the worker around
     /// the router; only its `_count` renders in the exposition).
-    pub request_latency: Histogram,
-    /// Rolling virtual-time windows over the latency histogram and quote
-    /// counters, advanced per request.
+    request_latency: Histogram,
+    /// Requests timed into `request_latency` (windowed only, so the
+    /// exposition keeps its lines).
+    timed_requests: Counter,
+    /// Timed requests at or past [`SLOW_REQUEST_NS`] (windowed only).
+    slow_requests: Counter,
+    /// Rolling virtual-time windows over the request and quote counters,
+    /// advanced per request.
     windows: WindowSet,
     /// The standing SLO objectives evaluated at `/v1/slo`.
     slo: Arc<SloMonitor>,
@@ -235,8 +224,10 @@ impl Metrics {
             log.register_metrics(&registry);
             log
         });
-        let windows = WindowSet::new(WINDOW_INTERVAL_SECS, WINDOW_RETAIN);
-        windows.register_histogram("request_latency", &request_latency);
+        let (timed_requests, slow_requests) = (Counter::new(), Counter::new());
+        let windows = WindowSet::new();
+        windows.register_counter("timed_requests", &timed_requests);
+        windows.register_counter("slow_requests", &slow_requests);
         windows.register_counter("degraded", &degraded_quotes);
         windows.register_counter("quotes", &quotes_total);
         let slo = Arc::new(SloMonitor::new(standing_objectives()));
@@ -255,6 +246,8 @@ impl Metrics {
             degraded_quotes,
             quotes_total,
             request_latency,
+            timed_requests,
+            slow_requests,
             windows,
             slo,
             events,
@@ -307,6 +300,16 @@ impl Metrics {
     /// Requests served on `route`.
     pub fn requests(&self, route: Route) -> u64 {
         self.requests[route.index()].get()
+    }
+
+    /// Records one request's end-to-end handling latency, counting it
+    /// slow at or past [`SLOW_REQUEST_NS`].
+    pub fn record_latency(&self, ns: u64) {
+        self.request_latency.record_ns(ns);
+        self.timed_requests.inc();
+        if ns >= SLOW_REQUEST_NS {
+            self.slow_requests.inc();
+        }
     }
 
     /// Counts one response with `status`.
@@ -424,14 +427,14 @@ drafts_degraded_quotes_total 0
         m.degraded_quotes.inc();
         assert_eq!(m.windows().counter_window("quotes", 1), Some(2));
         assert_eq!(m.windows().counter_window("degraded", 1), Some(1));
-        m.request_latency.record_ns(1_000);
-        assert_eq!(
-            m.windows()
-                .hist_window("request_latency", 1)
-                .unwrap()
-                .count(),
-            1
-        );
+        for ns in [1_000, SLOW_REQUEST_NS - 1, SLOW_REQUEST_NS, u64::MAX] {
+            m.record_latency(ns);
+        }
+        assert_eq!(m.windows().counter_window("timed_requests", 1), Some(4));
+        assert_eq!(m.windows().counter_window("slow_requests", 1), Some(2));
+        assert!(m
+            .render_text()
+            .contains("drafts_request_latency_ns_count 4\n"));
     }
 
     #[test]

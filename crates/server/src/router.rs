@@ -214,7 +214,7 @@ impl Router {
         // The slowest-request trace id rides along as the latency
         // breach exemplar (events only — the response body carries no
         // wall-clock-chosen data).
-        let statuses = metrics.slo().evaluate_with_exemplar(
+        let statuses = metrics.slo().evaluate(
             now,
             metrics.windows(),
             &[("feed_freshness", freshness)],

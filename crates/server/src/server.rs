@@ -451,7 +451,7 @@ fn serve_connection(conn: TcpStream, worker: usize, shared: &Shared) {
         // `/v1/metrics` read always includes its previous request in both
         // families (the two-boot byte diff depends on that ordering).
         let elapsed_ns = watch.elapsed().as_nanos() as u64;
-        shared.metrics.request_latency.record_ns(elapsed_ns);
+        shared.metrics.record_latency(elapsed_ns);
         // The router echoes the request's trace context as a response
         // header; feed it to the slowest-request exemplar so an SLO
         // latency breach can name the trace that ate the budget.

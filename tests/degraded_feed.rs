@@ -4,7 +4,9 @@
 //! guaranteed is never backed by data older than the staleness budget.
 
 use drafts::core::predictor::DraftsConfig;
-use drafts::core::service::{DraftsService, FeedHealth, ServiceConfig};
+use drafts::core::service::{
+    DraftsService, FeedHealth, ServiceConfig, MAX_RETRIES, RETRY_BACKOFF, STALENESS_BUDGET,
+};
 use drafts::market::archetype::Archetype;
 use drafts::market::catalog::Family;
 use drafts::market::faults::{CleanFeed, FaultPlan, FaultyFeed, FeedError, FeedSource};
@@ -52,7 +54,6 @@ fn hostile_feed_degrades_but_never_over_promises() {
     let run = || {
         let mut svc = DraftsService::new(service_cfg());
         svc.register_feed(Arc::new(FaultyFeed::new(truth.clone(), plan)));
-        let budget = ServiceConfig::default().staleness_budget;
         let period = ServiceConfig::default().recompute_period;
         let mut trace = Vec::new();
         for i in 0..300u64 {
@@ -62,7 +63,7 @@ fn hostile_feed_degrades_but_never_over_promises() {
                 Some(r) => {
                     if r.is_guaranteed() {
                         assert!(
-                            bucket_time.saturating_sub(r.covered_until) <= budget,
+                            bucket_time.saturating_sub(r.covered_until) <= STALENESS_BUDGET,
                             "guaranteed response served from out-of-budget data at {now}"
                         );
                     }
@@ -255,7 +256,6 @@ fn transition_and_fault_events_match_an_independent_replay_of_the_plan() {
     // the service's retry loop against a twin feed built from the same
     // plan (the same cross-check style the fault counters get above).
     let twin = FaultyFeed::new(truth.clone(), plan);
-    let cfg = ServiceConfig::default();
     let (mut faults, mut recoveries) = (0u64, 0u64);
     for &bucket_time in &steps {
         let mut poll_at = bucket_time;
@@ -269,11 +269,11 @@ fn transition_and_fault_events_match_an_independent_replay_of_the_plan() {
                     break;
                 }
                 Err(_) => {
-                    if attempt >= cfg.max_retries {
+                    if attempt >= MAX_RETRIES {
                         faults += 1;
                         break;
                     }
-                    poll_at += cfg.retry_backoff << attempt;
+                    poll_at += RETRY_BACKOFF << attempt;
                     attempt += 1;
                 }
             }

@@ -475,44 +475,48 @@ impl FeedSource for OutageFeed {
     }
 }
 
+/// One instance serving a single market whose feed is out from `NOW`
+/// to `NOW + 12h`: fresh before, stale within the staleness budget,
+/// unavailable (degraded quotes) past it.
+fn start_outage(seed: u64) -> Server {
+    let catalog = Catalog::standard();
+    let mut svc = DraftsService::new(ServiceConfig {
+        drafts: DraftsConfig {
+            changepoint: None,
+            autocorr: false,
+            duration_stride: 6,
+            ..DraftsConfig::default()
+        },
+        ..ServiceConfig::default()
+    });
+    let combo = Combo::new(
+        Az::parse("us-east-1c").unwrap(),
+        catalog.type_id("c3.4xlarge").unwrap(),
+    );
+    let truth = Arc::new(generate_with_archetype(
+        combo,
+        catalog,
+        &TraceConfig::days(30, seed),
+        Archetype::Choppy,
+    ));
+    svc.register_feed(Arc::new(OutageFeed {
+        inner: CleanFeed::new(truth),
+        from: NOW,
+        until: NOW + 12 * HOUR,
+    }));
+    let router = Router::new(Arc::new(svc), NOW).with_debug_routes();
+    Server::start(
+        router,
+        ServerConfig {
+            event_log: 256,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback")
+}
+
 #[test]
 fn injected_outage_sweep_flips_slos_to_breach_with_events_in_the_ring() {
-    let start_outage = |seed: u64| {
-        let catalog = Catalog::standard();
-        let mut svc = DraftsService::new(ServiceConfig {
-            drafts: DraftsConfig {
-                changepoint: None,
-                autocorr: false,
-                duration_stride: 6,
-                ..DraftsConfig::default()
-            },
-            ..ServiceConfig::default()
-        });
-        let combo = Combo::new(
-            Az::parse("us-east-1c").unwrap(),
-            catalog.type_id("c3.4xlarge").unwrap(),
-        );
-        let truth = Arc::new(generate_with_archetype(
-            combo,
-            catalog,
-            &TraceConfig::days(30, seed),
-            Archetype::Choppy,
-        ));
-        svc.register_feed(Arc::new(OutageFeed {
-            inner: CleanFeed::new(truth),
-            from: NOW,
-            until: NOW + 12 * HOUR,
-        }));
-        let router = Router::new(Arc::new(svc), NOW).with_debug_routes();
-        Server::start(
-            router,
-            ServerConfig {
-                event_log: 256,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind loopback")
-    };
     let drive = |addr: SocketAddr| -> (Vec<u8>, Vec<u8>) {
         // Sweep virtual time from just before the outage deep into it, in
         // recompute-period steps: fresh -> stale -> unavailable.
@@ -597,4 +601,127 @@ fn injected_outage_sweep_flips_slos_to_breach_with_events_in_the_ring() {
     assert_eq!(events_a, events_b, "event dump differs across boots");
     a.shutdown();
     b.shutdown();
+}
+
+#[test]
+fn slo_windows_roll_on_interval_boundaries() {
+    // One instance, one sequential client, `?now=` stepping through ten
+    // 900 s window intervals from just before the outage. Reads at
+    // intervals 1 and 9 open their interval themselves, and interval 7
+    // has no traffic. A request counted before the window clock moves
+    // lands one interval early: the bid opening interval 8 would fall
+    // out of the fast window read at 8 and 9, and a count taken at
+    // dispatch would also count the interval-1 read in its own answer.
+    // Quotes degrade past the staleness budget from interval 5 on.
+    let server = start_outage(97);
+    let mut client = Client::new(server.addr(), Duration::from_secs(5));
+    let mut get = |path: String| {
+        let (status, body) = client.get(&path).expect("get");
+        assert_eq!(status, 200, "{path}");
+        server::Json::parse(&String::from_utf8(body).unwrap()).unwrap()
+    };
+    let t0 = NOW - 900;
+    let mut reads = Vec::new();
+    for k in (0..=9u64).filter(|&k| k != 7) {
+        let t = t0 + k * 900;
+        if k == 1 || k == 9 {
+            reads.push(get(format!("/v1/slo?now={t}")));
+        }
+        get(format!("/v1/bid?duration=3600&now={}", t + 1));
+        get(format!(
+            "/v1/graphs/us-east-1/us-east-1c/c3.4xlarge?now={}",
+            t + 300
+        ));
+        get(format!("/v1/health?now={}", t + 600));
+        if k == 2 || k == 8 {
+            reads.push(get(format!("/v1/slo?now={}", t + 899)));
+        }
+    }
+    let field = |j: &server::Json, key: &str| j.get(key).unwrap().as_u64().unwrap();
+    let text = |j: &server::Json, key: &str| j.get(key).unwrap().as_str().unwrap().to_string();
+    // (name, state, fast_good, fast_total, fast_burn_bp, slow_burn_bp)
+    type Row = (String, String, u64, u64, u64, u64);
+    let rows: Vec<Vec<Row>> = reads
+        .iter()
+        .map(|doc| {
+            doc.get("slos")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|s| {
+                    (
+                        text(s, "name"),
+                        text(s, "state"),
+                        field(s, "fast_good"),
+                        field(s, "fast_total"),
+                        field(s, "fast_burn_bp"),
+                        field(s, "slow_burn_bp"),
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    let row = |name: &str, state: &str, good, total, fast, slow| {
+        (name.to_string(), state.to_string(), good, total, fast, slow)
+    };
+    assert_eq!(
+        rows,
+        [
+            vec![
+                row("serve_latency", "ok", 3, 3, 0, 0),
+                row("bid_degraded", "ok", 1, 1, 0, 0),
+                row("feed_freshness", "ok", 1, 1, 0, 0),
+            ],
+            vec![
+                row("serve_latency", "ok", 7, 7, 0, 0),
+                row("bid_degraded", "ok", 2, 2, 0, 0),
+                row("feed_freshness", "warn", 0, 1, 0, 0),
+            ],
+            vec![
+                row("serve_latency", "ok", 3, 3, 0, 0),
+                row("bid_degraded", "breach", 0, 1, 200_000, 85_700),
+                row("feed_freshness", "breach", 0, 1, 100_000, 100_000),
+            ],
+            vec![
+                row("serve_latency", "ok", 4, 4, 0, 0),
+                row("bid_degraded", "breach", 0, 1, 200_000, 100_000),
+                row("feed_freshness", "breach", 0, 1, 100_000, 100_000),
+            ],
+        ]
+    );
+
+    // The transitions, in order, with the burns that drove them.
+    let events = get("/v1/_debug/events?n=256".to_string());
+    let transitions: Vec<String> = events
+        .get("events")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter(|e| text(e, "kind") == "slo_transition")
+        .map(|e| {
+            let f = e.get("fields").unwrap();
+            format!(
+                "{} {} {} {}->{} fast={} slow={}",
+                field(e, "now"),
+                text(e, "level"),
+                text(f, "slo"),
+                text(f, "from"),
+                text(f, "to"),
+                text(f, "fast_burn_bp"),
+                text(f, "slow_burn_bp"),
+            )
+        })
+        .collect();
+    assert_eq!(
+        transitions,
+        [
+            "1729799 warn feed_freshness ok->warn fast=0 slow=0",
+            "1735199 error bid_degraded ok->breach fast=200000 slow=85700",
+            "1735199 error feed_freshness warn->breach fast=100000 slow=100000",
+        ]
+    );
+    drop(client);
+    server.shutdown();
 }

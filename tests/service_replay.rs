@@ -53,7 +53,6 @@ fn service_respects_refresh_buckets_under_load() {
             duration_stride: 6,
             ..DraftsConfig::default()
         },
-        ..ServiceConfig::default()
     });
     svc.register(h);
     // Many queries inside one bucket -> exactly one computation.
